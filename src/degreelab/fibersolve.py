@@ -1,12 +1,18 @@
 """Certified enumeration of real solutions of F(x) = z inside a box.
 
-The solver is a breadth-first branch-and-prune: boxes whose interval
-image of some residual component excludes zero are discarded; surviving
-boxes are tested with an interval Newton operator (midpoint-preconditioned),
-whose contraction into the strict interior certifies existence and
-uniqueness of a root; undecided boxes are split and re-queued.  Working
-level by level in a fixed order makes the output independent of how many
-worker threads participate.
+The solver is a breadth-first branch-and-prune.  Each level of the search
+is a pair of (N, n) float arrays holding the lower and upper side bounds
+of its boxes, one box per row, and every stage works on whole arrays:
+boxes whose interval image of some residual component excludes zero are
+discarded; surviving boxes are tested with one Krawczyk operator
+(midpoint-preconditioned interval Newton, _krawczyk_batch), whose
+contraction into the strict interior certifies existence and uniqueness
+of a root; certified boxes are refined by further Krawczyk steps and
+undecided boxes are split and re-queued.  IntervalBox objects appear only
+for the input box and the isolators of certified roots.  With workers > 1
+a thread pool refines a level's certified boxes in contiguous chunks;
+every kernel works row by row, so the output is the same for any number
+of workers.
 
 The same sum-of-squares positivity kernel that backs boundary clearance
 is exported for reuse by the degree module's boundary and path
@@ -24,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polycore import Interval, IntervalBox, Poly, _next_down, _next_up
+from .polycore import Interval, IntervalBox, Poly, _mul_arrays, _next_down, _next_up
 from .mapforms import PolyMap, jacobian_det, jacobian_matrix
 
 # Split point sits at 127/256 of the width rather than 1/2: an exact
@@ -90,55 +96,15 @@ def _split_point(side: Interval) -> float:
     return side.lo + _SPLIT_RATIO * (side.hi - side.lo)
 
 
-def _interval_matrix(jac, box: IntervalBox):
-    return [[entry.eval_interval(box) for entry in row] for row in jac]
-
-
-def _krawczyk_image(gs, jac, box: IntervalBox) -> IntervalBox | None:
-    """One interval Newton step: the operator image of the box, or None
-    when the midpoint Jacobian cannot be inverted.
-
-    The residual at the midpoint is enclosed by interval-evaluating over
-    the degenerate point box, which is sound and avoids exact rational
-    arithmetic on deep midpoints.
-    """
-    n = box.dims
-    mid = box.midpoint()
-    jm = np.array([[float(entry.eval(list(mid))) for entry in row] for row in jac])
-    try:
-        with np.errstate(all="ignore"):
-            Y = np.linalg.inv(jm)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(Y)):
-        return None
-    point_box = IntervalBox(Interval(x, x) for x in mid)
-    g_mid = [g.eval_interval(point_box) for g in gs]
-    JX = _interval_matrix(jac, box)
-    offsets = [box.sides[j] - Interval.point(mid[j]) for j in range(n)]
-    out = []
-    for i in range(n):
-        newton = Interval(0.0, 0.0)
-        for j in range(n):
-            newton = newton + Interval.point(float(Y[i, j])) * g_mid[j]
-        acc = Interval.point(mid[i]) - newton
-        for j in range(n):
-            e = Interval.point(1.0 if i == j else 0.0)
-            dot = Interval(0.0, 0.0)
-            for k in range(n):
-                dot = dot + Interval.point(float(Y[i, k])) * JX[k][j]
-            acc = acc + (e - dot) * offsets[j]
-        out.append(acc)
-    return IntervalBox(out)
-
-
 def _krawczyk_batch(gs, jac, los: np.ndarray, his: np.ndarray):
-    """Vectorized interval Newton images for a stack of boxes.
+    """Krawczyk images for a stack of boxes, one box per row.
 
-    Returns (K_lo, K_hi, usable) where usable is False for boxes whose
-    midpoint Jacobian could not be inverted (or whose image overflowed).
-    Operation order mirrors the scalar _krawczyk_image so both paths
-    carry the same soundness argument.
+    Row k of (K_lo, K_hi) encloses m - Y g(m) + (I - Y J(X)) (X - m) for
+    box X = row k, its midpoint m and Y the inverse of the Jacobian at m.
+    usable is False where that Jacobian is singular (slogdet sign 0, the
+    zero-pivot case in which inv raises) or where Y or the image is not
+    finite.  Every step works row by row, so a row's image does not depend
+    on the other rows of the stack.
     """
     count, n = los.shape
     mids = los + 0.5 * (his - los)
@@ -147,18 +113,10 @@ def _krawczyk_batch(gs, jac, los: np.ndarray, his: np.ndarray):
         for i in range(n):
             for j in range(n):
                 jm[:, i, j] = jac[i][j].eval_array(mids)
-        Y = np.empty_like(jm)
-        usable = np.ones(count, dtype=bool)
-        for k in range(count):
-            try:
-                yk = np.linalg.inv(jm[k])
-            except np.linalg.LinAlgError:
-                usable[k] = False
-                continue
-            if np.all(np.isfinite(yk)):
-                Y[k] = yk
-            else:
-                usable[k] = False
+        usable = np.linalg.slogdet(jm)[0] != 0
+        jm[~usable] = np.eye(n)
+        Y = np.linalg.inv(jm)
+        usable &= np.isfinite(Y).all(axis=(1, 2))
         gml = np.empty((count, n))
         gmh = np.empty((count, n))
         cache_point: dict = {}
@@ -173,67 +131,91 @@ def _krawczyk_batch(gs, jac, los: np.ndarray, his: np.ndarray):
                     los, his, cache_box)
         off_lo = _next_down(los - mids)
         off_hi = _next_up(his - mids)
-        k_lo = np.empty((count, n))
-        k_hi = np.empty((count, n))
-        for i in range(n):
-            newton_lo = np.zeros(count)
-            newton_hi = np.zeros(count)
-            for j in range(n):
-                y = Y[:, i, j]
-                p1 = y * gml[:, j]
-                p2 = y * gmh[:, j]
-                newton_lo = _next_down(newton_lo + _next_down(np.minimum(p1, p2)))
-                newton_hi = _next_up(newton_hi + _next_up(np.maximum(p1, p2)))
-            acc_lo = _next_down(mids[:, i] - newton_hi)
-            acc_hi = _next_up(mids[:, i] - newton_lo)
-            for j in range(n):
-                dot_lo = np.zeros(count)
-                dot_hi = np.zeros(count)
-                for k in range(n):
-                    y = Y[:, i, k]
-                    p1 = y * jxl[:, k, j]
-                    p2 = y * jxh[:, k, j]
-                    dot_lo = _next_down(dot_lo + _next_down(np.minimum(p1, p2)))
-                    dot_hi = _next_up(dot_hi + _next_up(np.maximum(p1, p2)))
-                delta = 1.0 if i == j else 0.0
-                e_lo = _next_down(delta - dot_hi)
-                e_hi = _next_up(delta - dot_lo)
-                q1 = e_lo * off_lo[:, j]
-                q2 = e_lo * off_hi[:, j]
-                q3 = e_hi * off_lo[:, j]
-                q4 = e_hi * off_hi[:, j]
-                t_lo = _next_down(np.minimum(np.minimum(q1, q2), np.minimum(q3, q4)))
-                t_hi = _next_up(np.maximum(np.maximum(q1, q2), np.maximum(q3, q4)))
-                acc_lo = _next_down(acc_lo + t_lo)
-                acc_hi = _next_up(acc_hi + t_hi)
-            k_lo[:, i] = acc_lo
-            k_hi[:, i] = acc_hi
+        # Y g(m) and Y J(X), each sum rounded outward term by term in index
+        # order; entries are [row, i] and [row, i, j]
+        newton_lo = newton_hi = np.zeros((count, n))
+        dot_lo = dot_hi = np.zeros((count, n, n))
+        for k in range(n):
+            y = Y[:, :, k]
+            p_lo, p_hi = _mul_arrays(y, y, gml[:, k, None], gmh[:, k, None])
+            newton_lo = _next_down(newton_lo + p_lo)
+            newton_hi = _next_up(newton_hi + p_hi)
+            y = y[:, :, None]
+            p_lo, p_hi = _mul_arrays(y, y, jxl[:, None, k, :], jxh[:, None, k, :])
+            dot_lo = _next_down(dot_lo + p_lo)
+            dot_hi = _next_up(dot_hi + p_hi)
+        eye = np.eye(n)
+        t_lo, t_hi = _mul_arrays(_next_down(eye - dot_hi), _next_up(eye - dot_lo),
+                                 off_lo[:, None, :], off_hi[:, None, :])
+        k_lo = _next_down(mids - newton_hi)
+        k_hi = _next_up(mids - newton_lo)
+        for j in range(n):
+            k_lo = _next_down(k_lo + t_lo[:, :, j])
+            k_hi = _next_up(k_hi + t_hi[:, :, j])
     usable &= ~(np.isnan(k_lo).any(axis=1) | np.isnan(k_hi).any(axis=1))
     return k_lo, k_hi, usable
 
 
-def _refine_isolator(gs, jac, box: IntervalBox, cfg: SolverConfig) -> IntervalBox:
-    current = box
+def _refine_rows(gs, jac, los: np.ndarray, his: np.ndarray, cfg: SolverConfig):
+    """Contract each row by repeated Krawczyk steps.
+
+    A row stops once it is no wider than the target width, or when a step
+    is unusable, leaves nothing of the row, or changes nothing; all stop
+    after newton_max_iters steps.
+    """
+    los, his = los.copy(), his.copy()
+    active = np.arange(len(los))
     for _ in range(cfg.newton_max_iters):
-        if current.max_width() <= cfg.target_width:
+        active = active[(his[active] - los[active]).max(axis=1) > cfg.target_width]
+        if not active.size:
             break
-        image = _krawczyk_image(gs, jac, current)
-        if image is None:
-            break
-        shrunk = current.intersect(image)
-        if shrunk is None or shrunk == current:
-            break
-        current = shrunk
-    return current
+        xl, xh = los[active], his[active]
+        k_lo, k_hi, usable = _krawczyk_batch(gs, jac, xl, xh)
+        new_lo, new_hi = np.maximum(xl, k_lo), np.minimum(xh, k_hi)
+        moved = (usable & (new_lo <= new_hi).all(axis=1)
+                 & ((new_lo != xl) | (new_hi != xh)).any(axis=1))
+        active = active[moved]
+        los[active], his[active] = new_lo[moved], new_hi[moved]
+    return los, his
 
 
-def _classify_stuck(box: IntervalBox, outer: IntervalBox, det: Poly,
-                    cfg: SolverConfig) -> str:
-    if box.boundary_gap(outer) <= cfg.boundary_margin:
-        return "boundary_contact"
-    if det.eval_interval(box).contains(0.0):
-        return "singular_suspect"
-    return "depth_exceeded"
+def _stuck_kinds(los, his, outer_lo, outer_hi, det: Poly, cfg: SolverConfig) -> set[str]:
+    """Why undecided boxes were given up: near the outer boundary, a
+    determinant enclosure reaching zero, or neither."""
+    gap = np.minimum(los - outer_lo, outer_hi - his).min(axis=1)
+    boundary = gap <= cfg.boundary_margin
+    kinds = {"boundary_contact"} if boundary.any() else set()
+    if not boundary.all():
+        det_lo, det_hi = det.eval_interval_batch(los[~boundary], his[~boundary])
+        singular = (det_lo <= 0.0) & (0.0 <= det_hi)
+        if singular.any():
+            kinds.add("singular_suspect")
+        if not singular.all():
+            kinds.add("depth_exceeded")
+    return kinds
+
+
+def _split_widest(los: np.ndarray, his: np.ndarray, depth: int, cfg: SolverConfig):
+    """Split every box across its widest axis at _SPLIT_RATIO.
+
+    Returns the children, each parent's left child first, then the boxes
+    that cannot be split: at the depth limit, no wider than the target
+    width, or too narrow for the split point to fall strictly inside.
+    """
+    widths = his - los
+    axis = widths.argmax(axis=1)
+    rows = np.arange(len(los))
+    side_lo, side_hi = los[rows, axis], his[rows, axis]
+    at = side_lo + _SPLIT_RATIO * (side_hi - side_lo)
+    split = ((side_lo < at) & (at < side_hi)
+             & (widths.max(axis=1) > cfg.target_width) & (depth < cfg.max_depth))
+    axis, at = axis[split], at[split]
+    left = 2 * np.arange(len(at))
+    kids_lo = np.repeat(los[split], 2, axis=0)
+    kids_hi = np.repeat(his[split], 2, axis=0)
+    kids_hi[left, axis] = at
+    kids_lo[left + 1, axis] = at
+    return kids_lo, kids_hi, los[~split], his[~split]
 
 
 def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
@@ -255,96 +237,74 @@ def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
     jac = jacobian_matrix(F)
     det = jacobian_det(F)
 
-    def certify(start: IntervalBox):
-        isolator = _refine_isolator(gs, jac, start, cfg)
-        det_range = det.eval_interval(isolator)
-        if det_range.lo > 0.0:
-            return ("root", CertifiedRoot(isolator, +1, isolator.max_width()))
-        if det_range.hi < 0.0:
-            return ("root", CertifiedRoot(isolator, -1, isolator.max_width()))
-        return ("stuck", isolator)
+    def refine(los, his):
+        # rows are independent, so contiguous chunks give the serial result
+        if pool is None:
+            return _refine_rows(gs, jac, los, his, cfg)
+        chunks = [c for c in np.array_split(np.arange(len(los)), workers) if c.size]
+        parts = list(pool.map(
+            lambda c: _refine_rows(gs, jac, los[c], his[c], cfg), chunks))
+        return (np.concatenate([p[0] for p in parts]),
+                np.concatenate([p[1] for p in parts]))
 
-    def leaf_or_split(node: IntervalBox, depth: int):
-        if depth >= cfg.max_depth or node.max_width() <= cfg.target_width:
-            return ("stuck", node)
-        axis = node.widest_axis()
-        side = node.sides[axis]
-        at = _split_point(side)
-        if not (side.lo < at < side.hi):
-            return ("stuck", node)
-        return ("split", node.split(axis, at))
-
+    outer_lo = np.array([s.lo for s in box.sides])
+    outer_hi = np.array([s.hi for s in box.sides])
     roots: list[CertifiedRoot] = []
-    stuck_kinds: set[str] = set()
-    boxes_processed = 0
-    deepest = 0
-    level: list[IntervalBox] = [box]
-    depth = 0
+    stuck_lo: list[np.ndarray] = []
+    stuck_hi: list[np.ndarray] = []
+    boxes_processed = deepest = depth = 0
+    los, his = outer_lo[None, :], outer_hi[None, :]
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        while level:
-            boxes_processed += len(level)
-            deepest = max(deepest, depth)
-            count = len(level)
-            los = np.array([[s.lo for s in node.sides] for node in level])
-            his = np.array([[s.hi for s in node.sides] for node in level])
-            # vectorized exclusion test: a box survives only if every
-            # residual component's enclosure can reach zero
-            alive = np.ones(count, dtype=bool)
+        while len(los):
+            boxes_processed += len(los)
+            deepest = depth
+            # exclusion: a box survives only if every residual component's
+            # enclosure can reach zero
+            alive = np.ones(len(los), dtype=bool)
             shared_pows: dict = {}
             for g in gs:
                 glo, ghi = g.eval_interval_batch(los, his, shared_pows)
                 alive &= (glo <= 0.0) & (ghi >= 0.0)
-            widths = (his - los).max(axis=1) if count else np.zeros(0)
-            newton_rows = alive & ((widths <= _KRAWCZYK_GATE) | (depth == 0))
-            row_of = {}
-            if newton_rows.any():
-                idxs = np.nonzero(newton_rows)[0]
-                row_of = {int(orig): pos for pos, orig in enumerate(idxs)}
-                k_lo, k_hi, usable = _krawczyk_batch(
-                    gs, jac, los[idxs], his[idxs])
-            decisions = []
-            certify_jobs = []
-            for idx in range(count):
-                if not alive[idx]:
-                    continue
-                node = level[idx]
-                pos = row_of.get(idx)
-                if pos is not None and usable[pos]:
-                    xl, xh = los[idx], his[idx]
-                    kl, kh = k_lo[pos], k_hi[pos]
-                    if np.any(kh < xl) or np.any(kl > xh):
-                        continue  # operator image misses the box: no root
-                    contracted = IntervalBox(
-                        Interval(max(float(a), float(b)), min(float(c), float(d)))
-                        for a, b, c, d in zip(xl, kl, xh, kh))
-                    if np.all(xl < kl) and np.all(kh < xh):
-                        decisions.append(("certify", len(certify_jobs)))
-                        certify_jobs.append(contracted)
-                        continue
-                    decisions.append(leaf_or_split(contracted, depth))
-                else:
-                    decisions.append(leaf_or_split(node, depth))
-            if pool is None:
-                certified = [certify(start) for start in certify_jobs]
-            else:
-                certified = list(pool.map(certify, certify_jobs))
-            next_level: list[IntervalBox] = []
-            for kind, payload in decisions:
-                if kind == "certify":
-                    kind, payload = certified[payload]
-                if kind == "root":
-                    roots.append(payload)
-                elif kind == "stuck":
-                    stuck_kinds.add(_classify_stuck(payload, box, det, cfg))
-                else:
-                    next_level.extend(payload)
-            level = next_level
+            los, his = los[alive], his[alive]
+            certify = np.zeros(len(los), dtype=bool)
+            newton = ((his - los).max(axis=1) <= _KRAWCZYK_GATE) | (depth == 0)
+            if newton.any():
+                rows = np.nonzero(newton)[0]
+                k_lo, k_hi, usable = _krawczyk_batch(gs, jac, los[rows], his[rows])
+                rows, k_lo, k_hi = rows[usable], k_lo[usable], k_hi[usable]
+                xl, xh = los[rows], his[rows]
+                # an operator image that misses the box proves it holds no root
+                keep = np.ones(len(los), dtype=bool)
+                keep[rows] = ~((k_hi < xl).any(axis=1) | (k_lo > xh).any(axis=1))
+                certify[rows] = (xl < k_lo).all(axis=1) & (k_hi < xh).all(axis=1)
+                los[rows] = np.maximum(xl, k_lo)
+                his[rows] = np.minimum(xh, k_hi)
+                los, his, certify = los[keep], his[keep], certify[keep]
+            if certify.any():
+                iso_lo, iso_hi = refine(los[certify], his[certify])
+                det_lo, det_hi = det.eval_interval_batch(iso_lo, iso_hi)
+                signs = np.where(det_lo > 0.0, 1, np.where(det_hi < 0.0, -1, 0))
+                for lo, hi, sign in zip(iso_lo.tolist(), iso_hi.tolist(), signs.tolist()):
+                    if sign:
+                        isolator = IntervalBox(Interval(a, b) for a, b in zip(lo, hi))
+                        roots.append(CertifiedRoot(isolator, sign, isolator.max_width()))
+                stuck_lo.append(iso_lo[signs == 0])
+                stuck_hi.append(iso_hi[signs == 0])
+                los, his = los[~certify], his[~certify]
+            if len(los):
+                los, his, given_up_lo, given_up_hi = _split_widest(los, his, depth, cfg)
+                stuck_lo.append(given_up_lo)
+                stuck_hi.append(given_up_hi)
             depth += 1
     finally:
         if pool is not None:
             pool.shutdown(wait=False)
 
+    stuck_kinds: set[str] = set()
+    if sum(len(s) for s in stuck_lo):
+        stuck_kinds = _stuck_kinds(np.concatenate(stuck_lo), np.concatenate(stuck_hi),
+                                   outer_lo, outer_hi, det, cfg)
     roots.sort(key=lambda r: r.isolator.midpoint())
     boundary_roots = any(
         r.isolator.boundary_gap(box) <= cfg.boundary_margin for r in roots)

@@ -15,10 +15,6 @@ from typing import Sequence
 
 from .polycore import Poly, div_exact
 
-KELLER_KINDS = ("nonzero_constant", "zero_constant", "nonconstant", "identically_zero")
-
-FORM_KINDS = ("cubic_homogeneous", "druzkowski", "neither")
-
 
 class FormViolationError(ValueError):
     """An operation required a map shape the input does not have."""
@@ -146,8 +142,7 @@ def keller_check(F: PolyMap) -> KellerStatus:
     """Classify the Jacobian determinant: nonzero constant, zero, or varying.
 
     The determinant of the zero polynomial is reported as zero_constant
-    with value 0; the identically_zero kind is kept in the vocabulary but
-    describes the same polynomial, so this classifier never emits it.
+    with value 0.
     """
     det = jacobian_det(F)
     if det.is_constant():

@@ -75,18 +75,13 @@ class Interval:
         self.hi = hi
 
     @classmethod
-    def point(cls, x: float) -> Interval:
-        return cls(x, x)
-
-    @classmethod
     def from_fraction(cls, q: Fraction | int) -> Interval:
         q = Fraction(q)
         try:
             f = float(q)
         except OverflowError:
-            return cls(-math.inf, math.inf) if q == 0 else (
-                cls(math.inf, math.inf) if q > 0 else cls(-math.inf, -math.inf)
-            )
+            inf = math.inf if q > 0 else -math.inf
+            return cls(inf, inf)
         if Fraction(f) == q:
             return cls(f, f)
         return cls(_down(f), _up(f))
@@ -103,6 +98,11 @@ class Interval:
     def __mul__(self, other: Interval) -> Interval:
         ps = (self.lo * other.lo, self.lo * other.hi,
               self.hi * other.lo, self.hi * other.hi)
+        total = ps[0] + ps[1] + ps[2] + ps[3]
+        if total != total:
+            # a 0 * inf corner (after overflow) means nothing is known, as
+            # in eval_interval_batch; corners of inf and -inf give this too
+            return Interval(-math.inf, math.inf)
         return Interval(_down(min(ps)), _up(max(ps)))
 
     def power(self, k: int) -> Interval:
@@ -198,12 +198,6 @@ class IntervalBox:
         widths = self.widths()
         return widths.index(max(widths))
 
-    def volume(self) -> float:
-        v = 1.0
-        for s in self.sides:
-            v *= s.width
-        return v
-
     def split(self, axis: int, at: float) -> tuple[IntervalBox, IntervalBox]:
         s = self.sides[axis]
         left = self.sides[:axis] + (Interval(s.lo, at),) + self.sides[axis + 1:]
@@ -221,9 +215,6 @@ class IntervalBox:
                 return None
             out.append(c)
         return IntervalBox(out)
-
-    def strictly_inside(self, other: IntervalBox) -> bool:
-        return all(a.strictly_inside(b) for a, b in zip(self.sides, other.sides))
 
     def boundary_gap(self, outer: IntervalBox) -> float:
         """Smallest distance from this box to the boundary of an enclosing box."""
@@ -285,10 +276,11 @@ def _pow_arrays(xl: np.ndarray, xh: np.ndarray, e: int):
         return ones, ones
     if e == 1:
         return xl, xh
-    down_l = _pow_pos_down_arr(np.abs(xl), e)
-    up_l = _pow_pos_up_arr(np.abs(xl), e)
-    down_h = _pow_pos_down_arr(np.abs(xh), e)
-    up_h = _pow_pos_up_arr(np.abs(xh), e)
+    abs_l, abs_h = np.abs(xl), np.abs(xh)
+    down_l = _pow_pos_down_arr(abs_l, e)
+    up_l = _pow_pos_up_arr(abs_l, e)
+    down_h = _pow_pos_down_arr(abs_h, e)
+    up_h = _pow_pos_up_arr(abs_h, e)
     if e % 2 == 0:
         nonneg = xl >= 0.0
         nonpos = xh <= 0.0
@@ -592,8 +584,7 @@ class Poly:
             acc_lo = np.zeros(count)
             acc_hi = np.zeros(count)
             for exps, coeff in self._iterms:
-                tl = np.full(count, coeff.lo)
-                th = np.full(count, coeff.hi)
+                tl, th = coeff.lo, coeff.hi
                 for i, e in enumerate(exps):
                     if e:
                         pl, ph = var_power(i, e)

@@ -190,6 +190,20 @@ def test_fibers_singular_exit_2(fixtures_dir, capsys):
     assert payload["results"]["status"] == "singular_suspect"
 
 
+def test_degree_count_survives_overflowing_enclosure(tmp_path, capsys):
+    # x1^401 overflows on this box; the clearance enclosure then meets
+    # 0 * inf, which must widen to [-inf, inf] rather than crash
+    mapfile = tmp_path / "overflow.map"
+    mapfile.write_text(json.dumps(
+        {"name": "overflow", "n": 2, "components": ["x1^401*x2 + x1", "x2"]}))
+    code, payload, captured = run_cli(
+        capsys, "degree", "--method", "count", "--map", str(mapfile),
+        "--box=-10:10,0:1", "--z", "1/3,1/2")
+    assert code == 0
+    assert payload["results"]["count"]["value"] == 1
+    assert "Traceback" not in captured.err
+
+
 def test_inject_triangular(fixtures_dir, capsys):
     code, payload, _ = run_cli(
         capsys, "inject", "--map", str(fixtures_dir / "triangular.map"),

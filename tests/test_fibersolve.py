@@ -4,13 +4,15 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from degreelab.polycore import IntervalBox, parse_poly
-from degreelab.mapforms import PolyMap, keller_check
+from degreelab.polycore import IntervalBox, Poly, parse_poly
+from degreelab.mapforms import PolyMap, jacobian_matrix, keller_check
 from degreelab.fibersolve import (
     ClearanceResult,
     SolverConfig,
+    _krawczyk_batch,
     bezout_bound,
     boundary_clearance,
     box_faces,
@@ -18,7 +20,12 @@ from degreelab.fibersolve import (
     solve_fiber,
 )
 
-from gen_maps import random_composed_automorphism, random_druzkowski_map
+from gen_maps import (
+    invert_triangular,
+    random_composed_automorphism,
+    random_druzkowski_map,
+    random_upper_triangular_map,
+)
 
 
 def make_map(*exprs):
@@ -177,6 +184,57 @@ def test_fiber_determinism_across_workers():
     threaded = solve_fiber(F, [0, 0], cube(2, 3.0), workers=4)
     assert serial == threaded
     assert repr(serial) == repr(threaded)
+
+
+def _residuals(F, z):
+    return [p - Poly.const(F.n, t) for p, t in zip(F.components, z)]
+
+
+def test_krawczyk_batch_image_keeps_known_preimage():
+    # upper-triangular maps have exact inverses, so the preimage x of z is
+    # known; every usable row of a stack of boxes around x must map onto a
+    # Krawczyk image that still contains x
+    rng = random.Random(4242)
+    usable_rows = 0
+    for _ in range(40):
+        n = rng.choice([1, 2, 3])
+        F = random_upper_triangular_map(rng, n)
+        G = invert_triangular(F, upper=True)
+        z = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(n)]
+        x = [g.eval(z) for g in G.components]
+        rows = rng.randint(1, 5)
+        los = np.empty((rows, n))
+        his = np.empty((rows, n))
+        for k in range(rows):
+            for i in range(n):
+                below = Fraction(rng.randint(0, 64), rng.choice([64, 256, 4096]))
+                above = Fraction(rng.randint(0, 64), rng.choice([64, 256, 4096]))
+                los[k, i] = math.nextafter(float(x[i] - below), -math.inf)
+                his[k, i] = math.nextafter(float(x[i] + above), math.inf)
+        k_lo, k_hi, usable = _krawczyk_batch(_residuals(F, z), jacobian_matrix(F), los, his)
+        for k in np.nonzero(usable)[0]:
+            usable_rows += 1
+            for i in range(n):
+                assert k_lo[k, i] == -math.inf or Fraction(k_lo[k, i]) <= x[i]
+                assert k_hi[k, i] == math.inf or x[i] <= Fraction(k_hi[k, i])
+    assert usable_rows > 100
+
+
+def test_krawczyk_batch_marks_only_singular_row():
+    # the Jacobian of (x1^2, x2) at the centre of the first box is singular;
+    # the stacked inverse must flag that row and leave the others intact
+    F = make_map("x1^2", "x2")
+    gs = _residuals(F, [1, 0])
+    jac = jacobian_matrix(F)
+    los = np.array([[-1.0, -1.0], [0.5, -0.5], [-1.5, -0.25]])
+    his = np.array([[1.0, 1.0], [1.5, 0.5], [-0.5, 0.25]])
+    k_lo, k_hi, usable = _krawczyk_batch(gs, jac, los, his)
+    assert usable.tolist() == [False, True, True]
+    alone_lo, alone_hi, alone_ok = _krawczyk_batch(gs, jac, los[1:], his[1:])
+    assert alone_ok.all()
+    assert np.array_equal(alone_lo, k_lo[1:]) and np.array_equal(alone_hi, k_hi[1:])
+    for k, root in ((1, 1.0), (2, -1.0)):
+        assert k_lo[k, 0] <= root <= k_hi[k, 0] and k_lo[k, 1] <= 0.0 <= k_hi[k, 1]
 
 
 def test_fiber_input_validation():

@@ -354,6 +354,62 @@ def test_interval_enclosure_soundness_bulk():
             assert enc.lo <= val <= enc.hi, (p, box, pt, val, enc)
 
 
+def _overflow_poly(rng, nvars):
+    """Random polynomial whose terms often have degree 300-420, so that
+    float powers of sides wider than 1 overflow."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = [rng.randint(0, 3) for _ in range(nvars)]
+        if rng.random() < 0.6:
+            exps[rng.randrange(nvars)] = rng.randint(300, 420)
+        c = Fraction(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), rng.randint(1, 3))
+        terms[tuple(exps)] = c
+    return Poly(nvars, terms)
+
+
+def _random_side(rng):
+    if rng.random() < 0.3:
+        lo = Fraction(rng.choice([0, -10, -1]))
+        return lo, lo + rng.choice([0, 1, 10, 20])
+    lo = Fraction(rng.randint(-12, 12), rng.choice([1, 2, 4]))
+    return lo, lo + Fraction(rng.randint(0, 16), rng.choice([1, 2, 4]))
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def test_eval_interval_batch_sound_and_equal_to_scalar():
+    # each row must enclose the exact values over its box and equal the
+    # scalar enclosure of that box bit for bit, overflow included
+    rng = random.Random(271828)
+    cases = [(parse_poly("x1^400*x2", 2), [[(0, 10), (0, 1)]])]
+    for _ in range(300):
+        nvars = rng.randint(1, 3)
+        boxes = [[_random_side(rng) for _ in range(nvars)]
+                 for _ in range(rng.randint(1, 4))]
+        cases.append((_overflow_poly(rng, nvars), boxes))
+    for p, boxes in cases:
+        los = np.array([[float(lo) for lo, _ in b] for b in boxes])
+        his = np.array([[float(hi) for _, hi in b] for b in boxes])
+        b_lo, b_hi = p.eval_interval_batch(los, his)
+        for k, sides in enumerate(boxes):
+            scalar = p.eval_interval(IntervalBox.from_bounds(
+                [(float(lo), float(hi)) for lo, hi in sides]))
+            assert (_bits(b_lo[k]), _bits(b_hi[k])) == (
+                _bits(scalar.lo), _bits(scalar.hi)), (p, sides, scalar, b_lo[k], b_hi[k])
+            for _ in range(2):
+                pt = [lo + Fraction(rng.randint(0, 8), 8) * (hi - lo) for lo, hi in sides]
+                val = p.eval(pt)
+                assert b_lo[k] == -math.inf or Fraction(b_lo[k]) <= val, (p, sides, pt)
+                assert b_hi[k] == math.inf or val <= Fraction(b_hi[k]), (p, sides, pt)
+
+
+def test_interval_mul_zero_times_inf_is_unbounded():
+    prod = Interval(0.0, 1.0) * Interval(1.0, math.inf)
+    assert prod == Interval(-math.inf, math.inf)
+
+
 def test_box_split_and_geometry():
     box = IntervalBox.from_bounds([(0.0, 4.0), (-1.0, 1.0)])
     assert box.dims == 2
