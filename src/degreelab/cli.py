@@ -91,12 +91,16 @@ def _parse_box(text: str, n: int) -> IntervalBox:
             raise CliError(f"box side {part!r} must look like lo:hi")
         lo_text, hi_text = part.split(":", 1)
         lo, hi = _parse_scalar(lo_text), _parse_scalar(hi_text)
-        if Fraction(float(lo)) != lo or Fraction(float(hi)) != hi:
+        try:
+            lo_f, hi_f = float(lo), float(hi)
+        except OverflowError:
+            raise CliError(f"box side {part!r} is too large for a float") from None
+        if Fraction(lo_f) != lo or Fraction(hi_f) != hi:
             print(f"warning: box side {part!r} rounded to float endpoints",
                   file=sys.stderr)
         if lo >= hi:
             raise CliError(f"box side {part!r} is empty")
-        bounds.append((float(lo), float(hi)))
+        bounds.append((lo_f, hi_f))
     return IntervalBox.from_bounds(bounds)
 
 

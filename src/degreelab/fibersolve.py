@@ -8,8 +8,9 @@ discarded; surviving boxes are tested with one Krawczyk operator
 (midpoint-preconditioned interval Newton, _krawczyk_batch), whose
 contraction into the strict interior certifies existence and uniqueness
 of a root; certified boxes are refined by further Krawczyk steps and
-undecided boxes are split and re-queued.  IntervalBox objects appear only
-for the input box and the isolators of certified roots.  With workers > 1
+undecided boxes are split and re-queued (split_widest, which injectlab's
+breadth-first searches share).  IntervalBox objects appear only for the
+input box and the isolators of certified roots.  With workers > 1
 a thread pool refines a level's certified boxes in contiguous chunks;
 every kernel works row by row, so the output is the same for any number
 of workers.
@@ -195,27 +196,24 @@ def _stuck_kinds(los, his, outer_lo, outer_hi, det: Poly, cfg: SolverConfig) -> 
     return kinds
 
 
-def _split_widest(los: np.ndarray, his: np.ndarray, depth: int, cfg: SolverConfig):
-    """Split every box across its widest axis at _SPLIT_RATIO.
+def split_widest(los: np.ndarray, his: np.ndarray, ratio: float):
+    """Split every box across its widest axis at lo + ratio * (hi - lo).
 
-    Returns the children, each parent's left child first, then the boxes
-    that cannot be split: at the depth limit, no wider than the target
-    width, or too narrow for the split point to fall strictly inside.
+    Returns the children as (2N, n) lower and upper bound arrays, each
+    parent's left child first, and a mask of the parents whose split point
+    fell strictly inside the side (elsewhere one child is degenerate).  At
+    ratio 0.5 the split point equals Interval.mid bit for bit.
     """
-    widths = his - los
-    axis = widths.argmax(axis=1)
+    axis = (his - los).argmax(axis=1)
     rows = np.arange(len(los))
     side_lo, side_hi = los[rows, axis], his[rows, axis]
-    at = side_lo + _SPLIT_RATIO * (side_hi - side_lo)
-    split = ((side_lo < at) & (at < side_hi)
-             & (widths.max(axis=1) > cfg.target_width) & (depth < cfg.max_depth))
-    axis, at = axis[split], at[split]
-    left = 2 * np.arange(len(at))
-    kids_lo = np.repeat(los[split], 2, axis=0)
-    kids_hi = np.repeat(his[split], 2, axis=0)
+    at = side_lo + ratio * (side_hi - side_lo)
+    left = 2 * rows
+    kids_lo = np.repeat(los, 2, axis=0)
+    kids_hi = np.repeat(his, 2, axis=0)
     kids_hi[left, axis] = at
     kids_lo[left + 1, axis] = at
-    return kids_lo, kids_hi, los[~split], his[~split]
+    return kids_lo, kids_hi, (side_lo < at) & (at < side_hi)
 
 
 def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
@@ -293,9 +291,16 @@ def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
                 stuck_hi.append(iso_hi[signs == 0])
                 los, his = los[~certify], his[~certify]
             if len(los):
-                los, his, given_up_lo, given_up_hi = _split_widest(los, his, depth, cfg)
-                stuck_lo.append(given_up_lo)
-                stuck_hi.append(given_up_hi)
+                # boxes that cannot be split are given up: at the depth
+                # limit, no wider than the target width, or too narrow for
+                # the split point to fall strictly inside
+                kids_lo, kids_hi, inside = split_widest(los, his, _SPLIT_RATIO)
+                split = (inside & ((his - los).max(axis=1) > cfg.target_width)
+                         & (depth < cfg.max_depth))
+                stuck_lo.append(los[~split])
+                stuck_hi.append(his[~split])
+                pair = np.repeat(split, 2)
+                los, his = kids_lo[pair], kids_hi[pair]
             depth += 1
     finally:
         if pool is not None:
@@ -367,47 +372,40 @@ def certified_min_sum_squares(polys: Sequence[Poly], regions: Sequence[IntervalB
     0.0 when some sub-box could not be pushed off zero within budget —
     a sound but useless bound, reported as failure.
     """
-    heap = []
-    seq = 0
-    for region in regions:
-        heapq.heappush(heap, (_sum_squares_lower(polys, region), seq, 0, region))
-        seq += 1
-    examined = len(regions)
-    deepest = 0
-    splits = 0
-    while heap and heap[0][0] <= 0.0:
-        low, _, depth, node = heapq.heappop(heap)
-        if depth >= max_depth:
-            return 0.0, examined, deepest, (
-                f"sum-of-squares enclosure still reaches {low} at depth {depth}")
-        if splits >= split_budget:
-            return 0.0, examined, deepest, "split budget exhausted"
-        axis = node.widest_axis()
-        side = node.sides[axis]
-        at = _split_point(side)
-        if not (side.lo < at < side.hi):
-            return 0.0, examined, deepest, (
-                "degenerate box still encloses zero; the minimum may be zero")
-        splits += 1
-        for child in node.split(axis, at):
-            heapq.heappush(
-                heap, (_sum_squares_lower(polys, child), seq, depth + 1, child))
-            seq += 1
-            examined += 1
-            deepest = max(deepest, depth + 1)
+    heap = [(_sum_squares_lower(polys, region), seq, 0, region)
+            for seq, region in enumerate(regions)]
+    heapq.heapify(heap)
     if not heap:
-        return 0.0, examined, deepest, "no regions supplied"
-    # All boxes are strictly positive; spend a fixed budget sharpening the
-    # weakest enclosure, which is usually loose overestimation.
-    for _ in range(improve_splits):
+        return 0.0, 0, 0, "no regions supplied"
+    seq = examined = len(heap)
+    deepest = splits = sharpened = 0
+    while True:
+        # the weakest box is split until every box is strictly positive;
+        # then a fixed budget of splits sharpens the weakest enclosure,
+        # which is usually loose overestimation
         low, _, depth, node = heap[0]
-        if depth >= max_depth:
+        positive = low > 0.0
+        if positive and sharpened >= improve_splits:
             break
         axis = node.widest_axis()
         side = node.sides[axis]
         at = _split_point(side)
-        if not (side.lo < at < side.hi):
-            break
+        if depth >= max_depth:
+            failure = f"sum-of-squares enclosure still reaches {low} at depth {depth}"
+        elif not positive and splits >= split_budget:
+            failure = "split budget exhausted"
+        elif not side.lo < at < side.hi:
+            failure = "degenerate box still encloses zero; the minimum may be zero"
+        else:
+            failure = None
+        if failure is not None:
+            if positive:
+                break
+            return 0.0, examined, deepest, failure
+        if positive:
+            sharpened += 1
+        else:
+            splits += 1
         heapq.heappop(heap)
         for child in node.split(axis, at):
             heapq.heappush(
@@ -419,7 +417,6 @@ def certified_min_sum_squares(polys: Sequence[Poly], regions: Sequence[IntervalB
 
 
 def boundary_clearance(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
-                       cfg: SolverConfig | None = None,
                        max_depth: int = 40, improve_splits: int = 300) -> ClearanceResult:
     """Certified lower bound m with min over the box boundary of |F - z| >= m.
 

@@ -6,13 +6,17 @@ whether two target points sit on one side of the boundary image.  None
 of it proves injectivity over the whole plane — reports carry the box
 they were computed on, and absence of a collision witness is never
 treated as proof that no collision exists.
+
+The sign survey's subdivision and the collision branch-and-prune run
+breadth first on (N, n) bound arrays: one eval_interval_batch call per
+polynomial and level, cells decided in FIFO order, fibersolve.split_widest
+at the midpoint.  Collision seeds are polished by one stacked float Newton.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -27,6 +31,7 @@ from .fibersolve import (
     SolverConfig,
     boundary_clearance,
     solve_fiber,
+    split_widest,
 )
 from .degree import path_segment_clearance, signed_count_from_fiber
 
@@ -38,12 +43,12 @@ def _rational_point(values: Sequence[float | Fraction | int]) -> Point:
     return tuple(Fraction(v) for v in values)
 
 
+def _midpoint_exact(lo: Sequence[float], hi: Sequence[float]) -> Point:
+    return tuple(Fraction(a) + (Fraction(b) - Fraction(a)) / 2 for a, b in zip(lo, hi))
+
+
 def _box_midpoint_exact(box: IntervalBox) -> Point:
-    out = []
-    for side in box.sides:
-        lo, hi = Fraction(side.lo), Fraction(side.hi)
-        out.append(lo + (hi - lo) / 2)
-    return tuple(out)
+    return _midpoint_exact([s.lo for s in box.sides], [s.hi for s in box.sides])
 
 
 # ---------------------------------------------------------------------
@@ -108,8 +113,8 @@ def jacobian_sign_survey(F: PolyMap, box: IntervalBox,
     # certifies vanishing)
     rng = np.random.default_rng(budget.seed)
     lo = np.array([s.lo for s in box.sides])
-    span = np.array([s.hi - s.lo for s in box.sides])
-    pts = lo[None, :] + rng.random((budget.samples, F.n)) * span[None, :]
+    hi = np.array([s.hi for s in box.sides])
+    pts = lo[None, :] + rng.random((budget.samples, F.n)) * (hi - lo)[None, :]
     vals = det.eval_array(pts)
     pos_evidence: Evidence | None = None
     neg_evidence: Evidence | None = None
@@ -132,43 +137,43 @@ def jacobian_sign_survey(F: PolyMap, box: IntervalBox,
             certified=True, partial=False,
             samples_used=budget.samples, boxes_used=0)
 
-    # subdivision pass: certify one uniform sign, or catch a zero at the
-    # midpoint of a straddling cell
-    queue = deque([box])
+    # subdivision pass, breadth first: certify one uniform sign, or catch a
+    # zero at the midpoint of a straddling cell.  Each level is enclosed in
+    # one batched call, then its cells are decided one by one in FIFO order.
+    los, his = lo[None, :], hi[None, :]
     boxes_used = 0
-    while queue and boxes_used < budget.max_boxes:
-        node = queue.popleft()
-        boxes_used += 1
-        enclosure = det.eval_interval(node)
-        if enclosure.lo > 0.0 or enclosure.hi < 0.0:
-            if pos_evidence is None and enclosure.lo > 0.0:
-                mid = _box_midpoint_exact(node)
-                pos_evidence = (mid, det.eval(mid))
-            elif neg_evidence is None and enclosure.hi < 0.0:
-                mid = _box_midpoint_exact(node)
-                neg_evidence = (mid, det.eval(mid))
-        else:
-            mid = _box_midpoint_exact(node)
-            exact = det.eval(mid)
-            if exact == 0:
+    level_done = True
+    while len(los) and boxes_used < budget.max_boxes:
+        take = min(len(los), budget.max_boxes - boxes_used)
+        level_done = take == len(los)
+        los, his = los[:take], his[:take]
+        enc_lo, enc_hi = det.eval_interval_batch(los, his)
+        straddle = (enc_lo <= 0.0) & (enc_hi >= 0.0)
+        for k in range(take):
+            boxes_used += 1
+            # exact midpoint values: on a straddling cell always, on a
+            # signed cell only while that sign still lacks evidence
+            if (straddle[k] or (pos_evidence is None and enc_lo[k] > 0.0)
+                    or (neg_evidence is None and enc_hi[k] < 0.0)):
+                mid = _midpoint_exact(los[k].tolist(), his[k].tolist())
+                exact = det.eval(mid)
+                if exact == 0:
+                    return SignSurvey(
+                        classification="vanishing_found", evidence=((mid, exact),),
+                        certified=True, partial=False,
+                        samples_used=budget.samples, boxes_used=boxes_used)
+                if exact > 0 and pos_evidence is None:
+                    pos_evidence = (mid, exact)
+                elif exact < 0 and neg_evidence is None:
+                    neg_evidence = (mid, exact)
+            if pos_evidence and neg_evidence:
                 return SignSurvey(
-                    classification="vanishing_found", evidence=((mid, exact),),
+                    classification="mixed", evidence=(pos_evidence, neg_evidence),
                     certified=True, partial=False,
                     samples_used=budget.samples, boxes_used=boxes_used)
-            if exact > 0 and pos_evidence is None:
-                pos_evidence = (mid, exact)
-            elif exact < 0 and neg_evidence is None:
-                neg_evidence = (mid, exact)
-            axis = node.widest_axis()
-            a, b = node.split(axis, node.sides[axis].mid)
-            queue.append(a)
-            queue.append(b)
-        if pos_evidence and neg_evidence:
-            return SignSurvey(
-                classification="mixed", evidence=(pos_evidence, neg_evidence),
-                certified=True, partial=False,
-                samples_used=budget.samples, boxes_used=boxes_used)
-    certified_uniform = not queue
+        los, his, _ = split_widest(los[straddle], his[straddle], 0.5)
+    # certified only if the last level was finished and left no children
+    certified_uniform = level_done and not len(los)
 
     evidence = tuple(e for e in (pos_evidence, neg_evidence) if e is not None)
     if pos_evidence and not neg_evidence:
@@ -319,28 +324,43 @@ def _solve_exact(A: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]
     return [M[i][n] for i in range(n)]
 
 
-def _newton_float(F: PolyMap, jac, target: np.ndarray, x0: np.ndarray,
-                  iters: int) -> np.ndarray | None:
+def _newton_float(F: PolyMap, jac, targets: np.ndarray, x0: np.ndarray,
+                  iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked float Newton for F(x) = targets[k] from x0[k]; returns (x, ok).
+
+    Row k succeeds at a residual below 1e-13, or below 1e-9 after iters
+    steps.  It fails on a non-finite residual or iterate, or a singular
+    Jacobian (slogdet sign 0, the zero-pivot case in which solve raises).
+    """
     x = x0.astype(np.float64)
-    n = F.n
-    last_residual = math.inf
-    for _ in range(iters):
-        pt = tuple(float(v) for v in x)
-        res = np.array([float(F.components[i].eval(pt)) for i in range(n)]) - target
-        if not np.all(np.isfinite(res)):
-            return None
-        last_residual = float(np.max(np.abs(res)))
-        if last_residual < 1e-13:
-            return x
-        J = np.array([[float(jac[i][j].eval(pt)) for j in range(n)] for i in range(n)])
-        try:
-            step = np.linalg.solve(J, res)
-        except np.linalg.LinAlgError:
-            return None
-        x = x - step
-        if not np.all(np.isfinite(x)):
-            return None
-    return x if last_residual < 1e-9 else None
+    count, n = x.shape
+    ok = np.zeros(count, dtype=bool)
+    last = np.full(count, math.inf)
+    active = np.arange(count)
+    with np.errstate(all="ignore"):
+        for _ in range(iters):
+            pts = x[active]
+            res = np.stack([comp.eval_array(pts) for comp in F.components],
+                           axis=1) - targets[active]
+            finite = np.isfinite(res).all(axis=1)
+            active, pts, res = active[finite], pts[finite], res[finite]
+            last[active] = np.abs(res).max(axis=1)
+            done = last[active] < 1e-13
+            ok[active[done]] = True
+            active, pts, res = active[~done], pts[~done], res[~done]
+            if not active.size:
+                break
+            J = np.empty((len(active), n, n))
+            for i in range(n):
+                for j in range(n):
+                    J[:, i, j] = jac[i][j].eval_array(pts)
+            regular = np.linalg.slogdet(J)[0] != 0
+            active, pts, J, res = active[regular], pts[regular], J[regular], res[regular]
+            x[active] = pts - np.linalg.solve(J, res[:, :, None])[:, :, 0]
+            active = active[np.isfinite(x[active]).all(axis=1)]
+        else:
+            ok[active] = last[active] < 1e-9
+    return x, ok
 
 
 def _newton_exact(F: PolyMap, jac, target: Sequence[Fraction], x0: Point,
@@ -390,30 +410,29 @@ def _prune_candidates(F: PolyMap, box: IntervalBox, cfg: CollisionConfig) -> lis
     n = F.n
     diffs = [comp.pad(n) - _shift_to_second_copy(comp) for comp in F.components]
     sep = cfg.separation
-    queue = deque([IntervalBox(box.sides + box.sides)])
+    leaf_width = max(s.hi - s.lo for s in box.sides) / 16.0
+    los = np.array([[s.lo for s in box.sides] * 2])
+    his = np.array([[s.hi for s in box.sides] * 2])
     candidates: list[Point] = []
     processed = 0
-    while queue and processed < cfg.prune_boxes and len(candidates) < cfg.max_candidates:
-        node = queue.popleft()
-        processed += 1
-        near_diagonal = True
-        for i in range(n):
-            gap = node.sides[i] - node.sides[n + i]
-            if gap.lo <= -sep or gap.hi >= sep:
-                near_diagonal = False
-                break
-        if near_diagonal:
-            continue
-        if any(not d.eval_interval(node).contains(0.0) for d in diffs):
-            continue
-        if node.max_width() <= max(s.hi - s.lo for s in box.sides) / 16.0:
-            mid = _box_midpoint_exact(node)
-            candidates.append(mid)
-            continue
-        axis = node.widest_axis()
-        a, b = node.split(axis, node.sides[axis].mid)
-        queue.append(a)
-        queue.append(b)
+    while len(los) and processed < cfg.prune_boxes and len(candidates) < cfg.max_candidates:
+        los, his = los[:cfg.prune_boxes - processed], his[:cfg.prune_boxes - processed]
+        processed += len(los)
+        # outward-rounded x_i - y_i: a cell whose every gap stays within
+        # the separation band lies near the diagonal
+        gap_lo = np.nextafter(los[:, :n] - his[:, n:], -np.inf)
+        gap_hi = np.nextafter(his[:, :n] - los[:, n:], np.inf)
+        keep = ((gap_lo <= -sep) | (gap_hi >= sep)).any(axis=1)
+        shared_pows: dict = {}
+        for d in diffs:
+            d_lo, d_hi = d.eval_interval_batch(los, his, shared_pows)
+            keep &= (d_lo <= 0.0) & (d_hi >= 0.0)
+        leaf = (his - los).max(axis=1) <= leaf_width
+        room = cfg.max_candidates - len(candidates)
+        candidates.extend(_midpoint_exact(los[k].tolist(), his[k].tolist())
+                          for k in np.nonzero(keep & leaf)[0][:room].tolist())
+        split = keep & ~leaf
+        los, his, _ = split_widest(los[split], his[split], 0.5)
     return candidates
 
 
@@ -473,21 +492,24 @@ def collision_search(F: PolyMap, box: IntervalBox,
         raise ValueError(f"box has {box.dims} dims, expected {F.n}")
     n = F.n
     jac = jacobian_matrix(F)
-    seeds: list[tuple[np.ndarray, np.ndarray]] = []
-    for mid in _prune_candidates(F, box, cfg):
-        xy = np.array([float(v) for v in mid])
-        seeds.append((xy[:n], xy[n:]))
-    seeds.extend(_sampled_pairs(F, box, cfg))
-    for x0, y0 in seeds:
-        # pull both endpoints onto a shared target, then sharpen exactly
-        pt_x = tuple(float(v) for v in x0)
-        pt_y = tuple(float(v) for v in y0)
-        fx = np.array([float(c.eval(pt_x)) for c in F.components])
-        fy = np.array([float(c.eval(pt_y)) for c in F.components])
-        target = 0.5 * (fx + fy)
-        p1f = _newton_float(F, jac, target, x0, cfg.newton_iters)
-        p2f = _newton_float(F, jac, target, y0, cfg.newton_iters)
-        if p1f is None or p2f is None:
+    seeds = [np.array([float(v) for v in mid]) for mid in _prune_candidates(F, box, cfg)]
+    seeds.extend(np.concatenate(pair) for pair in _sampled_pairs(F, box, cfg))
+    if not seeds:
+        return None
+    # pull both endpoints of every seed onto their shared target in one
+    # stacked Newton (rows 0..S-1 the first endpoints, S..2S-1 the second)
+    starts = np.stack(seeds)
+    count = len(starts)
+    ends = np.concatenate([starts[:, :n], starts[:, n:]])
+    images = np.stack([comp.eval_array(ends) for comp in F.components], axis=1)
+    with np.errstate(all="ignore"):
+        targets = 0.5 * (images[:count] + images[count:])
+    polished, ok = _newton_float(F, jac, np.concatenate([targets, targets]), ends,
+                                 cfg.newton_iters)
+    # sharpen exactly in seed order: prune candidates, then sampled pairs
+    for k, target in enumerate(targets):
+        p1f, p2f = polished[k], polished[count + k]
+        if not (ok[k] and ok[count + k]):
             continue
         if np.max(np.abs(p1f - p2f)) < 0.9 * cfg.separation:
             continue

@@ -89,12 +89,6 @@ class Interval:
     def __add__(self, other: Interval) -> Interval:
         return Interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
 
-    def __sub__(self, other: Interval) -> Interval:
-        return Interval(_down(self.lo - other.hi), _up(self.hi - other.lo))
-
-    def __neg__(self) -> Interval:
-        return Interval(-self.hi, -self.lo)
-
     def __mul__(self, other: Interval) -> Interval:
         ps = (self.lo * other.lo, self.lo * other.hi,
               self.hi * other.lo, self.hi * other.hi)
@@ -133,12 +127,6 @@ class Interval:
         if lo > hi:
             return None
         return Interval(lo, hi)
-
-    def strictly_inside(self, other: Interval) -> bool:
-        return other.lo < self.lo and self.hi < other.hi
-
-    def disjoint(self, other: Interval) -> bool:
-        return self.hi < other.lo or other.hi < self.lo
 
     @property
     def width(self) -> float:
@@ -452,13 +440,13 @@ class Poly:
     def eval(self, point: Sequence[Scalar | float]) -> Fraction | float:
         """Evaluate at a point: exact for rational input, float otherwise.
 
-        The float path uses the canonical term order with left-to-right
-        summation so results are reproducible bit for bit.
+        The float path is one row of eval_array, so results are
+        reproducible bit for bit.
         """
         if len(point) != self.nvars:
             raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
         if any(isinstance(x, float) for x in point):
-            return self._eval_float(tuple(float(x) for x in point))
+            return float(self.eval_array(np.array([[float(x) for x in point]]))[0])
         total = Fraction(0)
         for exps, coeff in self.terms.items():
             term = coeff
@@ -479,47 +467,32 @@ class Poly:
             self._floats = (terms, tuple(maxes))
         return self._floats
 
-    def _eval_float(self, point: tuple[float, ...]) -> float:
-        terms, maxes = self._float_terms()
-        pows = []
-        for x, m in zip(point, maxes):
-            col = [1.0] * (m + 1)
-            for k in range(1, m + 1):
-                col[k] = col[k - 1] * x
-            pows.append(col)
-        acc = 0.0
-        for exps, coeff in terms:
-            t = coeff
-            for i, e in enumerate(exps):
-                if e:
-                    t *= pows[i][e]
-            acc += t
-        return acc
-
     def eval_array(self, points: np.ndarray) -> np.ndarray:
         """Vectorized float evaluation on an (N, nvars) array of points.
 
-        Uses the same term order and per-point operation sequence as the
-        scalar float path.
+        Terms are walked in the canonical order and summed left to right,
+        so each row's value is reproducible bit for bit.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.nvars:
             raise ValueError(f"expected shape (N, {self.nvars}), got {pts.shape}")
         terms, maxes = self._float_terms()
         n = pts.shape[0]
-        pows = []
-        for i, m in enumerate(maxes):
-            col = [np.ones(n)]
-            for _ in range(m):
-                col.append(col[-1] * pts[:, i])
-            pows.append(col)
-        acc = np.zeros(n)
-        for exps, coeff in terms:
-            t = np.full(n, coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    t = t * pows[i][e]
-            acc = acc + t
+        # overflow gives inf or nan, as Python floats do, and no warning
+        with np.errstate(all="ignore"):
+            pows = []
+            for i, m in enumerate(maxes):
+                col = [np.ones(n)]
+                for _ in range(m):
+                    col.append(col[-1] * pts[:, i])
+                pows.append(col)
+            acc = np.zeros(n)
+            for exps, coeff in terms:
+                t = np.full(n, coeff)
+                for i, e in enumerate(exps):
+                    if e:
+                        t = t * pows[i][e]
+                acc = acc + t
         return acc
 
     def eval_interval(self, box: IntervalBox) -> Interval:

@@ -142,6 +142,19 @@ def test_analyze_squares_mixed(fixtures_dir, capsys):
     assert len(survey["evidence"]) == 2
 
 
+def test_analyze_survives_overflowing_samples(tmp_path, capsys):
+    # x1^200 overflows a float at most sample points of this box; float
+    # evaluation then gives inf without a RuntimeWarning
+    mapfile = tmp_path / "big.map"
+    mapfile.write_text(json.dumps(
+        {"name": "big", "n": 2, "components": ["x1^200 + x2", "x2"]}))
+    code, payload, captured = run_cli(
+        capsys, "analyze", "--map", str(mapfile), "--box=-1000:1000,-1:1")
+    assert code == 0
+    assert payload["results"]["sign_survey"]["classification"] == "mixed"
+    assert "Warning" not in captured.err
+
+
 def test_degree_both_methods(fixtures_dir, capsys):
     code, payload, _ = run_cli(
         capsys, "degree", "--map", str(fixtures_dir / "triangular.map"),
@@ -201,6 +214,17 @@ def test_degree_count_survives_overflowing_enclosure(tmp_path, capsys):
         "--box=-10:10,0:1", "--z", "1/3,1/2")
     assert code == 0
     assert payload["results"]["count"]["value"] == 1
+    assert "Traceback" not in captured.err
+
+
+def test_box_bound_too_large_for_float_is_usage_error(fixtures_dir, capsys):
+    huge = "1" + "0" * 400
+    code, payload, captured = run_cli(
+        capsys, "fibers", "--map", str(fixtures_dir / "squares.map"),
+        f"--box=-{huge}:{huge},-1:1", "--z", "0,0")
+    assert code == 1
+    assert payload is None
+    assert "too large for a float" in captured.err
     assert "Traceback" not in captured.err
 
 

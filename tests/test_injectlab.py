@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from degreelab.polycore import IntervalBox, parse_poly
-from degreelab.mapforms import PolyMap, realify
+from degreelab.mapforms import PolyMap, jacobian_matrix, realify
 from degreelab.fibersolve import solve_fiber
 from degreelab.injectlab import (
     CollisionConfig,
@@ -18,6 +18,7 @@ from degreelab.injectlab import (
     origin_injectivity_cubic,
     witness_from_fiber,
 )
+from degreelab.injectlab import _newton_float, _prune_candidates
 from gen_maps import (
     random_complex_map,
     random_composed_automorphism,
@@ -99,6 +100,29 @@ def test_survey_budget_partial():
     assert not s.certified
     assert s.classification == "positive"  # every sample sits at det > 0
     assert s.detail
+
+
+def test_survey_budget_ending_mid_level_is_partial():
+    # breadth-first levels of this survey hold 1, 2, 2, 4, 8, 16, 16 and
+    # 32 cells (81 in all); a budget of 60 stops inside the last level
+    F = make_map(2, "x1^3 - x1^2 + x1", "x2")
+    s = jacobian_sign_survey(F, cube(2, 2), SurveyBudget(samples=8, max_boxes=60))
+    assert s.partial and not s.certified
+    assert s.boxes_used == 60
+    assert s.classification == "positive"
+
+
+def test_survey_budget_ending_at_a_level_boundary():
+    F = make_map(2, "x1^3 - x1^2 + x1", "x2")
+    full = jacobian_sign_survey(F, cube(2, 2), SurveyBudget(samples=8))
+    assert full.certified and full.boxes_used == 81
+    # the budget ends exactly at the last cell of a level that all certifies
+    s = jacobian_sign_survey(F, cube(2, 2), SurveyBudget(samples=8, max_boxes=81))
+    assert s == full
+    # it ends at the last cell of a level that still leaves children
+    s = jacobian_sign_survey(F, cube(2, 2), SurveyBudget(samples=8, max_boxes=49))
+    assert s.partial and not s.certified
+    assert s.boxes_used == 49
 
 
 def test_survey_realified_maps_never_negative():
@@ -238,6 +262,69 @@ def test_collision_none_on_identity():
 def test_collision_none_on_injective_cubic():
     cfg = CollisionConfig(samples=512, prune_boxes=256)
     assert collision_search(make_map(1, "x1^3 + x1"), cube(1, 2), cfg) is None
+
+
+def test_prune_candidate_cap_mid_level_keeps_fifo_prefix():
+    # every candidate of F(x) = x^2 on [-2, 2] comes from one breadth-first
+    # level, so each cap below is reached in the middle of that level
+    F = make_map(1, "x1^2")
+    full = _prune_candidates(F, cube(1, 2), CollisionConfig(max_candidates=10 ** 6))
+    assert len(full) == 88
+    for cap in (1, 5, 87):
+        capped = _prune_candidates(F, cube(1, 2), CollisionConfig(max_candidates=cap))
+        assert capped == full[:cap]
+
+
+def _newton_point(F, jac, target, x, iters):
+    # reference: the same float Newton, one point at a time
+    last = float("inf")
+    for _ in range(iters):
+        res = np.array([c.eval(tuple(x)) for c in F.components]) - target
+        if not np.isfinite(res).all():
+            return None
+        last = np.abs(res).max()
+        if last < 1e-13:
+            return x
+        J = np.array([[e.eval(tuple(x)) for e in row] for row in jac])
+        try:
+            x = x - np.linalg.solve(J, res)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(x).all():
+            return None
+    return x if last < 1e-9 else None
+
+
+def test_newton_float_stacked_rows_fail_independently():
+    F = make_map(2, "x1^2", "x2")
+    jac = jacobian_matrix(F)
+    targets = np.array([[4.0, 1.0]] * 4)
+    starts = np.array([
+        [3.0, 5.0],      # converges to (2, 1)
+        [-1.5, 0.0],     # converges to (-2, 1)
+        [0.0, 0.0],      # singular Jacobian at the start
+        [1e-160, 0.0],   # first step lands near 2e160, then x1^2 overflows
+    ])
+    x, ok = _newton_float(F, jac, targets, starts, 50)
+    assert ok.tolist() == [True, True, False, False]
+    assert np.allclose(x[:2], [[2.0, 1.0], [-2.0, 1.0]], rtol=0, atol=1e-12)
+
+
+def test_newton_float_stacked_equals_per_point_loop():
+    rng = np.random.default_rng(5)
+    for F in (make_map(2, "x1^2", "x2"), make_map(2, "x1^2 + x2", "x1*x2^2 - x2"),
+              make_map(1, "x1^3 - 3*x1^2")):
+        jac = jacobian_matrix(F)
+        starts = rng.uniform(-3, 3, (40, F.n))
+        starts[:5] = 0.0  # singular start Jacobians for every map above
+        targets = rng.uniform(-2, 2, (40, F.n))
+        x, ok = _newton_float(F, jac, targets, starts, 30)
+        with np.errstate(all="ignore"):
+            for k in range(len(starts)):
+                ref = _newton_point(F, jac, targets[k], starts[k], 30)
+                assert ok[k] == (ref is not None)
+                if ref is not None:
+                    assert np.array_equal(x[k], ref)
 
 
 def test_collision_dimension_mismatch():
