@@ -9,15 +9,16 @@ discarded; surviving boxes are tested with one Krawczyk operator
 contraction into the strict interior certifies existence and uniqueness
 of a root; certified boxes are refined by further Krawczyk steps and
 undecided boxes are split and re-queued (split_widest, which injectlab's
-breadth-first searches share).  IntervalBox objects appear only for the
-input box and the isolators of certified roots.  With workers > 1
-a thread pool refines a level's certified boxes in contiguous chunks;
-every kernel works row by row, so the output is the same for any number
-of workers.
+breadth-first searches share); exclusion and Krawczyk take a level in
+blocks of _ROW_BLOCK rows, which bounds their working memory.  IntervalBox
+objects appear only for the input box and the isolators of certified
+roots.  With workers > 1 a thread pool refines a level's certified boxes
+in contiguous chunks; every kernel works row by row, so the output is the
+same for any number of workers.
 
-The same sum-of-squares positivity kernel that backs boundary clearance
-is exported for reuse by the degree module's boundary and path
-certifications.
+The same sum-of-squares positivity kernel that backs boundary clearance,
+a best-first heap on the batched kernel eval_interval_batch, is exported
+for reuse by the degree module's boundary and path certifications.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .polycore import Interval, IntervalBox, Poly, _mul_arrays, _next_down, _next_up
+from .polycore import (Interval, IntervalBox, Poly, _mul_arrays, _next_down, _next_up,
+                       _pow_arrays)
 from .mapforms import PolyMap, jacobian_det, jacobian_matrix
 
 # Split point sits at 127/256 of the width rather than 1/2: an exact
@@ -45,6 +47,12 @@ _SPLIT_RATIO = 127.0 / 256.0
 # is exempt so that near-linear problems on oversized boxes certify
 # immediately instead of subdividing their way down to the gate.
 _KRAWCZYK_GATE = 2.0
+
+# Rows per block of the exclusion stage and the Krawczyk operator.
+_ROW_BLOCK = 4096
+
+# Heap boxes whose children certified_min_sum_squares encloses in one batch.
+_LOOKAHEAD = 32
 
 _STATUS_PRIORITY = ("boundary_contact", "singular_suspect", "depth_exceeded")
 
@@ -93,8 +101,9 @@ def bezout_bound(F: PolyMap) -> int:
     return bound
 
 
-def _split_point(side: Interval) -> float:
-    return side.lo + _SPLIT_RATIO * (side.hi - side.lo)
+def _row_blocks(count: int) -> list[slice]:
+    """Slices of at most _ROW_BLOCK rows covering count rows (at least one)."""
+    return [slice(b, b + _ROW_BLOCK) for b in range(0, max(count, 1), _ROW_BLOCK)]
 
 
 def _krawczyk_batch(gs, jac, los: np.ndarray, his: np.ndarray):
@@ -105,8 +114,14 @@ def _krawczyk_batch(gs, jac, los: np.ndarray, his: np.ndarray):
     usable is False where that Jacobian is singular (slogdet sign 0, the
     zero-pivot case in which inv raises) or where Y or the image is not
     finite.  Every step works row by row, so a row's image does not depend
-    on the other rows of the stack.
+    on the other rows of the stack; the stack is taken in blocks of
+    _ROW_BLOCK rows, which bounds the working memory.
     """
+    parts = [_krawczyk_rows(gs, jac, los[b], his[b]) for b in _row_blocks(len(los))]
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _krawczyk_rows(gs, jac, los: np.ndarray, his: np.ndarray):
     count, n = los.shape
     mids = los + 0.5 * (his - los)
     with np.errstate(all="ignore"):
@@ -178,6 +193,18 @@ def _refine_rows(gs, jac, los: np.ndarray, his: np.ndarray, cfg: SolverConfig):
         active = active[moved]
         los[active], his[active] = new_lo[moved], new_hi[moved]
     return los, his
+
+
+def _reaches_zero(gs, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+    """Mask of the rows on which every residual component's enclosure
+    reaches zero, one row block at a time."""
+    alive = np.ones(len(los), dtype=bool)
+    for b in _row_blocks(len(los)):
+        pows: dict = {}
+        for g in gs:
+            glo, ghi = g.eval_interval_batch(los[b], his[b], pows)
+            alive[b] &= (glo <= 0.0) & (ghi >= 0.0)
+    return alive
 
 
 def _stuck_kinds(los, his, outer_lo, outer_hi, det: Poly, cfg: SolverConfig) -> set[str]:
@@ -259,11 +286,7 @@ def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
             deepest = depth
             # exclusion: a box survives only if every residual component's
             # enclosure can reach zero
-            alive = np.ones(len(los), dtype=bool)
-            shared_pows: dict = {}
-            for g in gs:
-                glo, ghi = g.eval_interval_batch(los, his, shared_pows)
-                alive &= (glo <= 0.0) & (ghi >= 0.0)
+            alive = _reaches_zero(gs, los, his)
             los, his = los[alive], his[alive]
             certify = np.zeros(len(los), dtype=bool)
             newton = ((his - los).max(axis=1) <= _KRAWCZYK_GATE) | (depth == 0)
@@ -356,11 +379,15 @@ def box_faces(box: IntervalBox) -> list[IntervalBox]:
     return faces
 
 
-def _sum_squares_lower(polys, node: IntervalBox) -> float:
-    acc = Interval(0.0, 0.0)
-    for p in polys:
-        acc = acc + p.eval_interval(node).power(2)
-    return acc.lo
+def _sum_squares_lower(polys, los: np.ndarray, his: np.ndarray) -> list[float]:
+    """Lower bound of the sum of the squared polynomials over each row."""
+    acc = np.zeros(len(los))
+    pows: dict = {}
+    with np.errstate(all="ignore"):
+        for p in polys:
+            lo, hi = p.eval_interval_batch(los, his, pows)
+            acc = _next_down(acc + _pow_arrays(lo, hi, 2)[0])
+    return acc.tolist()
 
 
 def certified_min_sum_squares(polys: Sequence[Poly], regions: Sequence[IntervalBox],
@@ -371,33 +398,65 @@ def certified_min_sum_squares(polys: Sequence[Poly], regions: Sequence[IntervalB
     Returns (bound, boxes_examined, deepest, failure_message).  bound is
     0.0 when some sub-box could not be pushed off zero within budget —
     a sound but useless bound, reported as failure.
+
+    Best-first on the key (lower bound, seq), seq numbering boxes as they
+    are made; a node is a row of shared (rows, n) bound arrays.  When the
+    popped box's children are not known yet, one batch encloses them, the
+    children of those two and those of the next _LOOKAHEAD - 1 weakest
+    boxes, kept by seq until popped.  Children depend only on their box and
+    the pop order only on the keys, so this equals splitting one at a time.
     """
-    heap = [(_sum_squares_lower(polys, region), seq, 0, region)
-            for seq, region in enumerate(regions)]
-    heapq.heapify(heap)
-    if not heap:
+    if not regions:
         return 0.0, 0, 0, "no regions supplied"
+    los = np.array([[s.lo for s in r.sides] for r in regions])
+    his = np.array([[s.hi for s in r.sides] for r in regions])
+    heap = [(low, seq, 0, los, his, seq)
+            for seq, low in enumerate(_sum_squares_lower(polys, los, his))]
+    heapq.heapify(heap)
+    # seq -> (children lo, hi, lower bounds, left child's row, split inside)
+    known: dict[int, tuple] = {}
+
+    def look_ahead(seq: int) -> None:
+        ahead = [heapq.heappop(heap) for _ in range(min(_LOOKAHEAD, len(heap)))]
+        for node in ahead:
+            heapq.heappush(heap, node)
+        parents = [node for node in ahead if node[1] not in known]
+        plo = np.array([node[3][node[5]] for node in parents])
+        phi = np.array([node[4][node[5]] for node in parents])
+        with np.errstate(all="ignore"):
+            kids_lo, kids_hi, inside = split_widest(plo, phi, _SPLIT_RATIO)
+            # the popped box's children are split too: they take seq, seq + 1
+            grand_lo, grand_hi, grand_inside = split_widest(
+                kids_lo[:2], kids_hi[:2], _SPLIT_RATIO)
+        kids_lo = np.concatenate([kids_lo, grand_lo])
+        kids_hi = np.concatenate([kids_hi, grand_hi])
+        lows = _sum_squares_lower(polys, kids_lo, kids_hi)
+        for j, node in enumerate(parents):
+            known[node[1]] = (kids_lo, kids_hi, lows, 2 * j, bool(inside[j]))
+        first = 2 * len(parents)
+        for j in range(2):
+            known[seq + j] = (kids_lo, kids_hi, lows, first + 2 * j, bool(grand_inside[j]))
+
     seq = examined = len(heap)
     deepest = splits = sharpened = 0
     while True:
         # the weakest box is split until every box is strictly positive;
         # then a fixed budget of splits sharpens the weakest enclosure,
         # which is usually loose overestimation
-        low, _, depth, node = heap[0]
+        low, node_seq, depth = heap[0][:3]
         positive = low > 0.0
         if positive and sharpened >= improve_splits:
             break
-        axis = node.widest_axis()
-        side = node.sides[axis]
-        at = _split_point(side)
         if depth >= max_depth:
             failure = f"sum-of-squares enclosure still reaches {low} at depth {depth}"
         elif not positive and splits >= split_budget:
             failure = "split budget exhausted"
-        elif not side.lo < at < side.hi:
-            failure = "degenerate box still encloses zero; the minimum may be zero"
         else:
-            failure = None
+            if node_seq not in known:
+                look_ahead(seq)
+            kids_lo, kids_hi, lows, row, inside = known.pop(node_seq)
+            failure = None if inside else (
+                "degenerate box still encloses zero; the minimum may be zero")
         if failure is not None:
             if positive:
                 break
@@ -407,12 +466,11 @@ def certified_min_sum_squares(polys: Sequence[Poly], regions: Sequence[IntervalB
         else:
             splits += 1
         heapq.heappop(heap)
-        for child in node.split(axis, at):
-            heapq.heappush(
-                heap, (_sum_squares_lower(polys, child), seq, depth + 1, child))
+        for k in (row, row + 1):
+            heapq.heappush(heap, (lows[k], seq, depth + 1, kids_lo, kids_hi, k))
             seq += 1
-            examined += 1
-            deepest = max(deepest, depth + 1)
+        examined += 2
+        deepest = max(deepest, depth + 1)
     return heap[0][0], examined, deepest, None
 
 

@@ -10,16 +10,21 @@ lexicographic, descending: higher total degree first, ties broken by the
 exponent tuple compared left to right.  Float evaluation walks terms in
 that order and sums left to right, so repeated runs are bit-identical.
 
-Interval arithmetic uses outward rounding: after every primitive float
-operation the lower endpoint is nudged one ulp down and the upper one ulp
-up, which covers the rounding error of the correctly-rounded IEEE result.
-Enclosures are therefore sound but not tight.
+Interval enclosures come from one array kernel, eval_interval_batch,
+which encloses a polynomial over a stack of boxes held as (N, nvars)
+lower and upper bound arrays; Poly.eval_interval is its one-row case.  It
+uses outward rounding: after every primitive float operation the lower
+endpoint is nudged one ulp down and the upper one ulp up, which covers the
+rounding error of the correctly-rounded IEEE result.  Enclosures are
+therefore sound but not tight.  Interval and IntervalBox only hold
+bounds; they carry no arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -38,31 +43,16 @@ class PolyParseError(ValueError):
         self.position = position
 
 
-def _down(x: float) -> float:
-    return math.nextafter(x, -math.inf)
-
-
-def _up(x: float) -> float:
-    return math.nextafter(x, math.inf)
-
-
-def _pow_pos_down(x: float, k: int) -> float:
-    # x >= 0; repeated multiplication, rounding down each step
-    r = x
-    for _ in range(k - 1):
-        r = _down(r * x)
-    return r
-
-
-def _pow_pos_up(x: float, k: int) -> float:
-    r = x
-    for _ in range(k - 1):
-        r = _up(r * x)
-    return r
+def _float_or_inf(c: Fraction) -> float:
+    """float(c), or an infinity of its sign when |c| is beyond the float range."""
+    try:
+        return float(c)
+    except OverflowError:
+        return math.inf if c > 0 else -math.inf
 
 
 class Interval:
-    """Closed float interval [lo, hi] with outward-rounded arithmetic."""
+    """Closed float interval [lo, hi]."""
 
     __slots__ = ("lo", "hi")
 
@@ -80,46 +70,13 @@ class Interval:
         try:
             f = float(q)
         except OverflowError:
-            inf = math.inf if q > 0 else -math.inf
-            return cls(inf, inf)
+            # beyond the float range: bounded by the largest float on the
+            # side toward zero, unbounded on the other
+            big = sys.float_info.max
+            return cls(big, math.inf) if q > 0 else cls(-math.inf, -big)
         if Fraction(f) == q:
             return cls(f, f)
-        return cls(_down(f), _up(f))
-
-    def __add__(self, other: Interval) -> Interval:
-        return Interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
-
-    def __mul__(self, other: Interval) -> Interval:
-        ps = (self.lo * other.lo, self.lo * other.hi,
-              self.hi * other.lo, self.hi * other.hi)
-        total = ps[0] + ps[1] + ps[2] + ps[3]
-        if total != total:
-            # a 0 * inf corner (after overflow) means nothing is known, as
-            # in eval_interval_batch; corners of inf and -inf give this too
-            return Interval(-math.inf, math.inf)
-        return Interval(_down(min(ps)), _up(max(ps)))
-
-    def power(self, k: int) -> Interval:
-        """Tight k-th power: even powers of straddling intervals floor at 0."""
-        if k < 0:
-            raise ValueError("negative interval power")
-        if k == 0:
-            return Interval(1.0, 1.0)
-        if k == 1:
-            return self
-        lo, hi = self.lo, self.hi
-        if lo >= 0.0:
-            return Interval(_pow_pos_down(lo, k), _pow_pos_up(hi, k))
-        if hi <= 0.0:
-            if k % 2 == 0:
-                return Interval(_pow_pos_down(-hi, k), _pow_pos_up(-lo, k))
-            return Interval(-_pow_pos_up(-lo, k), -_pow_pos_down(-hi, k))
-        if k % 2 == 0:
-            return Interval(0.0, _pow_pos_up(max(-lo, hi), k))
-        return Interval(-_pow_pos_up(-lo, k), _pow_pos_up(hi, k))
-
-    def contains(self, x: float | Fraction) -> bool:
-        return self.lo <= x <= self.hi
+        return cls(math.nextafter(f, -math.inf), math.nextafter(f, math.inf))
 
     def intersect(self, other: Interval) -> Interval | None:
         lo = max(self.lo, other.lo)
@@ -176,21 +133,8 @@ class IntervalBox:
     def midpoint(self) -> tuple[float, ...]:
         return tuple(s.mid for s in self.sides)
 
-    def widths(self) -> tuple[float, ...]:
-        return tuple(s.width for s in self.sides)
-
     def max_width(self) -> float:
         return max(s.width for s in self.sides)
-
-    def widest_axis(self) -> int:
-        widths = self.widths()
-        return widths.index(max(widths))
-
-    def split(self, axis: int, at: float) -> tuple[IntervalBox, IntervalBox]:
-        s = self.sides[axis]
-        left = self.sides[:axis] + (Interval(s.lo, at),) + self.sides[axis + 1:]
-        right = self.sides[:axis] + (Interval(at, s.hi),) + self.sides[axis + 1:]
-        return IntervalBox(left), IntervalBox(right)
 
     def contains_point(self, point: Sequence[float | Fraction]) -> bool:
         return all(s.lo <= x <= s.hi for s, x in zip(self.sides, point))
@@ -258,7 +202,11 @@ def _pow_pos_up_arr(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _pow_arrays(xl: np.ndarray, xh: np.ndarray, e: int):
-    """Elementwise tight interval powers, mirroring Interval.power."""
+    """Elementwise tight interval powers [xl, xh]^e, rounded outward.
+
+    Powers of a side are formed from its endpoint magnitudes by repeated
+    multiplication; even powers of a side that straddles 0 floor at 0.
+    """
     if e == 0:
         ones = np.ones_like(xl)
         return ones, ones
@@ -458,7 +406,7 @@ class Poly:
 
     def _float_terms(self) -> tuple[list[tuple[Exponent, float]], tuple[int, ...]]:
         if self._floats is None:
-            terms = [(e, float(c)) for e, c in self.sorted_terms()]
+            terms = [(e, _float_or_inf(c)) for e, c in self.sorted_terms()]
             maxes = [0] * self.nvars
             for e, _ in terms:
                 for i, d in enumerate(e):
@@ -496,32 +444,12 @@ class Poly:
         return acc
 
     def eval_interval(self, box: IntervalBox) -> Interval:
-        """Sound enclosure of the range of the polynomial over a box."""
+        """Sound enclosure of the range over a box: one row of eval_interval_batch."""
         if box.dims != self.nvars:
             raise ValueError(f"box has {box.dims} dims, expected {self.nvars}")
-        if not self.terms:
-            return Interval(0.0, 0.0)
-        if self._iterms is None:
-            self._iterms = [(e, Interval.from_fraction(c))
-                            for e, c in self.sorted_terms()]
-        pow_cache: dict[tuple[int, int], Interval] = {}
-
-        def var_power(i: int, e: int) -> Interval:
-            key = (i, e)
-            got = pow_cache.get(key)
-            if got is None:
-                got = box.sides[i].power(e)
-                pow_cache[key] = got
-            return got
-
-        acc = Interval(0.0, 0.0)
-        for exps, coeff in self._iterms:
-            t = coeff
-            for i, e in enumerate(exps):
-                if e:
-                    t = t * var_power(i, e)
-            acc = acc + t
-        return acc
+        lo, hi = self.eval_interval_batch(np.array([[s.lo for s in box.sides]]),
+                                          np.array([[s.hi for s in box.sides]]))
+        return Interval(float(lo[0]), float(hi[0]))
 
     def eval_interval_batch(self, los: np.ndarray, his: np.ndarray,
                             pow_cache: dict | None = None
@@ -530,9 +458,13 @@ class Poly:
 
         los/his have shape (N, nvars): row k holds the side bounds of box
         k.  Returns (lo, hi) arrays of shape (N,), each row enclosing the
-        range over its box under the same outward-rounding discipline as
-        eval_interval.  A pow_cache dict may be shared by several calls
-        evaluating different polynomials over the same box arrays.
+        range over its box.  Terms are walked in the canonical order: each
+        term is its coefficient's enclosure times the powers of the sides,
+        and the terms are summed left to right, rounding outward after
+        every operation.  Rows are independent, so a row's enclosure does
+        not depend on the other rows.  A pow_cache dict may be shared by
+        several calls evaluating different polynomials over the same box
+        arrays.
         """
         if los.shape != his.shape or los.ndim != 2 or los.shape[1] != self.nvars:
             raise ValueError(f"expected (N, {self.nvars}) bound arrays")

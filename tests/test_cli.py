@@ -217,6 +217,20 @@ def test_degree_count_survives_overflowing_enclosure(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command", [
+    ["degree", "--z", "0,0"], ["fibers", "--z", "0,0"], ["collide"]])
+def test_coefficient_too_large_for_float_gives_report(tmp_path, capsys, command):
+    # 10^400 overflows a float; the float paths take it as an infinity
+    mapfile = tmp_path / "bigcoeff.map"
+    mapfile.write_text(json.dumps(
+        {"name": "bigcoeff", "n": 2, "components": ["10^400*x1 - 1", "x2"]}))
+    code, payload, captured = run_cli(
+        capsys, *command, "--map", str(mapfile), "--box=-1:1,-1:1")
+    assert code in (0, 2, 3)
+    assert payload is not None and "results" in payload
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
+
+
 def test_box_bound_too_large_for_float_is_usage_error(fixtures_dir, capsys):
     huge = "1" + "0" * 400
     code, payload, captured = run_cli(

@@ -1,5 +1,6 @@
 """Tests for certified fiber enumeration and boundary clearance."""
 
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,8 @@ import pytest
 from degreelab.polycore import IntervalBox, Poly, parse_poly
 from degreelab.mapforms import PolyMap, jacobian_matrix, keller_check
 from degreelab.fibersolve import (
+    _ROW_BLOCK,
+    _SPLIT_RATIO,
     ClearanceResult,
     SolverConfig,
     _krawczyk_batch,
@@ -24,6 +27,7 @@ from gen_maps import (
     invert_triangular,
     random_composed_automorphism,
     random_druzkowski_map,
+    random_poly,
     random_upper_triangular_map,
 )
 
@@ -235,6 +239,14 @@ def test_krawczyk_batch_marks_only_singular_row():
     assert np.array_equal(alone_lo, k_lo[1:]) and np.array_equal(alone_hi, k_hi[1:])
     for k, root in ((1, 1.0), (2, -1.0)):
         assert k_lo[k, 0] <= root <= k_hi[k, 0] and k_lo[k, 1] <= 0.0 <= k_hi[k, 1]
+    # a stack longer than one row block: every copy keeps its row's image
+    reps = _ROW_BLOCK // len(los) + 2
+    big_lo, big_hi, big_ok = _krawczyk_batch(
+        gs, jac, np.tile(los, (reps, 1)), np.tile(his, (reps, 1)))
+    assert len(big_lo) > _ROW_BLOCK
+    assert np.array_equal(big_ok, np.tile(usable, reps))
+    assert np.array_equal(big_lo, np.tile(k_lo, (reps, 1)), equal_nan=True)
+    assert np.array_equal(big_hi, np.tile(k_hi, (reps, 1)), equal_nan=True)
 
 
 def test_fiber_input_validation():
@@ -306,3 +318,108 @@ def test_positivity_kernel_detects_zero():
     bound, _, _, failure = certified_min_sum_squares([p], [cube(1, 1.0)])
     assert bound == 0.0
     assert failure is not None
+
+
+def _reference_min_sum_squares(polys, regions, max_depth, split_budget, improve_splits):
+    """The clearance heap one box at a time: pop the weakest box, split it
+    at its widest axis and enclose its two children.  Returns the tuple of
+    certified_min_sum_squares and the number of sharpening splits."""
+
+    def lower(sides):
+        box = IntervalBox.from_bounds(sides)
+        acc = 0.0
+        for p in polys:
+            enc = p.eval_interval(box)
+            if enc.lo >= 0.0:
+                sq = math.nextafter(enc.lo * enc.lo, -math.inf)
+            elif enc.hi <= 0.0:
+                sq = math.nextafter(enc.hi * enc.hi, -math.inf)
+            else:
+                sq = 0.0
+            acc = math.nextafter(acc + sq, -math.inf)
+        return acc
+
+    heap = [(lower(sides), seq, 0, sides) for seq, sides in enumerate(regions)]
+    heapq.heapify(heap)
+    seq = examined = len(heap)
+    deepest = splits = sharpened = 0
+    while True:
+        low, _, depth, sides = heap[0]
+        positive = low > 0.0
+        if positive and sharpened >= improve_splits:
+            break
+        widths = [hi - lo for lo, hi in sides]
+        axis = widths.index(max(widths))
+        lo, hi = sides[axis]
+        at = lo + _SPLIT_RATIO * (hi - lo)
+        if depth >= max_depth:
+            failure = f"sum-of-squares enclosure still reaches {low} at depth {depth}"
+        elif not positive and splits >= split_budget:
+            failure = "split budget exhausted"
+        elif not lo < at < hi:
+            failure = "degenerate box still encloses zero; the minimum may be zero"
+        else:
+            failure = None
+        if failure is not None:
+            if positive:
+                break
+            return (0.0, examined, deepest, failure), sharpened
+        if positive:
+            sharpened += 1
+        else:
+            splits += 1
+        heapq.heappop(heap)
+        for side in ((lo, at), (at, hi)):
+            child = sides[:axis] + [side] + sides[axis + 1:]
+            heapq.heappush(heap, (lower(child), seq, depth + 1, child))
+            seq += 1
+            examined += 1
+            deepest = max(deepest, depth + 1)
+    return (heap[0][0], examined, deepest, None), sharpened
+
+
+def _random_clearance_case(rng):
+    n = rng.randint(1, 3)
+    polys = [random_poly(rng, n, max_deg=3) for _ in range(rng.randint(1, 3))]
+    regions = []
+    for _ in range(rng.choice([1, 2, 5, 40])):
+        sides = []
+        for _ in range(n):
+            lo = Fraction(rng.randint(-16, 16), 8)
+            sides.append((lo, lo + Fraction(rng.choice([0, 1, 3, 16]), 8)))
+        regions.append(sides)
+    if rng.random() < 0.3:
+        # a point region on which every polynomial vanishes exactly
+        point = [lo for lo, _ in regions[0]]
+        polys = [p - p.eval(point) for p in polys]
+        regions.insert(0, [(x, x) for x in point])
+    elif rng.random() < 0.4:
+        # shifted off zero, so the sharpening phase runs
+        polys = [p + 40 for p in polys]
+    regions = [[(float(lo), float(hi)) for lo, hi in sides] for sides in regions]
+    budgets = dict(max_depth=rng.choice([2, 6, 12, 40]),
+                   split_budget=rng.choice([0, 1, 5, 40, 400]),
+                   improve_splits=rng.choice([0, 3, 30, 100]))
+    return polys, regions, budgets
+
+
+def test_min_sum_squares_equals_sequential_reference():
+    # the lookahead batches must not change what the heap returns: bound,
+    # counts and failure text equal a heap that encloses two children per pop
+    rng = random.Random(5151)
+    kinds = ("sum-of-squares enclosure still reaches", "split budget exhausted",
+             "degenerate box still encloses zero")
+    failures = set()
+    sharpening = 0
+    for _ in range(200):
+        polys, regions, budgets = _random_clearance_case(rng)
+        expected, sharpened = _reference_min_sum_squares(polys, regions, **budgets)
+        got = certified_min_sum_squares(
+            polys, [IntervalBox.from_bounds(sides) for sides in regions], **budgets)
+        assert got == expected, (polys, regions, budgets)
+        assert all(type(v) is type(w) for v, w in zip(got, expected))
+        if got[3] is not None:
+            failures.update(k for k in kinds if got[3].startswith(k))
+        sharpening += sharpened > 0 and got[3] is None
+    assert failures == set(kinds)
+    assert sharpening > 5

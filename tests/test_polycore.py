@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,10 +13,12 @@ from degreelab.polycore import (
     IntervalBox,
     Poly,
     PolyParseError,
+    _pow_arrays,
     div_exact,
     parse_poly,
     poly_to_string,
 )
+from degreelab.fibersolve import split_widest
 
 
 def random_poly(rng, nvars, max_deg=4, max_terms=6):
@@ -284,23 +287,25 @@ def test_degree_and_flags():
 # -------------------------------------------------------- intervals
 
 def test_interval_basic_ops_contain_exact():
-    a = Interval(1.0, 2.0)
-    b = Interval(-1.0, 0.5)
-    assert (a + b).contains(1.0 + (-1.0))
-    assert (a * b).contains(2.0 * (-1.0))
-    assert (a * b).contains(2.0 * 0.5)
+    box = IntervalBox.from_bounds([(1.0, 2.0), (-1.0, 0.5)])
+    assert _contains(parse_poly("x1 + x2", 2).eval_interval(box), 1.0 + (-1.0))
+    product = parse_poly("x1*x2", 2).eval_interval(box)
+    assert _contains(product, 2.0 * (-1.0))
+    assert _contains(product, 2.0 * 0.5)
 
 
 def test_interval_power_even_floors_at_zero():
-    s = Interval(-2.0, 3.0)
-    sq = s.power(2)
-    assert sq.lo == 0.0
+    # the square of [-2, 3] floors at 0; the enclosure then takes two
+    # outward roundings (coefficient product and sum), one ulp each
+    sq = parse_poly("x1^2", 1).eval_interval(IntervalBox.from_bounds([(-2.0, 3.0)]))
+    assert sq.lo == math.nextafter(math.nextafter(0.0, -math.inf), -math.inf)
     assert sq.hi >= 9.0
+    lo, hi = _pow_arrays(np.array([-2.0]), np.array([3.0]), 2)
+    assert lo[0] == 0.0 and hi[0] >= 9.0
 
 
 def test_interval_power_odd_preserves_sign_span():
-    s = Interval(-2.0, 3.0)
-    cu = s.power(3)
+    cu = parse_poly("x1^3", 1).eval_interval(IntervalBox.from_bounds([(-2.0, 3.0)]))
     assert cu.lo <= -8.0
     assert cu.hi >= 27.0
 
@@ -311,6 +316,28 @@ def test_interval_from_fraction_outward():
     assert iv.lo < q < iv.hi
     exact = Interval.from_fraction(Fraction(3, 4))
     assert exact.lo == exact.hi == 0.75
+
+
+def test_interval_from_fraction_beyond_float_range():
+    big = Fraction(10) ** 400
+    assert Interval.from_fraction(big) == Interval(sys.float_info.max, math.inf)
+    assert Interval.from_fraction(-big) == Interval(-math.inf, -sys.float_info.max)
+
+
+def test_enclosure_keeps_root_with_overflowing_coefficient():
+    # the exact root x1 = 10^-300 lies in the box; a coefficient 10^400
+    # enclosed as [inf, inf] would push the whole enclosure above zero
+    p = parse_poly("10^400*x1 - 10^100", 1)
+    assert p.eval([Fraction(1, 10 ** 300)]) == 0
+    enc = p.eval_interval(IntervalBox.from_bounds([(5e-301, 2e-300)]))
+    assert _contains(enc, 0.0)
+
+
+def test_float_evaluation_with_overflowing_coefficient():
+    # the float path maps a coefficient beyond the float range to an infinity
+    p = parse_poly("-(10^400)*x1 + x2", 2)
+    assert p.eval_array(np.array([[1.0, 0.0], [-2.0, 5.0]])).tolist() == [-math.inf, math.inf]
+    assert p.eval([0.5, 1.0]) == -math.inf
 
 
 def test_interval_invalid():
@@ -375,9 +402,72 @@ def _bits(x: float) -> bytes:
     return np.float64(x).tobytes()
 
 
+# Scalar reference enclosure: the per-term loop over plain floats, with
+# outward-rounded add, multiply and power.  eval_interval_batch must equal
+# it bit for bit.
+
+def _down(x: float) -> float:
+    return math.nextafter(x, -math.inf)
+
+
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+def _ref_mul(a, b):
+    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    total = ps[0] + ps[1] + ps[2] + ps[3]
+    if total != total:
+        # a 0 * inf corner (after overflow) means nothing is known; corners
+        # of inf and -inf give this too
+        return -math.inf, math.inf
+    return _down(min(ps)), _up(max(ps))
+
+
+def _ref_pow_pos(x: float, k: int, step) -> float:
+    # x >= 0; repeated multiplication, rounding each step with step
+    r = x
+    for _ in range(k - 1):
+        r = step(r * x)
+    return r
+
+
+def _ref_power(lo: float, hi: float, k: int):
+    if k == 1:
+        return lo, hi
+    if lo >= 0.0:
+        return _ref_pow_pos(lo, k, _down), _ref_pow_pos(hi, k, _up)
+    if hi <= 0.0:
+        if k % 2 == 0:
+            return _ref_pow_pos(-hi, k, _down), _ref_pow_pos(-lo, k, _up)
+        return -_ref_pow_pos(-lo, k, _up), -_ref_pow_pos(-hi, k, _down)
+    if k % 2 == 0:
+        return 0.0, _ref_pow_pos(max(-lo, hi), k, _up)
+    return -_ref_pow_pos(-lo, k, _up), _ref_pow_pos(hi, k, _up)
+
+
+def _scalar_enclosure(p: Poly, sides) -> tuple[float, float]:
+    """Enclosure of p over a box given as float (lo, hi) sides."""
+    lo = hi = 0.0
+    for exps, coeff in p.sorted_terms():
+        c = Interval.from_fraction(coeff)
+        term = (c.lo, c.hi)
+        for (s_lo, s_hi), e in zip(sides, exps):
+            if e:
+                term = _ref_mul(term, _ref_power(s_lo, s_hi, e))
+        lo, hi = _down(lo + term[0]), _up(hi + term[1])
+    # an overflow-induced NaN means nothing is known: widen fully
+    return (-math.inf if lo != lo else lo), (math.inf if hi != hi else hi)
+
+
+def _contains(enc: Interval, x: float) -> bool:
+    return enc.lo <= x <= enc.hi
+
+
 def test_eval_interval_batch_sound_and_equal_to_scalar():
     # each row must enclose the exact values over its box and equal the
-    # scalar enclosure of that box bit for bit, overflow included
+    # scalar reference enclosure of that box bit for bit, overflow included;
+    # eval_interval is the one-row case
     rng = random.Random(271828)
     cases = [(parse_poly("x1^400*x2", 2), [[(0, 10), (0, 1)]])]
     for _ in range(300):
@@ -390,10 +480,12 @@ def test_eval_interval_batch_sound_and_equal_to_scalar():
         his = np.array([[float(hi) for _, hi in b] for b in boxes])
         b_lo, b_hi = p.eval_interval_batch(los, his)
         for k, sides in enumerate(boxes):
-            scalar = p.eval_interval(IntervalBox.from_bounds(
-                [(float(lo), float(hi)) for lo, hi in sides]))
+            float_sides = [(float(lo), float(hi)) for lo, hi in sides]
+            s_lo, s_hi = _scalar_enclosure(p, float_sides)
             assert (_bits(b_lo[k]), _bits(b_hi[k])) == (
-                _bits(scalar.lo), _bits(scalar.hi)), (p, sides, scalar, b_lo[k], b_hi[k])
+                _bits(s_lo), _bits(s_hi)), (p, sides, s_lo, s_hi, b_lo[k], b_hi[k])
+            one = p.eval_interval(IntervalBox.from_bounds(float_sides))
+            assert (_bits(one.lo), _bits(one.hi)) == (_bits(s_lo), _bits(s_hi))
             for _ in range(2):
                 pt = [lo + Fraction(rng.randint(0, 8), 8) * (hi - lo) for lo, hi in sides]
                 val = p.eval(pt)
@@ -402,19 +494,22 @@ def test_eval_interval_batch_sound_and_equal_to_scalar():
 
 
 def test_interval_mul_zero_times_inf_is_unbounded():
-    prod = Interval(0.0, 1.0) * Interval(1.0, math.inf)
-    assert prod == Interval(-math.inf, math.inf)
+    # x1^400 overflows to [DBL_MAX, inf] on [8, 16]; times x2 on [0, 1]
+    # that meets 0 * inf, and nothing is known
+    p = parse_poly("x1^400*x2", 2)
+    box = IntervalBox.from_bounds([(8.0, 16.0), (0.0, 1.0)])
+    assert p.eval_interval(box) == Interval(-math.inf, math.inf)
 
 
 def test_box_split_and_geometry():
     box = IntervalBox.from_bounds([(0.0, 4.0), (-1.0, 1.0)])
     assert box.dims == 2
-    assert box.widest_axis() == 0
     assert box.max_width() == 4.0
-    left, right = box.split(0, 1.5)
-    assert left.sides[0] == Interval(0.0, 1.5)
-    assert right.sides[0] == Interval(1.5, 4.0)
-    assert left.sides[1] == box.sides[1]
+    kids_lo, kids_hi, inside = split_widest(
+        np.array([[0.0, -1.0]]), np.array([[4.0, 1.0]]), 0.375)
+    assert kids_lo.tolist() == [[0.0, -1.0], [1.5, -1.0]]
+    assert kids_hi.tolist() == [[1.5, 1.0], [4.0, 1.0]]
+    assert inside.tolist() == [True]
     assert box.contains_point([2.0, 0.0])
     assert not box.contains_point([5.0, 0.0])
 
