@@ -410,6 +410,7 @@ def certified_min_sum_squares(polys: Sequence[Poly], regions: Sequence[IntervalB
         return 0.0, 0, 0, "no regions supplied"
     los = np.array([[s.lo for s in r.sides] for r in regions])
     his = np.array([[s.hi for s in r.sides] for r in regions])
+    # a node is (lower bound, seq, depth, lo array, hi array, its row)
     heap = [(low, seq, 0, los, his, seq)
             for seq, low in enumerate(_sum_squares_lower(polys, los, his))]
     heapq.heapify(heap)
