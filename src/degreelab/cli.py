@@ -182,11 +182,8 @@ def _frac(x: Fraction) -> str:
 def _point(p: Sequence[Fraction]) -> list[str]:
     return [str(c) for c in p]
 
-def _interval(side) -> list[float]:
-    return [side.lo, side.hi]
-
 def _box(box: IntervalBox) -> list[list[float]]:
-    return [_interval(s) for s in box.sides]
+    return [[lo, hi] for lo, hi in zip(box.lo, box.hi)]
 
 
 def _degree_result(res) -> dict:

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.stats import qmc
 
-from .polycore import Interval, IntervalBox, Poly
+from .polycore import IntervalBox, Poly, _float_or_inf
 from .mapforms import PolyMap, jacobian_det
 from .fibersolve import (
     ClearanceResult,
@@ -30,7 +30,7 @@ from .fibersolve import (
     SolverConfig,
     boundary_clearance,
     box_faces,
-    certified_min_sum_squares,
+    certified_clearance,
     solve_fiber,
 )
 
@@ -256,9 +256,10 @@ def degree_integral(F: PolyMap, box: IntervalBox, z: Sequence[Fraction | int],
     epsilon = clearance.m / 2.0
     bump = bump_build(epsilon, n)
     det = jacobian_det(F)
-    z_float = np.array([float(Fraction(v)) for v in z])
-    lo = np.array([s.lo for s in box.sides])
-    span = np.array([s.hi - s.lo for s in box.sides])
+    # a target beyond the float range is an infinity: no sample weighs in
+    z_float = np.array([_float_or_inf(Fraction(v)) for v in z])
+    lo = np.array(box.lo)
+    span = np.array(box.hi) - lo
     volume = float(np.prod(span))
 
     halton = qmc.Halton(d=n, scramble=False)
@@ -316,6 +317,11 @@ class HomotopyReport:
     failures: tuple[str, ...]
 
 
+def _faces_times_unit(box: IntervalBox) -> list[IntervalBox]:
+    """The box faces, each with one more side [0, 1] for a parameter."""
+    return [IntervalBox(face.lo + (0.0,), face.hi + (1.0,)) for face in box_faces(box)]
+
+
 def _family_arity(family: Sequence[Poly], box: IntervalBox) -> int:
     n = box.dims
     if len(family) != n:
@@ -345,16 +351,14 @@ def homotopy_constancy_check(family: Sequence[Poly], box: IntervalBox,
         raise ValueError("parameter grid must lie in [0, 1]")
     target = [Fraction(v) for v in z]
     shifted = [p - Poly.const(n + 1, zi) for p, zi in zip(family, target)]
-    unit = Interval(0.0, 1.0)
-    regions = [IntervalBox(face.sides + (unit,)) for face in box_faces(box)]
-    bound, _, _, failure = certified_min_sum_squares(shifted, regions)
-    if failure is not None or bound <= 0.0:
+    clearance = certified_clearance(shifted, _faces_times_unit(box))
+    if not clearance.ok:
         return HomotopyReport(
             boundary_certified=False,
             degrees=(None,) * len(ts),
             constant=False,
             t_grid=ts,
-            failures=(f"boundary certification failed: {failure}",),
+            failures=(f"boundary certification failed: {clearance.failure}",),
         )
     degrees: list[int | None] = []
     failures: list[str] = []
@@ -398,13 +402,7 @@ def path_segment_clearance(F: PolyMap, box: IntervalBox,
     for i, comp in enumerate(F.components):
         drift = Fraction(b[i]) - Fraction(a[i])
         polys.append(comp.pad(1) - Poly.const(n + 1, Fraction(a[i])) - seg.scale(drift))
-    unit = Interval(0.0, 1.0)
-    regions = [IntervalBox(face.sides + (unit,)) for face in box_faces(box)]
-    bound, examined, deepest, failure = certified_min_sum_squares(polys, regions)
-    if failure is not None:
-        return ClearanceResult(0.0, examined, deepest, failure)
-    m = max(0.0, math.nextafter(math.sqrt(bound), -math.inf))
-    return ClearanceResult(m, examined, deepest, None)
+    return certified_clearance(polys, _faces_times_unit(box))
 
 
 def component_constancy_check(F: PolyMap, box: IntervalBox,

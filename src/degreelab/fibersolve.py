@@ -10,15 +10,17 @@ contraction into the strict interior certifies existence and uniqueness
 of a root; certified boxes are refined by further Krawczyk steps and
 undecided boxes are split and re-queued (split_widest, which injectlab's
 breadth-first searches share); exclusion and Krawczyk take a level in
-blocks of _ROW_BLOCK rows, which bounds their working memory.  IntervalBox
-objects appear only for the input box and the isolators of certified
-roots.  With workers > 1 a thread pool refines a level's certified boxes
-in contiguous chunks; every kernel works row by row, so the output is the
-same for any number of workers.
+blocks of _ROW_BLOCK rows, which bounds their working memory.  The input
+box's lo/hi bound vectors are the first level's one row, and each
+certified root's isolator is an IntervalBox of a refined row.  With
+workers > 1 a thread pool refines a level's certified boxes in contiguous
+chunks; every kernel works row by row, so the output is the same for any
+number of workers.
 
 The same sum-of-squares positivity kernel that backs boundary clearance,
 a best-first heap on the batched kernel eval_interval_batch, is exported
-for reuse by the degree module's boundary and path certifications.
+with its conversion to a clearance (certified_clearance) for reuse by the
+degree module's boundary and path certifications.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polycore import (Interval, IntervalBox, Poly, _mul_arrays, _next_down, _next_up,
-                       _pow_arrays)
+from .polycore import IntervalBox, Poly, _mul_arrays, _next_down, _next_up, _pow_arrays
 from .mapforms import PolyMap, jacobian_det, jacobian_matrix
 
 # Split point sits at 127/256 of the width rather than 1/2: an exact
@@ -229,7 +230,8 @@ def split_widest(los: np.ndarray, his: np.ndarray, ratio: float):
     Returns the children as (2N, n) lower and upper bound arrays, each
     parent's left child first, and a mask of the parents whose split point
     fell strictly inside the side (elsewhere one child is degenerate).  At
-    ratio 0.5 the split point equals Interval.mid bit for bit.
+    ratio 0.5 the split point equals IntervalBox.midpoint on that side bit
+    for bit.
     """
     axis = (his - los).argmax(axis=1)
     rows = np.arange(len(los))
@@ -272,8 +274,7 @@ def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
         return (np.concatenate([p[0] for p in parts]),
                 np.concatenate([p[1] for p in parts]))
 
-    outer_lo = np.array([s.lo for s in box.sides])
-    outer_hi = np.array([s.hi for s in box.sides])
+    outer_lo, outer_hi = np.array(box.lo), np.array(box.hi)
     roots: list[CertifiedRoot] = []
     stuck_lo: list[np.ndarray] = []
     stuck_hi: list[np.ndarray] = []
@@ -308,7 +309,7 @@ def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
                 signs = np.where(det_lo > 0.0, 1, np.where(det_hi < 0.0, -1, 0))
                 for lo, hi, sign in zip(iso_lo.tolist(), iso_hi.tolist(), signs.tolist()):
                     if sign:
-                        isolator = IntervalBox(Interval(a, b) for a, b in zip(lo, hi))
+                        isolator = IntervalBox(lo, hi)
                         roots.append(CertifiedRoot(isolator, sign, isolator.max_width()))
                 stuck_lo.append(iso_lo[signs == 0])
                 stuck_hi.append(iso_hi[signs == 0])
@@ -369,14 +370,9 @@ class ClearanceResult:
 
 def box_faces(box: IntervalBox) -> list[IntervalBox]:
     """The 2n boundary faces, each a box with one degenerate side."""
-    faces = []
-    for i, side in enumerate(box.sides):
-        for endpoint in (side.lo, side.hi):
-            pinned = (box.sides[:i]
-                      + (Interval(endpoint, endpoint),)
-                      + box.sides[i + 1:])
-            faces.append(IntervalBox(pinned))
-    return faces
+    lo, hi = box.lo, box.hi
+    return [IntervalBox(lo[:i] + (end,) + lo[i + 1:], hi[:i] + (end,) + hi[i + 1:])
+            for i in range(box.dims) for end in (lo[i], hi[i])]
 
 
 def _sum_squares_lower(polys, los: np.ndarray, his: np.ndarray) -> list[float]:
@@ -408,8 +404,8 @@ def certified_min_sum_squares(polys: Sequence[Poly], regions: Sequence[IntervalB
     """
     if not regions:
         return 0.0, 0, 0, "no regions supplied"
-    los = np.array([[s.lo for s in r.sides] for r in regions])
-    his = np.array([[s.hi for s in r.sides] for r in regions])
+    los = np.array([r.lo for r in regions])
+    his = np.array([r.hi for r in regions])
     # a node is (lower bound, seq, depth, lo array, hi array, its row)
     heap = [(low, seq, 0, los, his, seq)
             for seq, low in enumerate(_sum_squares_lower(polys, los, his))]
@@ -475,8 +471,23 @@ def certified_min_sum_squares(polys: Sequence[Poly], regions: Sequence[IntervalB
     return heap[0][0], examined, deepest, None
 
 
-def boundary_clearance(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
-                       max_depth: int = 40, improve_splits: int = 300) -> ClearanceResult:
+def certified_clearance(polys: Sequence[Poly],
+                        regions: Sequence[IntervalBox]) -> ClearanceResult:
+    """Certified lower bound m with |(polys)| >= m over the regions.
+
+    m is the square root of certified_min_sum_squares' bound, one ulp down
+    to guard the rounding of sqrt itself; m = 0 with its failure text when
+    that bound could not be certified.
+    """
+    bound_sq, examined, deepest, failure = certified_min_sum_squares(polys, regions)
+    if failure is not None:
+        return ClearanceResult(0.0, examined, deepest, failure)
+    m = max(0.0, math.nextafter(math.sqrt(bound_sq), -math.inf))
+    return ClearanceResult(m, examined, deepest, None)
+
+
+def boundary_clearance(F: PolyMap, z: Sequence[Fraction | int],
+                       box: IntervalBox) -> ClearanceResult:
     """Certified lower bound m with min over the box boundary of |F - z| >= m.
 
     m = 0 means the certification failed (the target may touch the image
@@ -488,11 +499,4 @@ def boundary_clearance(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox
         raise ValueError(f"target has length {len(z)}, expected {F.n}")
     target = [Fraction(v) for v in z]
     gs = [p - Poly.const(F.n, t) for p, t in zip(F.components, target)]
-    bound_sq, examined, deepest, failure = certified_min_sum_squares(
-        gs, box_faces(box), max_depth=max_depth, improve_splits=improve_splits)
-    if failure is not None:
-        return ClearanceResult(0.0, examined, deepest, failure)
-    m = math.sqrt(bound_sq)
-    # one ulp down guards the rounding of sqrt itself
-    m = max(0.0, math.nextafter(m, -math.inf))
-    return ClearanceResult(m, examined, deepest, None)
+    return certified_clearance(gs, box_faces(box))

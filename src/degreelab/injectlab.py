@@ -47,10 +47,6 @@ def _midpoint_exact(lo: Sequence[float], hi: Sequence[float]) -> Point:
     return tuple(Fraction(a) + (Fraction(b) - Fraction(a)) / 2 for a, b in zip(lo, hi))
 
 
-def _box_midpoint_exact(box: IntervalBox) -> Point:
-    return _midpoint_exact([s.lo for s in box.sides], [s.hi for s in box.sides])
-
-
 # ---------------------------------------------------------------------
 # Jacobian sign survey
 # ---------------------------------------------------------------------
@@ -94,14 +90,14 @@ def jacobian_sign_survey(F: PolyMap, box: IntervalBox,
     status = keller_check(F)
     if status.kind == "nonzero_constant":
         c = status.constant_value
-        mid = _box_midpoint_exact(box)
+        mid = _midpoint_exact(box.lo, box.hi)
         return SignSurvey(
             classification="positive" if c > 0 else "negative",
             evidence=((mid, c),),
             certified=True, partial=False, samples_used=0, boxes_used=0,
             detail=f"constant Jacobian determinant {c}")
     if status.kind == "zero_constant":
-        mid = _box_midpoint_exact(box)
+        mid = _midpoint_exact(box.lo, box.hi)
         return SignSurvey(
             classification="vanishing_found",
             evidence=((mid, Fraction(0)),),
@@ -112,8 +108,7 @@ def jacobian_sign_survey(F: PolyMap, box: IntervalBox,
     # evidence (two strict opposite signs certify mixed; an exact zero
     # certifies vanishing)
     rng = np.random.default_rng(budget.seed)
-    lo = np.array([s.lo for s in box.sides])
-    hi = np.array([s.hi for s in box.sides])
+    lo, hi = np.array(box.lo), np.array(box.hi)
     pts = lo[None, :] + rng.random((budget.samples, F.n)) * (hi - lo)[None, :]
     vals = det.eval_array(pts)
     pos_evidence: Evidence | None = None
@@ -299,7 +294,7 @@ def witness_from_fiber(F: PolyMap, fiber: FiberResult,
                        separation: float = 0.1,
                        residual: float = 1e-8) -> CollisionWitness | None:
     """Turn a multi-root certified fiber into a collision witness pair."""
-    points = [_box_midpoint_exact(r.isolator) for r in fiber.roots]
+    points = [_midpoint_exact(r.isolator.lo, r.isolator.hi) for r in fiber.roots]
     for p1, p2 in itertools.combinations(points, 2):
         witness = _exact_pair_check(F, p1, p2, separation, residual)
         if witness is not None:
@@ -377,6 +372,12 @@ def _newton_exact(F: PolyMap, jac, target: Sequence[Fraction], x0: Point,
     return tuple(x)
 
 
+# Float Newton steps per collision seed, and image-grid cells per axis of
+# the sampled pair search.
+_NEWTON_ITERS = 50
+_BUCKET_CELLS = 128
+
+
 @dataclass(frozen=True)
 class CollisionConfig:
     samples: int = 4096
@@ -386,8 +387,6 @@ class CollisionConfig:
     prune_boxes: int = 2048
     max_candidates: int = 48
     max_pairs: int = 64
-    newton_iters: int = 50
-    bucket_cells: int = 128
 
 
 def _shift_to_second_copy(p: Poly) -> Poly:
@@ -410,9 +409,9 @@ def _prune_candidates(F: PolyMap, box: IntervalBox, cfg: CollisionConfig) -> lis
     n = F.n
     diffs = [comp.pad(n) - _shift_to_second_copy(comp) for comp in F.components]
     sep = cfg.separation
-    leaf_width = max(s.hi - s.lo for s in box.sides) / 16.0
-    los = np.array([[s.lo for s in box.sides] * 2])
-    his = np.array([[s.hi for s in box.sides] * 2])
+    leaf_width = box.max_width() / 16.0
+    los = np.array([box.lo * 2])
+    his = np.array([box.hi * 2])
     candidates: list[Point] = []
     processed = 0
     while len(los) and processed < cfg.prune_boxes and len(candidates) < cfg.max_candidates:
@@ -440,8 +439,8 @@ def _sampled_pairs(F: PolyMap, box: IntervalBox,
                    cfg: CollisionConfig) -> list[tuple[np.ndarray, np.ndarray]]:
     n = F.n
     rng = np.random.default_rng(cfg.seed)
-    lo = np.array([s.lo for s in box.sides])
-    span = np.array([s.hi - s.lo for s in box.sides])
+    lo = np.array(box.lo)
+    span = np.array(box.hi) - lo
     pts = lo[None, :] + rng.random((cfg.samples, n)) * span[None, :]
     images = np.stack([comp.eval_array(pts) for comp in F.components], axis=1)
     finite = np.all(np.isfinite(images), axis=1)
@@ -454,12 +453,12 @@ def _sampled_pairs(F: PolyMap, box: IntervalBox,
     img_hi = np.percentile(images, 99.5, axis=0)
     img_span = np.maximum(img_hi - img_lo, 1e-30)
     cells = np.clip(
-        np.floor((images - img_lo[None, :]) / img_span[None, :] * cfg.bucket_cells),
-        -1, cfg.bucket_cells + 1).astype(np.int64)
+        np.floor((images - img_lo[None, :]) / img_span[None, :] * _BUCKET_CELLS),
+        -1, _BUCKET_CELLS + 1).astype(np.int64)
     buckets: dict[tuple, list[int]] = {}
     scored: list[tuple[float, int, int]] = []
     offsets = list(itertools.product((-1, 0, 1), repeat=n))
-    scale = img_span / cfg.bucket_cells
+    scale = img_span / _BUCKET_CELLS
     # occupancy cap keeps the pairing pass near-linear even when the
     # image piles most samples into a few cells
     cap = 16
@@ -505,7 +504,7 @@ def collision_search(F: PolyMap, box: IntervalBox,
     with np.errstate(all="ignore"):
         targets = 0.5 * (images[:count] + images[count:])
     polished, ok = _newton_float(F, jac, np.concatenate([targets, targets]), ends,
-                                 cfg.newton_iters)
+                                 _NEWTON_ITERS)
     # sharpen exactly in seed order: prune candidates, then sampled pairs
     for k, target in enumerate(targets):
         p1f, p2f = polished[k], polished[count + k]
@@ -526,9 +525,12 @@ def collision_search(F: PolyMap, box: IntervalBox,
 # The injectivity pipeline
 # ---------------------------------------------------------------------
 
+# Radius of the first box the pipeline tries; it doubles from there.
+_INITIAL_RADIUS = 1
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    initial_radius: int = 1
     max_radius: int = 1 << 20
     solver: SolverConfig = field(default_factory=SolverConfig)
     separation: float = 0.1
@@ -608,7 +610,7 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
         return base_cache[radius]
 
     # Step 1: base fiber must be a certified singleton
-    radius = Fraction(cfg.initial_radius)
+    radius = Fraction(_INITIAL_RADIUS)
     base_fiber: FiberResult | None = None
     while radius <= cfg.max_radius:
         box = IntervalBox.cube(n, radius)

@@ -16,8 +16,10 @@ lower and upper bound arrays; Poly.eval_interval is its one-row case.  It
 uses outward rounding: after every primitive float operation the lower
 endpoint is nudged one ulp down and the upper one ulp up, which covers the
 rounding error of the correctly-rounded IEEE result.  Enclosures are
-therefore sound but not tight.  Interval and IntervalBox only hold
-bounds; they carry no arithmetic.
+therefore sound but not tight.  An IntervalBox is a box's lower and upper
+bound vectors, one row of those arrays; an Interval is one enclosure
+value, the result of eval_interval or a coefficient's bounds.  Neither
+carries arithmetic.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ def _float_or_inf(c: Fraction) -> float:
 
 
 class Interval:
-    """Closed float interval [lo, hi]."""
+    """Closed float interval [lo, hi]: an enclosure value, such as the
+    range bound of Poly.eval_interval or a coefficient's bounds."""
 
     __slots__ = ("lo", "hi")
 
@@ -78,91 +81,67 @@ class Interval:
             return cls(f, f)
         return cls(math.nextafter(f, -math.inf), math.nextafter(f, math.inf))
 
-    def intersect(self, other: Interval) -> Interval | None:
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return None
-        return Interval(lo, hi)
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> float:
-        if self.lo == self.hi:
-            return self.lo
-        return self.lo + 0.5 * (self.hi - self.lo)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Interval) and self.lo == other.lo and self.hi == other.hi
-
-    def __hash__(self) -> int:
-        return hash((self.lo, self.hi))
 
     def __repr__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"
 
 
 class IntervalBox:
-    """Axis-aligned product of closed intervals."""
+    """Axis-aligned closed box, held as its lower and upper bound vectors:
+    one row of the (N, n) bound arrays the kernels work on."""
 
-    __slots__ = ("sides",)
+    __slots__ = ("lo", "hi")
 
-    def __init__(self, sides: Iterable[Interval]):
-        self.sides = tuple(sides)
-        if not self.sides:
+    def __init__(self, lo: Iterable[float], hi: Iterable[float]):
+        self.lo = tuple(float(x) for x in lo)
+        self.hi = tuple(float(x) for x in hi)
+        if len(self.lo) != len(self.hi):
+            raise ValueError(f"box has {len(self.lo)} lower and {len(self.hi)} upper bounds")
+        if not self.lo:
             raise ValueError("box needs at least one dimension")
-        for s in self.sides:
-            if not (math.isfinite(s.lo) and math.isfinite(s.hi)):
+        for a, b in zip(self.lo, self.hi):
+            if not (math.isfinite(a) and math.isfinite(b)):
                 raise ValueError("box sides must be finite")
+            if a > b:
+                raise ValueError(f"box side has lo > hi: [{a}, {b}]")
 
     @classmethod
     def from_bounds(cls, bounds: Iterable[tuple[float, float]]) -> IntervalBox:
-        return cls(Interval(float(lo), float(hi)) for lo, hi in bounds)
+        bounds = list(bounds)
+        return cls([lo for lo, _ in bounds], [hi for _, hi in bounds])
 
     @classmethod
     def cube(cls, dims: int, radius: float) -> IntervalBox:
-        return cls(Interval(-float(radius), float(radius)) for _ in range(dims))
+        return cls((-float(radius),) * dims, (float(radius),) * dims)
 
     @property
     def dims(self) -> int:
-        return len(self.sides)
+        return len(self.lo)
 
     def midpoint(self) -> tuple[float, ...]:
-        return tuple(s.mid for s in self.sides)
+        return tuple(a if a == b else a + 0.5 * (b - a) for a, b in zip(self.lo, self.hi))
 
     def max_width(self) -> float:
-        return max(s.width for s in self.sides)
+        return max(b - a for a, b in zip(self.lo, self.hi))
 
     def contains_point(self, point: Sequence[float | Fraction]) -> bool:
-        return all(s.lo <= x <= s.hi for s, x in zip(self.sides, point))
-
-    def intersect(self, other: IntervalBox) -> IntervalBox | None:
-        out = []
-        for a, b in zip(self.sides, other.sides):
-            c = a.intersect(b)
-            if c is None:
-                return None
-            out.append(c)
-        return IntervalBox(out)
+        return all(a <= x <= b for a, b, x in zip(self.lo, self.hi, point))
 
     def boundary_gap(self, outer: IntervalBox) -> float:
         """Smallest distance from this box to the boundary of an enclosing box."""
-        gap = math.inf
-        for s, o in zip(self.sides, outer.sides):
-            gap = min(gap, s.lo - o.lo, o.hi - s.hi)
-        return gap
+        return min(min(a - oa, ob - b)
+                   for a, b, oa, ob in zip(self.lo, self.hi, outer.lo, outer.hi))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntervalBox) and self.sides == other.sides
+        return isinstance(other, IntervalBox) and (self.lo, self.hi) == (other.lo, other.hi)
 
     def __hash__(self) -> int:
-        return hash(self.sides)
+        return hash((self.lo, self.hi))
 
     def __repr__(self) -> str:
-        return "Box(" + " x ".join(repr(s) for s in self.sides) + ")"
+        return "Box(" + " x ".join(f"[{a!r}, {b!r}]" for a, b in zip(self.lo, self.hi)) + ")"
 
 
 def _grlex_key(exps: Exponent) -> tuple:
@@ -447,8 +426,7 @@ class Poly:
         """Sound enclosure of the range over a box: one row of eval_interval_batch."""
         if box.dims != self.nvars:
             raise ValueError(f"box has {box.dims} dims, expected {self.nvars}")
-        lo, hi = self.eval_interval_batch(np.array([[s.lo for s in box.sides]]),
-                                          np.array([[s.hi for s in box.sides]]))
+        lo, hi = self.eval_interval_batch(np.array([box.lo]), np.array([box.hi]))
         return Interval(float(lo[0]), float(hi[0]))
 
     def eval_interval_batch(self, los: np.ndarray, his: np.ndarray,

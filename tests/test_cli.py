@@ -53,8 +53,8 @@ def test_parse_point_arity():
 
 def test_parse_box():
     box = _parse_box("-2:2,0:1", 2)
-    assert box.sides[0].lo == -2.0 and box.sides[0].hi == 2.0
-    assert box.sides[1].lo == 0.0 and box.sides[1].hi == 1.0
+    assert box.lo == (-2.0, 0.0)
+    assert box.hi == (2.0, 1.0)
     with pytest.raises(CliError):
         _parse_box("1:0", 1)  # empty side
     with pytest.raises(CliError):
@@ -228,6 +228,20 @@ def test_coefficient_too_large_for_float_gives_report(tmp_path, capsys, command)
         capsys, *command, "--map", str(mapfile), "--box=-1:1,-1:1")
     assert code in (0, 2, 3)
     assert payload is not None and "results" in payload
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
+
+
+@pytest.mark.parametrize("method", ["integral", "both"])
+def test_degree_integral_target_beyond_float_range(fixtures_dir, capsys, method):
+    # the float integrand takes a target coordinate of 10^400 as an
+    # infinity: every sample weighs 0, and the degree is 0, as counted
+    code, payload, captured = run_cli(
+        capsys, "degree", "--map", str(fixtures_dir / "triangular.map"),
+        "--box=-2:2,-2:2", "--z", f"{10 ** 400},0", "--method", method)
+    assert code == 0
+    assert payload["results"]["integral"]["value"] == 0
+    if method == "both":
+        assert payload["results"]["agree"] is True
     assert "Traceback" not in captured.err and "Warning" not in captured.err
 
 

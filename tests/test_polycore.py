@@ -347,13 +347,6 @@ def test_interval_invalid():
         Interval(float("nan"), 1.0)
 
 
-def test_interval_set_ops():
-    a = Interval(0.0, 2.0)
-    b = Interval(1.0, 3.0)
-    assert a.intersect(b) == Interval(1.0, 2.0)
-    assert a.intersect(Interval(5.0, 6.0)) is None
-
-
 def test_interval_enclosure_soundness_bulk():
     # Compare interval evaluation with exact rational evaluation at points
     # sampled inside the box: the enclosure must contain every exact value.
@@ -521,5 +514,14 @@ def test_box_boundary_gap():
 
 
 def test_box_requires_finite_sides():
-    with pytest.raises(ValueError):
-        IntervalBox([Interval(0.0, math.inf)])
+    bad = [((0.0,), (math.inf,)), ((-math.inf,), (0.0,)),
+           ((math.nan,), (1.0,)), ((0.0, 0.0), (1.0, math.nan)),
+           ((1.0,), (0.0,)),  # lo > hi
+           ((0.0, 0.0), (1.0,)), ((0.0,), (1.0, 1.0)),  # mismatched lengths
+           ((), ())]  # no dimensions
+    for lo, hi in bad:
+        with pytest.raises(ValueError):
+            IntervalBox(lo, hi)
+    box = IntervalBox((0.0, 2.0), (0.0, 3.0))  # a degenerate side is a box
+    assert box.lo == (0.0, 2.0) and box.hi == (0.0, 3.0)
+    assert box.midpoint() == (0.0, 2.5)
