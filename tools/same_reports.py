@@ -34,14 +34,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="directory that holds the degreelab package")
     parser.add_argument("--seed", type=int, action="append", required=True)
-    parser.add_argument("--workload", action="append", choices=workloads.WORKLOADS)
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
     os.chdir(ROOT)
     from degreelab import cli
     print(f"degreelab from {Path(cli.__file__).parent}", file=sys.stderr)
     signal.signal(signal.SIGALRM, run._on_alarm)
-    for workload in args.workload or workloads.WORKLOADS:
+    for workload in workloads.WORKLOADS:
         for seed in args.seed:
             ops, _ = workloads.build(workload, seed, Path("."), run._workdir(workload, seed))
             for idx, op in enumerate(ops):
