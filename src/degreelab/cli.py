@@ -221,11 +221,14 @@ def _cmd_analyze(args) -> tuple[dict, dict, int]:
     mf = load_mapfile(args.map)
     F = _compile_map(mf)
     box = _parse_box(args.box, F.n)
+    try:
+        budget = SurveyBudget(samples=args.samples, max_boxes=args.max_boxes,
+                              seed=args.seed)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     det = jacobian_det(F)
     status = keller_check(F)
     witness = recognize_form(F)
-    budget = SurveyBudget(samples=args.samples, max_boxes=args.max_boxes,
-                          seed=args.seed)
     survey = jacobian_sign_survey(F, box, budget)
     results = {
         "jacobian_determinant": poly_to_string(det),
@@ -388,7 +391,10 @@ def _cmd_collide(args) -> tuple[dict, dict, int]:
     mf = load_mapfile(args.map)
     F = _compile_map(mf)
     box = _parse_box(args.box, F.n)
-    cfg = CollisionConfig(samples=args.samples, seed=args.seed)
+    try:
+        cfg = CollisionConfig(samples=args.samples, seed=args.seed)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     witness = collision_search(F, box, cfg)
     if witness is None:
         results = {"found": False,

@@ -10,7 +10,9 @@ treated as proof that no collision exists.
 The sign survey's subdivision and the collision branch-and-prune run
 breadth first on (N, n) bound arrays: one eval_interval_batch call per
 polynomial and level, cells decided in FIFO order, fibersolve.split_widest
-at the midpoint.  Collision seeds are polished by one stacked float Newton.
+at the midpoint.  The sampled pair search finds neighbouring image cells
+by searchsorted on integer cell keys.  Collision seeds are polished by one
+stacked float Newton.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .fibersolve import (
     ClearanceResult,
     FiberResult,
     SolverConfig,
+    _row_blocks,
     boundary_clearance,
     solve_fiber,
     split_widest,
@@ -60,6 +63,8 @@ class SurveyBudget:
     def __post_init__(self):
         if self.samples < 1 or self.max_boxes < 1:
             raise ValueError("survey budget fields must be positive")
+        if self.seed < 0:
+            raise ValueError("survey seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -372,10 +377,11 @@ def _newton_exact(F: PolyMap, jac, target: Sequence[Fraction], x0: Point,
     return tuple(x)
 
 
-# Float Newton steps per collision seed, and image-grid cells per axis of
-# the sampled pair search.
+# Float Newton steps per collision seed; image-grid cells per axis of the
+# sampled pair search, and how many samples of one cell it pairs.
 _NEWTON_ITERS = 50
 _BUCKET_CELLS = 128
+_CELL_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -387,6 +393,13 @@ class CollisionConfig:
     prune_boxes: int = 2048
     max_candidates: int = 48
     max_pairs: int = 64
+
+    def __post_init__(self):
+        # 0 samples is valid: the search then polishes prune seeds only
+        if self.samples < 0 or self.max_pairs < 0:
+            raise ValueError("collision samples and max_pairs must be non-negative")
+        if self.seed < 0:
+            raise ValueError("collision seed must be non-negative")
 
 
 def _shift_to_second_copy(p: Poly) -> Poly:
@@ -437,6 +450,20 @@ def _prune_candidates(F: PolyMap, box: IntervalBox, cfg: CollisionConfig) -> lis
 
 def _sampled_pairs(F: PolyMap, box: IntervalBox,
                    cfg: CollisionConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The cfg.max_pairs sampled point pairs whose images lie closest.
+
+    The images of cfg.samples uniform points are binned on a grid of
+    _BUCKET_CELLS cells per axis.  A pair (j, i) is scored when j < i, j is
+    among the first _CELL_CAP samples of its own cell, that cell is one of
+    the 3^n neighbours of the cell of i, and the points are at least
+    0.8 * separation apart in the max norm.  Its score is the max-norm
+    image gap in cell widths; pairs come back in (gap, j, i) order.
+
+    Each cell is one integer key, so the neighbour lookups are searchsorted
+    calls on the sorted keys of the cell members, one per neighbour offset
+    and block of _ROW_BLOCK samples i; each keeps only its best
+    cfg.max_pairs pairs.
+    """
     n = F.n
     rng = np.random.default_rng(cfg.seed)
     lo = np.array(box.lo)
@@ -445,7 +472,8 @@ def _sampled_pairs(F: PolyMap, box: IntervalBox,
     images = np.stack([comp.eval_array(pts) for comp in F.components], axis=1)
     finite = np.all(np.isfinite(images), axis=1)
     pts, images = pts[finite], images[finite]
-    if pts.shape[0] < 2:
+    count = pts.shape[0]
+    if count < 2:
         return []
     # percentile-clipped spans: high-degree maps blow up near the box
     # corners and would otherwise flatten the whole bucket grid
@@ -455,27 +483,44 @@ def _sampled_pairs(F: PolyMap, box: IntervalBox,
     cells = np.clip(
         np.floor((images - img_lo[None, :]) / img_span[None, :] * _BUCKET_CELLS),
         -1, _BUCKET_CELLS + 1).astype(np.int64)
-    buckets: dict[tuple, list[int]] = {}
-    scored: list[tuple[float, int, int]] = []
-    offsets = list(itertools.product((-1, 0, 1), repeat=n))
     scale = img_span / _BUCKET_CELLS
-    # occupancy cap keeps the pairing pass near-linear even when the
-    # image piles most samples into a few cells
-    cap = 16
-    for i in range(pts.shape[0]):
-        key = tuple(cells[i])
-        for off in offsets:
-            neighbor = tuple(k + o for k, o in zip(key, off))
-            for j in buckets.get(neighbor, ()):
-                if np.max(np.abs(pts[i] - pts[j])) >= 0.8 * cfg.separation:
-                    gap = float(np.max(np.abs((images[i] - images[j]) / scale)))
-                    scored.append((gap, j, i))
-        bucket = buckets.setdefault(key, [])
-        if len(bucket) < cap:
-            bucket.append(i)
+    # Cell digits run 1.._BUCKET_CELLS + 3, so a neighbour's run
+    # 0.._BUCKET_CELLS + 4.  In base _BUCKET_CELLS + 4 a neighbour outside
+    # the grid keeps a 0 digit, or overflows the top one, after carrying:
+    # its key is never that of a cell.  Past int64, keys are Python ints.
+    base = _BUCKET_CELLS + 4
+    weights = np.array([base ** k for k in range(n)],
+                       dtype=np.int64 if 2 * base ** n < 2 ** 63 else object)
+    keys = (cells + 2) @ weights
+    shifts = (np.indices((3,) * n).reshape(n, -1).T - 1) @ weights
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    # occupancy cap: the first _CELL_CAP samples of a cell are its members,
+    # which keeps the pairing near-linear when the image piles most samples
+    # into a few cells
+    member = np.arange(count) - np.searchsorted(sorted_keys, sorted_keys) < _CELL_CAP
+    members, member_keys = order[member], sorted_keys[member]
+    min_sep = 0.8 * cfg.separation
+    kept = []
+    for block in _row_blocks(count):
+        rows = np.arange(count)[block]
+        for shift in shifts:
+            wanted = keys[block] + shift
+            first = np.searchsorted(member_keys, wanted, side="left")
+            found = np.searchsorted(member_keys, wanted, side="right") - first
+            i = np.repeat(rows, found)
+            j = members[np.arange(found.sum()) + np.repeat(first - np.cumsum(found) + found,
+                                                           found)]
+            i, j = i[j < i], j[j < i]
+            far = np.abs(pts[i] - pts[j]).max(axis=1) >= min_sep
+            i, j = i[far], j[far]
+            gap = np.abs((images[i] - images[j]) / scale).max(axis=1)
+            best = np.lexsort((i, j, gap))[:cfg.max_pairs]
+            kept.append((gap[best], j[best], i[best]))
+    gap, j, i = (np.concatenate(part) for part in zip(*kept))
     # polish the most promising near-collisions first
-    scored.sort()
-    return [(pts[j].copy(), pts[i].copy()) for _, j, i in scored[:cfg.max_pairs]]
+    best = np.lexsort((i, j, gap))[:cfg.max_pairs]
+    return [(pts[a].copy(), pts[b].copy()) for a, b in zip(j[best], i[best])]
 
 
 def collision_search(F: PolyMap, box: IntervalBox,

@@ -53,6 +53,41 @@ def _float_or_inf(c: Fraction) -> float:
         return math.inf if c > 0 else -math.inf
 
 
+def _power_table(base: int, exponents: Iterable[int]) -> dict[int, int]:
+    """base^k for each k, each one made from the next lower one."""
+    table: dict[int, int] = {}
+    k0, acc = 0, 1
+    for k in sorted(set(exponents)):
+        acc *= base ** (k - k0)
+        table[k] = acc
+        k0 = k
+    return table
+
+
+def _lowest_terms(num: int, den: int, radical: int) -> Fraction:
+    """num/den as a Fraction, for den > 0 whose every prime factor divides radical.
+
+    Fraction(num, den) would take gcd(num, den), which costs time quadratic
+    in their length even when it is 1.  Here every gcd has the short radical,
+    or a factor already found, as one argument.  A prime shared by num and
+    den divides radical, so it divides h; squaring h keeps those primes and
+    doubles what the next round can remove.
+    """
+    while (h := math.gcd(radical, num, den)) > 1:
+        num //= h
+        den //= h
+        radical = h * h
+    return _coprime_fraction(num, den)
+
+
+if sys.version_info >= (3, 12):
+    _coprime_fraction = Fraction._from_coprime_ints
+else:
+    def _coprime_fraction(num: int, den: int) -> Fraction:
+        """Fraction(num, den) for coprime num and den > 0, with no second gcd."""
+        return Fraction(num, den, _normalize=False)
+
+
 class Interval:
     """Closed float interval [lo, hi]: an enclosure value, such as the
     range bound of Poly.eval_interval or a coefficient's bounds."""
@@ -210,7 +245,7 @@ def _pow_arrays(xl: np.ndarray, xh: np.ndarray, e: int):
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("nvars", "terms", "_sorted", "_floats", "_iterms", "_hash")
+    __slots__ = ("nvars", "terms", "_sorted", "_floats", "_iterms", "_ints", "_hash")
 
     def __init__(self, nvars: int, terms: dict[Exponent, Fraction] | None = None):
         if nvars < 1:
@@ -230,6 +265,7 @@ class Poly:
         self._sorted = None
         self._floats = None
         self._iterms = None
+        self._ints = None
         self._hash = None
 
     # -- constructors -------------------------------------------------
@@ -367,21 +403,49 @@ class Poly:
     def eval(self, point: Sequence[Scalar | float]) -> Fraction | float:
         """Evaluate at a point: exact for rational input, float otherwise.
 
-        The float path is one row of eval_array, so results are
-        reproducible bit for bit.
+        The exact path sums in integers: each coordinate p/q is lifted to
+        p^e * q^(m - e) for its exponent e and the variable's highest
+        exponent m, so every term is an integer over the one denominator
+        D * prod(q^m), D the common coefficient denominator.  Only the
+        powers that occur are formed, once per call.  The float path is
+        one row of eval_array, so results are reproducible bit for bit.
         """
         if len(point) != self.nvars:
             raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
         if any(isinstance(x, float) for x in point):
             return float(self.eval_array(np.array([[float(x) for x in point]]))[0])
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    term *= Fraction(x) ** e
-            total += term
-        return total
+        den, terms, maxes, occurring = self._int_terms()
+        radical = den
+        lifted = []
+        for x, m, exps in zip(map(Fraction, point), maxes, occurring):
+            nums = _power_table(x.numerator, exps)
+            dens = _power_table(x.denominator, [m - e for e in exps] + [m])
+            lifted.append({e: nums[e] * dens[m - e] for e in exps})
+            if m:
+                den *= dens[m]
+                radical *= x.denominator
+        total = 0
+        for exps, coeff in terms:
+            for powers, e in zip(lifted, exps):
+                coeff *= powers[e]
+            total += coeff
+        if not total:
+            return Fraction(0)
+        return _lowest_terms(total, den, radical)
+
+    def _int_terms(self) -> tuple[int, list[tuple[Exponent, int]], tuple[int, ...],
+                                  tuple[tuple[int, ...], ...]]:
+        """(D, [(exponents, coeff * D)], highest exponent of each variable,
+        sorted exponents that occur of each variable), D the least common
+        denominator of the coefficients."""
+        if self._ints is None:
+            den = math.lcm(*(c.denominator for c in self.terms.values()))
+            terms = [(e, c.numerator * (den // c.denominator)) for e, c in self.terms.items()]
+            occurring = tuple(tuple(sorted({e[i] for e in self.terms}))
+                              for i in range(self.nvars))
+            maxes = tuple(exps[-1] if exps else 0 for exps in occurring)
+            self._ints = (den, terms, maxes, occurring)
+        return self._ints
 
     def _float_terms(self) -> tuple[list[tuple[Exponent, float]], tuple[int, ...]]:
         if self._floats is None:

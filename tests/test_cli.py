@@ -314,6 +314,31 @@ def test_collide_even_map(fixtures_dir, capsys):
     assert results["residual"] <= 1e-8
 
 
+@pytest.mark.parametrize("flag", [("--samples", "-5"), ("--seed", "-1")])
+def test_collide_bad_budget_is_usage_error(fixtures_dir, capsys, flag):
+    code, payload, captured = run_cli(
+        capsys, "collide", "--map", str(fixtures_dir / "even.map"),
+        "--box=-2:2,-2:2", *flag)
+    assert code == 1 and payload is None
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", [("--seed", "-1"), ("--samples", "0"), ("--max-boxes", "0")])
+def test_analyze_bad_budget_is_usage_error(fixtures_dir, capsys, flag):
+    code, payload, captured = run_cli(
+        capsys, "analyze", "--map", str(fixtures_dir / "squares.map"),
+        "--box=-2:2,-2:2", *flag)
+    assert code == 1 and payload is None
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_collide_zero_samples_searches_prune_seeds_only(fixtures_dir, capsys):
+    code, payload, _ = run_cli(
+        capsys, "collide", "--map", str(fixtures_dir / "even.map"),
+        "--box=-2:2,-2:2", "--samples", "0")
+    assert code == 0 and payload["config"]["samples"] == 0
+
+
 def test_collide_injective_none(fixtures_dir, capsys):
     code, payload, _ = run_cli(
         capsys, "collide", "--map", str(fixtures_dir / "cubic_line.map"),

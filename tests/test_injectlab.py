@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from degreelab.polycore import IntervalBox, parse_poly
 from degreelab.mapforms import PolyMap, jacobian_matrix, realify
+from degreelab import fibersolve
 from degreelab.fibersolve import solve_fiber
 from degreelab.injectlab import (
     CollisionConfig,
@@ -18,7 +20,12 @@ from degreelab.injectlab import (
     origin_injectivity_cubic,
     witness_from_fiber,
 )
-from degreelab.injectlab import _newton_float, _prune_candidates
+from degreelab.injectlab import (
+    _BUCKET_CELLS,
+    _newton_float,
+    _prune_candidates,
+    _sampled_pairs,
+)
 from gen_maps import (
     random_complex_map,
     random_composed_automorphism,
@@ -273,6 +280,74 @@ def test_prune_candidate_cap_mid_level_keeps_fifo_prefix():
     for cap in (1, 5, 87):
         capped = _prune_candidates(F, cube(1, 2), CollisionConfig(max_candidates=cap))
         assert capped == full[:cap]
+
+
+def _reference_pairs(F, box, cfg):
+    # reference: the scalar pair search, a dict of cell buckets holding the
+    # first 16 samples of each cell and a scan of the 3^n neighbour cells
+    # per sample
+    n = F.n
+    rng = np.random.default_rng(cfg.seed)
+    lo = np.array(box.lo)
+    span = np.array(box.hi) - lo
+    pts = lo[None, :] + rng.random((cfg.samples, n)) * span[None, :]
+    images = np.stack([comp.eval_array(pts) for comp in F.components], axis=1)
+    finite = np.all(np.isfinite(images), axis=1)
+    pts, images = pts[finite], images[finite]
+    if pts.shape[0] < 2:
+        return []
+    img_lo = np.percentile(images, 0.5, axis=0)
+    img_hi = np.percentile(images, 99.5, axis=0)
+    img_span = np.maximum(img_hi - img_lo, 1e-30)
+    cells = np.clip(
+        np.floor((images - img_lo[None, :]) / img_span[None, :] * _BUCKET_CELLS),
+        -1, _BUCKET_CELLS + 1).astype(np.int64)
+    buckets = {}
+    scored = []
+    scale = img_span / _BUCKET_CELLS
+    for i in range(pts.shape[0]):
+        key = tuple(cells[i])
+        for off in itertools.product((-1, 0, 1), repeat=n):
+            neighbor = tuple(k + o for k, o in zip(key, off))
+            for j in buckets.get(neighbor, ()):
+                if np.max(np.abs(pts[i] - pts[j])) >= 0.8 * cfg.separation:
+                    gap = float(np.max(np.abs((images[i] - images[j]) / scale)))
+                    scored.append((gap, j, i))
+        bucket = buckets.setdefault(key, [])
+        if len(bucket) < 16:
+            bucket.append(i)
+    scored.sort()
+    return [(pts[j].copy(), pts[i].copy()) for _, j, i in scored[:cfg.max_pairs]]
+
+
+@pytest.mark.parametrize("exprs, radius, samples, max_pairs", [
+    # 1-D: about 23 samples per cell, far more than the 16 paired
+    (("x1^3 - x1",), 2, 3000, 10 ** 6),
+    (("x1^2",), 2, 700, 64),
+    # x1 spreads evenly, so the clipped cells -1 and _BUCKET_CELLS + 1 of
+    # axis 1 each hold about 20 samples across the cells of axis 2
+    (("x1", "x2^2"), 2, 4000, 10 ** 6),
+    (("x1^2", "x2"), 2, 2500, 10 ** 6),
+    # x1^300 overflows for |x1| > 10.5: inf and inf - inf samples drop out
+    (("x1^300 - x2^300", "x2"), 20, 1500, 10 ** 6),
+    (("x1 + x2^2", "x2 + x3^2", "x3"), 2, 2000, 300),
+    (("x1*x2", "x2*x3", "x3 + x1^2"), 1, 1200, 10 ** 6),
+])
+@pytest.mark.parametrize("seed, row_block", [(0, None), (3, 1000)])
+def test_sampled_pairs_equals_reference_loop(monkeypatch, exprs, radius, samples, max_pairs,
+                                             seed, row_block):
+    if row_block:  # samples i in several blocks
+        monkeypatch.setattr(fibersolve, "_ROW_BLOCK", row_block)
+    F = make_map(len(exprs), *exprs)
+    cfg = CollisionConfig(samples=samples, seed=seed, max_pairs=max_pairs)
+    with np.errstate(all="ignore"):
+        got = _sampled_pairs(F, cube(F.n, radius), cfg)
+        ref = _reference_pairs(F, cube(F.n, radius), cfg)
+    assert len(got) == len(ref) > 0
+    if max_pairs == 10 ** 6:
+        assert len(ref) < max_pairs  # every scored pair comes back
+    for (a, b), (c, d) in zip(got, ref):
+        assert a.tobytes() == c.tobytes() and b.tobytes() == d.tobytes()
 
 
 def _newton_point(F, jac, target, x, iters):

@@ -174,6 +174,50 @@ def test_eval_exact():
     assert isinstance(p.eval([1, 2]), Fraction)
 
 
+def _eval_term_by_term(p: Poly, point) -> Fraction:
+    # reference: the exact evaluation as a Fraction sum, one term at a time
+    total = Fraction(0)
+    for exps, coeff in p.terms.items():
+        term = coeff
+        for x, e in zip(point, exps):
+            if e:
+                term *= Fraction(x) ** e
+        total += term
+    return total
+
+
+def test_eval_exact_equals_term_by_term():
+    rng = random.Random(505)
+    # exact values: a tiny power of ten, negative integers, 0, and dyadic
+    # fractions taken from floats
+    pool = [Fraction(1, 10 ** 300), -3, -1, 0, 2, Fraction(7, 3), Fraction(-22, 9),
+            Fraction(0.1), Fraction(-2.75), Fraction(1e-300), Fraction(1e300)]
+    cases = []
+    for _ in range(60):
+        nvars = rng.randint(1, 3)
+        cases.append((random_poly(rng, nvars, max_deg=6, max_terms=10), pool))
+    cases += [
+        (Poly.zero(2), pool),
+        (Poly.const(3, Fraction(-7, 3)), pool),
+        # x1 and x3 never occur
+        (parse_poly("x2^3 - 1/5*x2 + 4/7", 3), pool),
+        (parse_poly("x1^401", 1), pool),
+        # sparse: only the powers 1 and 20000 are formed
+        (parse_poly("x1^20000 + x1", 1), [-3, 0, 1, Fraction(3, 2), Fraction(0.1)]),
+        # cancellation: the lifted sum shares large powers of 2 and 3 with
+        # its denominator
+        (parse_poly("x1^40*x2 - x1^40 + 1/3*x1^7", 2), pool),
+    ]
+    for p, values in cases:
+        for _ in range(8):
+            point = [rng.choice(values) for _ in range(p.nvars)]
+            got = p.eval(point)
+            assert type(got) is Fraction
+            assert got == _eval_term_by_term(p, point)
+    p = parse_poly("x1^40*x2 - x1^40 + 1/3*x1^7", 2)
+    assert p.eval([Fraction(1, 6), 1]) == Fraction(1, 3 * 6 ** 7)
+
+
 def test_eval_float_matches_exact():
     rng = random.Random(303)
     for _ in range(40):
