@@ -80,12 +80,14 @@ def _lowest_terms(num: int, den: int, radical: int) -> Fraction:
     return _coprime_fraction(num, den)
 
 
-if sys.version_info >= (3, 12):
-    _coprime_fraction = Fraction._from_coprime_ints
-else:
+if sys.version_info < (3, 12):
     def _coprime_fraction(num: int, den: int) -> Fraction:
         """Fraction(num, den) for coprime num and den > 0, with no second gcd."""
         return Fraction(num, den, _normalize=False)
+else:
+    # a private constructor: should a later Python drop it, Fraction's own
+    # gcd gives the same value, only slower on long integers
+    _coprime_fraction = getattr(Fraction, "_from_coprime_ints", Fraction)
 
 
 class Interval:

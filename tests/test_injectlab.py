@@ -332,6 +332,9 @@ def _reference_pairs(F, box, cfg):
     (("x1^300 - x2^300", "x2"), 20, 1500, 10 ** 6),
     (("x1 + x2^2", "x2 + x3^2", "x3"), 2, 2000, 300),
     (("x1*x2", "x2*x3", "x3 + x1^2"), 1, 1200, 10 ** 6),
+    # 9-D: 132^9 passes int64, so the cell keys are Python ints; x^41 piles
+    # most images into the cells next to 0 on every axis
+    (tuple(f"x{k}^41" for k in range(1, 10)), 1, 50, 10 ** 6),
 ])
 @pytest.mark.parametrize("seed, row_block", [(0, None), (3, 1000)])
 def test_sampled_pairs_equals_reference_loop(monkeypatch, exprs, radius, samples, max_pairs,

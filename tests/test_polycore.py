@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from degreelab import polycore
 from degreelab.polycore import (
     Interval,
     IntervalBox,
@@ -214,6 +215,21 @@ def test_eval_exact_equals_term_by_term():
             got = p.eval(point)
             assert type(got) is Fraction
             assert got == _eval_term_by_term(p, point)
+    p = parse_poly("x1^40*x2 - x1^40 + 1/3*x1^7", 2)
+    assert p.eval([Fraction(1, 6), 1]) == Fraction(1, 3 * 6 ** 7)
+
+
+def test_eval_exact_with_public_fraction_constructor(monkeypatch):
+    # the fallback for a Python without Fraction's private coprime constructor
+    monkeypatch.setattr(polycore, "_coprime_fraction", Fraction)
+    rng = random.Random(506)
+    pool = [-3, 0, 2, Fraction(7, 3), Fraction(0.1), Fraction(-2.75)]
+    for _ in range(20):
+        p = random_poly(rng, rng.randint(1, 3), max_deg=6, max_terms=10)
+        point = [rng.choice(pool) for _ in range(p.nvars)]
+        got = p.eval(point)
+        assert type(got) is Fraction
+        assert got == _eval_term_by_term(p, point)
     p = parse_poly("x1^40*x2 - x1^40 + 1/3*x1^7", 2)
     assert p.eval([Fraction(1, 6), 1]) == Fraction(1, 3 * 6 ** 7)
 

@@ -6,8 +6,9 @@
         --workload fibers --seed 7 --pairs 3 --out BENCH_7.json
 
 The k-th --workload takes the k-th --seed and --pairs, or the last ones
-given.  Pair k runs ``python3 perfbench/run.py`` once in each tree,
-the parent first when k is even and the change first when k is odd, so
+given.  Pair k runs ``python3 perfbench/run.py`` once in each tree, for
+the run_seconds of BENCHMARK.json (run.py's own default differs), the
+parent first when k is even and the change first when k is odd, so
 that a drift of the machine over time hits both sides alike.  After every
 run the tree's ``.bench_build/perfbench/<workload>-<seed>/report-trace0.json``
 is read back.  Last, each tree makes one traced run (``--trace 1``) for the
@@ -35,10 +36,10 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SIDES = ("parent", "change")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
     """One perfbench run in tree; returns its report-trace<trace>.json."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(BENCHMARK["run_seconds"]), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"error: {' '.join(cmd)} in {tree} exited {done.returncode}:\n"
@@ -64,18 +65,18 @@ def summarize(runs: list[dict]) -> dict:
     }
 
 
-def record(trees: dict[str, Path], workload: str, seed: int, pairs: int, seconds: float) -> dict:
+def record(trees: dict[str, Path], workload: str, seed: int, pairs: int) -> dict:
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     for k in range(pairs):
         for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
-            runs[side].append(run_once(trees[side], workload, seed, seconds, 0))
+            runs[side].append(run_once(trees[side], workload, seed, 0))
             print(f"{workload} seed {seed} pair {k + 1}/{pairs} {side}: ops_per_s "
                   f"{runs[side][-1]['metrics']['ops_per_s']['value']:.3f}", file=sys.stderr)
-    out = {"seed": seed, "pairs": pairs, "seconds": seconds,
+    out = {"seed": seed, "pairs": pairs, "seconds": BENCHMARK["run_seconds"],
            "order": "pair k runs the parent first when k is even, the change first when odd"}
     for side in SIDES:
         out[side] = summarize(runs[side])
-        traced = run_once(trees[side], workload, seed, seconds, 1)
+        traced = run_once(trees[side], workload, seed, 1)
         out[side]["per_layer"] = {name: m["value"] for name, m in traced["metrics"].items()}
     better = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
     out["wins"] = {
@@ -94,7 +95,6 @@ def main(argv=None) -> int:
                         choices=[w["name"] for w in BENCHMARK["workloads"]])
     parser.add_argument("--seed", type=int, action="append", required=True)
     parser.add_argument("--pairs", type=int, action="append", required=True)
-    parser.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
     if min(args.pairs) < 1:
@@ -104,7 +104,7 @@ def main(argv=None) -> int:
     for k, workload in enumerate(args.workload):
         seed = args.seed[min(k, len(args.seed) - 1)]
         pairs = args.pairs[min(k, len(args.pairs) - 1)]
-        result["workloads"][workload] = record(trees, workload, seed, pairs, args.seconds)
+        result["workloads"][workload] = record(trees, workload, seed, pairs)
         args.out.write_text(json.dumps(result, indent=2) + "\n")
     return 0
 
