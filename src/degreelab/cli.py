@@ -9,16 +9,19 @@ between identical runs.
 
 Exit codes: 0 clean verdict, 1 usage or parse error, 2 inconclusive,
 3 witness of failure (a collision, a certified degree disagreement, a
-non-constant family).
+non-constant family), 4 internal error (an unexpected exception, such as
+a "soundness bug" RuntimeError; the traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 import time
+import traceback
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from importlib import resources
@@ -49,6 +52,7 @@ EXIT_CLEAN = 0
 EXIT_USAGE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_WITNESS = 3
+EXIT_INTERNAL = 4
 
 
 class CliError(Exception):
@@ -115,10 +119,14 @@ class MapFile:
     path: str
 
 
-def _schema():
-    text = resources.files("degreelab").joinpath(
-        "schemas/mapfile.schema.json").read_text()
-    return json.loads(text)
+@functools.cache
+def _validator():
+    """The map-file schema's validator, read and checked once per process."""
+    schema = json.loads(resources.files("degreelab").joinpath(
+        "schemas/mapfile.schema.json").read_text())
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def load_mapfile(path: str) -> MapFile:
@@ -131,10 +139,10 @@ def load_mapfile(path: str) -> MapFile:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: not valid JSON: {exc}") from None
-    try:
-        jsonschema.validate(doc, _schema())
-    except jsonschema.ValidationError as exc:
-        raise CliError(f"{path}: schema violation: {exc.message}") from None
+    # the error jsonschema.validate would raise
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+    if error is not None:
+        raise CliError(f"{path}: schema violation: {error.message}")
     n = doc["n"]
     components = tuple(doc["components"])
     if len(components) != n:
@@ -516,6 +524,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"error: internal error in {args.command}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
     report = {
         "command": args.command,
         "tool_version": __version__,

@@ -3,7 +3,12 @@
 A polynomial is a map from exponent tuples (one non-negative int per
 variable) to nonzero rational coefficients (Fraction).  All ring
 arithmetic is exact; floating point enters only through the dedicated
-float/interval evaluation paths.
+float/interval evaluation paths.  The constructor Poly(nvars, terms)
+checks every term it is given; the results of Poly's own operations are
+built unchecked, with zero coefficients dropped as they arise.  A product
+multiplies integer numerators over each operand's common denominator and
+makes one Fraction per output term; a one-term operand shifts exponents
+instead.  The parser sums an expression's terms into one dict.
 
 Canonical term order everywhere (printing, float evaluation) is graded
 lexicographic, descending: higher total degree first, ties broken by the
@@ -16,10 +21,11 @@ lower and upper bound arrays; Poly.eval_interval is its one-row case.  It
 uses outward rounding: after every primitive float operation the lower
 endpoint is nudged one ulp down and the upper one ulp up, which covers the
 rounding error of the correctly-rounded IEEE result.  Enclosures are
-therefore sound but not tight.  An IntervalBox is a box's lower and upper
-bound vectors, one row of those arrays; an Interval is one enclosure
-value, the result of eval_interval or a coefficient's bounds.  Neither
-carries arithmetic.
+therefore sound but not tight.  The powers of a variable that a
+polynomial uses are read off one run of rounded products.  An IntervalBox
+is a box's lower and upper bound vectors, one row of those arrays; an
+Interval is one enclosure value, the result of eval_interval or a
+coefficient's bounds.  Neither carries arithmetic.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -203,51 +210,74 @@ def _mul_arrays(al, ah, bl, bh):
     return _next_down(lo), _next_up(hi)
 
 
-def _pow_pos_down_arr(x: np.ndarray, k: int) -> np.ndarray:
-    r = x.copy()
-    for _ in range(k - 1):
-        r = _next_down(r * x)
-    return r
+def _add_terms(a: dict[Exponent, Fraction], b: dict[Exponent, Fraction],
+               sign: int) -> dict[Exponent, Fraction]:
+    """The terms of a + sign * b, sign = 1 or -1, without zero coefficients."""
+    out = dict(a)
+    for exps, coeff in b.items():
+        c = out.get(exps)
+        if c is None:
+            out[exps] = coeff if sign > 0 else -coeff
+        elif (c := c + coeff if sign > 0 else c - coeff):
+            out[exps] = c
+        else:
+            del out[exps]
+    return out
 
 
-def _pow_pos_up_arr(x: np.ndarray, k: int) -> np.ndarray:
-    r = x.copy()
-    for _ in range(k - 1):
-        r = _next_up(r * x)
-    return r
+def _over(nums: dict[Exponent, int], den: int) -> dict[Exponent, Fraction]:
+    """{exps: num / den} for the nonzero numerators, den > 0."""
+    out = {}
+    for exps, num in nums.items():
+        if num:
+            g = math.gcd(num, den)
+            out[exps] = _coprime_fraction(num // g, den // g)
+    return out
+
+
+_ROUND_DOWN_UP = np.array([[-np.inf], [-np.inf], [np.inf], [np.inf]])
+
+
+def _power_run(xl: np.ndarray, xh: np.ndarray, exps: Sequence[int]) -> dict:
+    """{e: elementwise tight interval power [xl, xh]^e} for ascending e >= 2,
+    rounded outward.
+
+    Powers of a side are formed from its endpoint magnitudes by one run of
+    products, r_k = next(r_{k-1} * |x|), rounding down for lower and up for
+    upper bounds; each e is read off the run at step e.  Even powers of a
+    side that straddles 0 floor at 0.
+    """
+    base = np.abs(np.array((xl, xh, xl, xh)))
+    run, k = base, 1
+    nonneg = xl >= 0.0
+    nonpos = xh <= 0.0
+    out = {}
+    for e in exps:
+        for _ in range(e - k):
+            run = np.nextafter(run * base, _ROUND_DOWN_UP)
+        k = e
+        down_l, down_h, up_l, up_h = run
+        if e % 2 == 0:
+            lo = np.where(nonneg, down_l, np.where(nonpos, down_h, 0.0))
+            hi = np.where(nonneg, up_h, np.where(nonpos, up_l, np.maximum(up_l, up_h)))
+        else:
+            lo = np.where(xl >= 0.0, down_l, -up_l)
+            hi = np.where(xh >= 0.0, up_h, -down_h)
+        out[e] = (lo, hi)
+    return out
 
 
 def _pow_arrays(xl: np.ndarray, xh: np.ndarray, e: int):
-    """Elementwise tight interval powers [xl, xh]^e, rounded outward.
-
-    Powers of a side are formed from its endpoint magnitudes by repeated
-    multiplication; even powers of a side that straddles 0 floor at 0.
-    """
-    if e == 0:
-        ones = np.ones_like(xl)
-        return ones, ones
-    if e == 1:
-        return xl, xh
-    abs_l, abs_h = np.abs(xl), np.abs(xh)
-    down_l = _pow_pos_down_arr(abs_l, e)
-    up_l = _pow_pos_up_arr(abs_l, e)
-    down_h = _pow_pos_down_arr(abs_h, e)
-    up_h = _pow_pos_up_arr(abs_h, e)
-    if e % 2 == 0:
-        nonneg = xl >= 0.0
-        nonpos = xh <= 0.0
-        lo = np.where(nonneg, down_l, np.where(nonpos, down_h, 0.0))
-        hi = np.where(nonneg, up_h, np.where(nonpos, up_l, np.maximum(up_l, up_h)))
-    else:
-        lo = np.where(xl >= 0.0, down_l, -up_l)
-        hi = np.where(xh >= 0.0, up_h, -down_h)
-    return lo, hi
+    """Elementwise tight interval powers [xl, xh]^e for e >= 2, rounded
+    outward: the one-exponent case of _power_run."""
+    return _power_run(xl, xh, (e,))[e]
 
 
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("nvars", "terms", "_sorted", "_floats", "_iterms", "_ints", "_hash")
+    __slots__ = ("nvars", "terms", "_sorted", "_floats", "_iterms", "_ints", "_exps",
+                 "_hash")
 
     def __init__(self, nvars: int, terms: dict[Exponent, Fraction] | None = None):
         if nvars < 1:
@@ -268,7 +298,23 @@ class Poly:
         self._floats = None
         self._iterms = None
         self._ints = None
+        self._exps = None
         self._hash = None
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict[Exponent, Fraction]) -> Poly:
+        """A Poly over terms that Poly's own operations made: int exponent
+        tuples of length nvars and nonzero Fraction coefficients, unchecked."""
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        p._sorted = None
+        p._floats = None
+        p._iterms = None
+        p._ints = None
+        p._exps = None
+        p._hash = None
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -278,7 +324,10 @@ class Poly:
 
     @classmethod
     def const(cls, nvars: int, value: Scalar) -> Poly:
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        if nvars < 1:
+            raise ValueError("nvars must be positive")
+        value = Fraction(value)
+        return cls._trusted(nvars, {(0,) * nvars: value} if value else {})
 
     @classmethod
     def var(cls, nvars: int, index: int) -> Poly:
@@ -287,7 +336,7 @@ class Poly:
             raise ValueError(f"variable index {index} out of range 1..{nvars}")
         exps = [0] * nvars
         exps[index - 1] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls._trusted(nvars, {tuple(exps): Fraction(1)})
 
     # -- basic queries ------------------------------------------------
 
@@ -325,10 +374,7 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.const(self.nvars, other)
         self._check_same_arity(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return Poly(self.nvars, out)
+        return Poly._trusted(self.nvars, _add_terms(self.terms, other.terms, 1))
 
     def __radd__(self, other: Scalar) -> Poly:
         return self.__add__(other)
@@ -337,38 +383,57 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.const(self.nvars, other)
         self._check_same_arity(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) - coeff
-        return Poly(self.nvars, out)
+        return Poly._trusted(self.nvars, _add_terms(self.terms, other.terms, -1))
 
     def __rsub__(self, other: Scalar) -> Poly:
         return Poly.const(self.nvars, other) - self
 
     def __neg__(self) -> Poly:
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: Poly | Scalar) -> Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check_same_arity(other)
-        out: dict[Exponent, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                out[exps] = out.get(exps, Fraction(0)) + ca * cb
-        return Poly(self.nvars, out)
+        if len(other.terms) == 1:
+            return self._shift(*next(iter(other.terms.items())))
+        if len(self.terms) == 1:
+            return other._shift(*next(iter(self.terms.items())))
+        if not (self.terms and other.terms):
+            return Poly._trusted(self.nvars, {})
+        # integer numerators over the product of the two common denominators,
+        # and one Fraction per output term
+        den_a, terms_a = self._int_terms()
+        den_b, terms_b = other._int_terms()
+        acc: dict[Exponent, int] = {}
+        get = acc.get
+        for ea, ca in terms_a:
+            for eb, cb in terms_b:
+                exps = tuple(map(add, ea, eb))
+                acc[exps] = get(exps, 0) + ca * cb
+        return Poly._trusted(self.nvars, _over(acc, den_a * den_b))
+
+    def _shift(self, exps: Exponent, coeff: Fraction) -> Poly:
+        """self times the one term coeff * x^exps, coeff nonzero: adding the
+        same exponent tuple to every term merges none."""
+        return Poly._trusted(self.nvars, {tuple(map(add, e, exps)): c * coeff
+                                          for e, c in self.terms.items()})
 
     def __rmul__(self, other: Scalar) -> Poly:
         return self.scale(other)
 
     def scale(self, c: Scalar) -> Poly:
         c = Fraction(c)
-        return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
+        if not c:
+            return Poly._trusted(self.nvars, {})
+        return Poly._trusted(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, k: int) -> Poly:
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial power needs a non-negative integer exponent")
+        if len(self.terms) == 1 and k:
+            [(exps, coeff)] = self.terms.items()
+            return Poly._trusted(self.nvars, {tuple(e * k for e in exps): coeff ** k})
         result = Poly.const(self.nvars, 1)
         base = self
         while k:
@@ -384,18 +449,15 @@ class Poly:
         if not 1 <= var <= self.nvars:
             raise ValueError(f"variable index {var} out of range 1..{self.nvars}")
         i = var - 1
-        out: dict[Exponent, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            new = exps[:i] + (e - 1,) + exps[i + 1:]
-            out[new] = out.get(new, Fraction(0)) + coeff * e
-        return Poly(self.nvars, out)
+        # lowering x_i by one is one-to-one on the terms that contain x_i
+        return Poly._trusted(self.nvars, {exps[:i] + (e - 1,) + exps[i + 1:]: coeff * e
+                                          for exps, coeff in self.terms.items()
+                                          if (e := exps[i])})
 
     def homogeneous_component(self, d: int) -> Poly:
         """Sum of the terms of total degree exactly d."""
-        return Poly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d})
+        return Poly._trusted(self.nvars,
+                             {e: c for e, c in self.terms.items() if sum(e) == d})
 
     def homogeneous_degrees(self) -> list[int]:
         return sorted({sum(e) for e in self.terms})
@@ -416,7 +478,8 @@ class Poly:
             raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
         if any(isinstance(x, float) for x in point):
             return float(self.eval_array(np.array([[float(x) for x in point]]))[0])
-        den, terms, maxes, occurring = self._int_terms()
+        den, terms = self._int_terms()
+        maxes, occurring = self._exponents()
         radical = den
         lifted = []
         for x, m, exps in zip(map(Fraction, point), maxes, occurring):
@@ -435,19 +498,23 @@ class Poly:
             return Fraction(0)
         return _lowest_terms(total, den, radical)
 
-    def _int_terms(self) -> tuple[int, list[tuple[Exponent, int]], tuple[int, ...],
-                                  tuple[tuple[int, ...], ...]]:
-        """(D, [(exponents, coeff * D)], highest exponent of each variable,
-        sorted exponents that occur of each variable), D the least common
-        denominator of the coefficients."""
+    def _int_terms(self) -> tuple[int, list[tuple[Exponent, int]]]:
+        """(D, [(exponents, coeff * D)]), D the least common denominator of
+        the coefficients."""
         if self._ints is None:
             den = math.lcm(*(c.denominator for c in self.terms.values()))
-            terms = [(e, c.numerator * (den // c.denominator)) for e, c in self.terms.items()]
+            self._ints = (den, [(e, c.numerator * (den // c.denominator))
+                                for e, c in self.terms.items()])
+        return self._ints
+
+    def _exponents(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(highest exponent of each variable, sorted exponents that occur
+        of each variable)."""
+        if self._exps is None:
             occurring = tuple(tuple(sorted({e[i] for e in self.terms}))
                               for i in range(self.nvars))
-            maxes = tuple(exps[-1] if exps else 0 for exps in occurring)
-            self._ints = (den, terms, maxes, occurring)
-        return self._ints
+            self._exps = (tuple(exps[-1] if exps else 0 for exps in occurring), occurring)
+        return self._exps
 
     def _float_terms(self) -> tuple[list[tuple[Exponent, float]], tuple[int, ...]]:
         if self._floats is None:
@@ -506,9 +573,15 @@ class Poly:
         term is its coefficient's enclosure times the powers of the sides,
         and the terms are summed left to right, rounding outward after
         every operation.  Rows are independent, so a row's enclosure does
-        not depend on the other rows.  A pow_cache dict may be shared by
-        several calls evaluating different polynomials over the same box
-        arrays.
+        not depend on the other rows.
+
+        pow_cache maps (i, e), i a 0-based variable index and e >= 1, to the
+        (lo, hi) enclosure arrays of x_i^e over the rows.  The first time a
+        power e >= 2 of x_i is missing, every power >= 2 of x_i that this
+        polynomial uses and the cache lacks is formed from one run of
+        products.  The dict may be shared by several calls evaluating
+        different polynomials over the same box arrays; an entry does not
+        depend on which polynomial made it.
         """
         if los.shape != his.shape or los.ndim != 2 or los.shape[1] != self.nvars:
             raise ValueError(f"expected (N, {self.nvars}) bound arrays")
@@ -516,28 +589,33 @@ class Poly:
         if not self.terms:
             return np.zeros(count), np.zeros(count)
         if self._iterms is None:
-            self._iterms = [(e, Interval.from_fraction(c))
-                            for e, c in self.sorted_terms()]
+            terms = []
+            for exps, c in self.sorted_terms():
+                c = Interval.from_fraction(c)
+                terms.append((c.lo, c.hi, tuple((i, e) for i, e in enumerate(exps) if e)))
+            powers = [[e for e in exps if e >= 2] for exps in self._exponents()[1]]
+            self._iterms = (terms, powers)
+        terms, powers = self._iterms
         if pow_cache is None:
             pow_cache = {}
-
-        def var_power(i: int, e: int):
-            key = (i, e)
-            got = pow_cache.get(key)
-            if got is None:
-                got = _pow_arrays(los[:, i], his[:, i], e)
-                pow_cache[key] = got
-            return got
 
         with np.errstate(all="ignore"):
             acc_lo = np.zeros(count)
             acc_hi = np.zeros(count)
-            for exps, coeff in self._iterms:
-                tl, th = coeff.lo, coeff.hi
-                for i, e in enumerate(exps):
-                    if e:
-                        pl, ph = var_power(i, e)
-                        tl, th = _mul_arrays(tl, th, pl, ph)
+            for tl, th, factors in terms:
+                for key in factors:
+                    got = pow_cache.get(key)
+                    if got is None:
+                        i, e = key
+                        if e == 1:
+                            got = pow_cache[key] = (los[:, i], his[:, i])
+                        else:
+                            # every power of x_i this polynomial still needs
+                            run = [k for k in powers[i] if (i, k) not in pow_cache]
+                            for k, pk in _power_run(los[:, i], his[:, i], run).items():
+                                pow_cache[i, k] = pk
+                            got = pow_cache[key]
+                    tl, th = _mul_arrays(tl, th, *got)
                 acc_lo = _next_down(acc_lo + tl)
                 acc_hi = _next_up(acc_hi + th)
             # an overflow-induced NaN means "nothing is known": widen fully
@@ -561,8 +639,8 @@ class Poly:
             if c == 0:
                 continue
             new = exps[:i] + exps[i + 1:]
-            out[new] = out.get(new, Fraction(0)) + c
-        return Poly(self.nvars - 1, out)
+            out[new] = out.get(new, 0) + c
+        return Poly._trusted(self.nvars - 1, {e: c for e, c in out.items() if c})
 
     def pad(self, extra: int) -> Poly:
         """Embed into a ring with `extra` trailing variables."""
@@ -571,7 +649,7 @@ class Poly:
         if extra == 0:
             return self
         zeros = (0,) * extra
-        return Poly(self.nvars + extra, {e + zeros: c for e, c in self.terms.items()})
+        return Poly._trusted(self.nvars + extra, {e + zeros: c for e, c in self.terms.items()})
 
     def compose(self, gs: Sequence[Poly]) -> Poly:
         """Substitute polynomial gs[i] for x_{i+1}; all gs share one arity."""
@@ -699,17 +777,16 @@ class _Parser:
             if val == "-":
                 negate = not negate
             kind, val, _ = self.peek()
-        p = self.term()
-        if negate:
-            p = -p
+        # the terms are summed into one dict, and one Poly is built at the end
+        acc: dict[Exponent, Fraction] = {}
         while True:
+            for exps, coeff in self.term().terms.items():
+                acc[exps] = acc.get(exps, 0) + (-coeff if negate else coeff)
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                q = self.term()
-                p = p + q if val == "+" else p - q
-            else:
-                return p
+            if not (kind == "op" and val in "+-"):
+                return Poly._trusted(self.nvars, {e: c for e, c in acc.items() if c})
+            self.advance()
+            negate = val == "-"
 
     def term(self) -> Poly:
         p = self.signed_factor()

@@ -1,0 +1,49 @@
+"""The verdict rule of tools/bench_record.py, on synthetic paired runs."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+from bench_record import verdict, wins  # noqa: E402
+
+PARENT = [5.0, 5.1, 4.9, 5.0, 5.2, 4.8, 5.0, 5.1, 4.9, 5.0]
+
+
+def test_wins_ignore_ties_and_follow_direction():
+    assert wins([1, 2, 3], [2, 2, 2], "higher") == 1
+    assert wins([1, 2, 3], [2, 2, 2], "lower") == 1
+
+
+@pytest.mark.parametrize("parent, change, better, expected", [
+    # every pair won, medians far apart
+    (PARENT, [x + 1.0 for x in PARENT], "higher", "gain"),
+    ([1 / x for x in PARENT], [1 / (x + 1.0) for x in PARENT], "lower", "gain"),
+    # 9 of 10 pairs won is enough, 8 of 10 is not
+    (PARENT, [x + 1.0 for x in PARENT[:9]] + [PARENT[9] - 0.1], "higher", "gain"),
+    (PARENT, [x + 1.0 for x in PARENT[:8]] + [x - 0.1 for x in PARENT[8:]], "higher",
+     "unchanged"),
+    # every pair won, but the medians differ by less than the parent's spread
+    (PARENT, [x + 0.01 for x in PARENT], "higher", "unchanged"),
+    # the change's median worse than the parent's by more than the bound
+    (PARENT, [x * 0.7 for x in PARENT], "higher", "worse"),
+    ([1.0] * 10, [1.3] * 10, "lower", "worse"),
+    # from a parent median of 0, any worse median is worse by more than the bound
+    ([0.0] * 10, [0.0] * 9 + [0.1], "lower", "unchanged"),
+    ([0.0] * 10, [0.1] * 10, "lower", "worse"),
+    # identical runs, and a change worse but within the bound
+    (PARENT, PARENT, "higher", "unchanged"),
+    (PARENT, [x * 0.9 for x in PARENT], "higher", "unchanged"),
+    # the parent's interquartile distance (4) wider than the bound (0.25 * 3)
+    ([1.0] * 5 + [5.0] * 5, [2.9] * 10, "higher", "unresolved"),
+    ([1.0] * 5 + [5.0] * 5, [3.2] * 10, "higher", "unresolved"),
+    # ... unless every change run is better than every parent run
+    ([1.0] * 5 + [5.0] * 5, [5.5] * 10, "higher", "unchanged"),
+    # a single pair is its own quartiles
+    ([5.0], [6.0], "higher", "gain"),
+    ([5.0], [3.0], "higher", "worse"),
+])
+def test_verdict(parent, change, better, expected):
+    assert verdict(parent, change, better, 0.25) == expected

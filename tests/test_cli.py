@@ -1,9 +1,13 @@
 import json
 from fractions import Fraction
+from importlib import resources
 
+import jsonschema
 import pytest
 
+from degreelab import cli
 from degreelab.cli import (
+    EXIT_INTERNAL,
     CliError,
     _parse_box,
     _parse_point,
@@ -93,6 +97,29 @@ def test_load_mapfile_schema_violation(tmp_path):
     bad.write_text(json.dumps({"name": "x", "n": 0, "components": ["x1"]}))
     with pytest.raises(CliError, match="schema"):
         load_mapfile(str(bad))
+
+
+@pytest.mark.parametrize("doc", [
+    {"name": "x", "n": 0, "components": ["x1"]},
+    {"name": "", "n": 1, "components": ["x1"]},
+    {"n": 1, "components": ["x1"]},
+    {"name": "x", "n": 1, "components": []},
+    {"name": "x", "n": 1, "components": ["x1"], "extra": 1},
+    {"name": "x", "n": "1", "components": [3], "parameters": 2},
+    [1, 2],
+])
+def test_schema_violation_message_is_jsonschemas(tmp_path, doc):
+    # the validator built once gives the message jsonschema.validate gives
+    schema = json.loads((resources.files("degreelab")
+                         / "schemas/mapfile.schema.json").read_text())
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(doc, schema)
+    bad = tmp_path / "bad.map"
+    bad.write_text(json.dumps(doc))
+    for _ in range(2):
+        with pytest.raises(CliError) as got:
+            load_mapfile(str(bad))
+        assert str(got.value) == f"{bad}: schema violation: {expected.value.message}"
 
 
 def test_load_mapfile_component_count(tmp_path):
@@ -346,6 +373,20 @@ def test_collide_injective_none(fixtures_dir, capsys):
     assert code == 0
     assert payload["results"]["found"] is False
     assert "not a proof" in payload["results"]["note"]
+
+
+def test_unexpected_exception_is_internal_error(fixtures_dir, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("soundness bug: test")
+
+    monkeypatch.setattr(cli, "collision_search", broken)
+    code, payload, captured = run_cli(capsys, "collide", "--map",
+                                      str(fixtures_dir / "even.map"), "--box=-2:2,-2:2")
+    assert code == EXIT_INTERNAL == 4
+    assert payload is None and captured.out == ""
+    assert "Traceback" in captured.err
+    assert captured.err.rstrip().splitlines()[-1] == (
+        "error: internal error in collide: RuntimeError: soundness bug: test")
 
 
 def test_usage_error_exit_code(fixtures_dir):

@@ -1,5 +1,6 @@
 """Tests for the exact polynomial core and interval arithmetic."""
 
+import json
 import math
 import random
 import sys
@@ -20,6 +21,7 @@ from degreelab.polycore import (
     poly_to_string,
 )
 from degreelab.fibersolve import split_widest
+from degreelab.mapforms import PolyMap, jacobian_det
 
 
 def random_poly(rng, nvars, max_deg=4, max_terms=6):
@@ -165,6 +167,149 @@ def test_derivative_linear():
 def test_mismatched_nvars_raises():
     with pytest.raises(ValueError):
         Poly.var(2, 1) + Poly.var(3, 1)
+
+
+# Reference ring arithmetic: the Fraction-dict loops that Poly's integer
+# numerator arithmetic replaced, on (nvars, terms) pairs.  Poly's results
+# must equal them term for term, with no zero coefficient kept.
+
+def _ref_poly_add(a, b, sign=1):
+    out = dict(a)
+    for exps, coeff in b.items():
+        out[exps] = out.get(exps, Fraction(0)) + sign * coeff
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _ref_poly_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exps = tuple(x + y for x, y in zip(ea, eb))
+            out[exps] = out.get(exps, Fraction(0)) + ca * cb
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _ref_poly_pow(n, a, k):
+    result, base = {(0,) * n: Fraction(1)}, a
+    while k:
+        if k & 1:
+            result = _ref_poly_mul(result, base)
+        k >>= 1
+        if k:
+            base = _ref_poly_mul(base, base)
+    return result
+
+
+def _ref_poly_diff(a, var):
+    out = {}
+    for exps, coeff in a.items():
+        if exps[var - 1]:
+            new = tuple(e - (i == var - 1) for i, e in enumerate(exps))
+            out[new] = out.get(new, Fraction(0)) + coeff * exps[var - 1]
+    return out
+
+
+def _assert_terms(p: Poly, ref: dict):
+    assert p.terms == ref
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+    assert all(type(e) is int for exps in p.terms for e in exps)
+
+
+def _mixed_poly(rng, nvars, max_terms):
+    # coefficients over several unrelated denominators, some of them large
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exps = tuple(rng.randint(0, 5) for _ in range(nvars))
+        den = rng.choice([1, 2, 3, 7, 12, 35, 2 ** 40, 10 ** 15 + 37])
+        terms[exps] = Fraction(rng.randint(-10 ** 6, 10 ** 6) or 1, den)
+    return Poly(nvars, terms)
+
+
+def test_ring_arithmetic_equals_fraction_reference():
+    rng = random.Random(8080)
+    for _ in range(80):
+        n = rng.randint(1, 3)
+        a = _mixed_poly(rng, n, rng.choice([1, 2, 8, 30]))
+        b = _mixed_poly(rng, n, rng.choice([1, 2, 8, 30]))
+        zero, one = Poly.zero(n), Poly.const(n, 1)
+        # a - a and a + (-a) cancel to zero; b + a - b cancels b's terms
+        operands = [(a, b), (a, -a), (a, zero), (zero, b), (one, a), (a, a)]
+        for x, y in operands:
+            _assert_terms(x + y, _ref_poly_add(x.terms, y.terms))
+            _assert_terms(x - y, _ref_poly_add(x.terms, y.terms, -1))
+            _assert_terms(x * y, _ref_poly_mul(x.terms, y.terms))
+            _assert_terms(y * x, _ref_poly_mul(y.terms, x.terms))
+        _assert_terms(a - a, {})
+        _assert_terms(b + a - b, a.terms)
+        # products whose terms cancel: (a + b)(a - b) = a^2 - b^2
+        _assert_terms((a + b) * (a - b), _ref_poly_add(_ref_poly_mul(a.terms, a.terms),
+                                                  _ref_poly_mul(b.terms, b.terms), -1))
+        # one term (the direct path), a few terms, and many terms
+        mono = Poly(n, dict([next(iter(a.terms.items()))]))
+        for p, ks in ((mono, (0, 1, 2, 7)), (_mixed_poly(rng, n, 3), (0, 1, 2, 5)),
+                      (a, (0, 1, 2))):
+            for k in ks:
+                _assert_terms(p ** k, _ref_poly_pow(n, p.terms, k))
+        _assert_terms(zero ** 0, {(0,) * n: Fraction(1)})
+        _assert_terms(zero ** 3, {})
+        var = rng.randint(1, n)
+        _assert_terms(a.diff(var), _ref_poly_diff(a.terms, var))
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        _assert_terms(a.scale(c), {e: c * v for e, v in a.terms.items() if c * v})
+
+
+def _random_expression(rng, n, depth=0):
+    # text and reference terms of a sum of signed products, with (...)^k
+    # groups, repeated monomials and terms that cancel
+    pieces, total = [], {}
+    for _ in range(rng.randint(1, 5)):
+        factors, value = [], {(0,) * n: Fraction(1)}
+        for _ in range(rng.randint(1, 3)):
+            roll = rng.random()
+            if roll < 0.3 and depth < 2:
+                inner_text, inner = _random_expression(rng, n, depth + 1)
+                k = rng.randint(0, 3)
+                factors.append(f"({inner_text})^{k}")
+                value = _ref_poly_mul(value, _ref_poly_pow(n, inner, k))
+            elif roll < 0.6:
+                num, den = rng.randint(0, 30), rng.choice([1, 2, 3, 4, 7])
+                factors.append(f"{num}/{den}")
+                value = _ref_poly_mul(value, {(0,) * n: Fraction(num, den)})
+            else:
+                i, e = rng.randint(1, n), rng.randint(1, 4)
+                factors.append(f"x{i}^{e}")
+                exps = tuple(e if j == i else 0 for j in range(1, n + 1))
+                value = _ref_poly_mul(value, {exps: Fraction(1)})
+        text = "*".join(factors)
+        copies = [(rng.choice("+-"), text)]
+        if rng.random() < 0.3:
+            copies.append(("-" if copies[0][0] == "+" else "+", text))  # cancels
+        elif rng.random() < 0.3:
+            copies.append((copies[0][0], text))  # repeats
+        for sign, t in copies:
+            pieces.append(f"{sign} {t}")
+            total = _ref_poly_add(total, value, 1 if sign == "+" else -1)
+    return " ".join(pieces), total
+
+
+def test_parse_poly_equals_fraction_reference():
+    rng = random.Random(8081)
+    for _ in range(100):
+        n = rng.randint(1, 3)
+        text, ref = _random_expression(rng, n)
+        _assert_terms(parse_poly(text, n), ref)
+    _assert_terms(parse_poly("x1*x2 - 2*x2*x1 + x1*x2", 2), {})
+    _assert_terms(parse_poly("(x1 - x1)^0 + (x1 - 1)^0", 1), {(0,): Fraction(2)})
+
+
+def test_jacobian_det_of_pinchuk_equals_cofactor_reference(fixtures_dir):
+    doc = json.loads((fixtures_dir / "pinchuk.map").read_text())
+    f, g = (parse_poly(c, 2) for c in doc["components"])
+    det = jacobian_det(PolyMap([f, g]))
+    ref = _ref_poly_add(_ref_poly_mul(_ref_poly_diff(f.terms, 1), _ref_poly_diff(g.terms, 2)),
+                   _ref_poly_mul(_ref_poly_diff(f.terms, 2), _ref_poly_diff(g.terms, 1)), -1)
+    _assert_terms(det, ref)
+    assert len(det.terms) == 78 and det.total_degree() == 30
 
 
 # ------------------------------------------------------------ evaluation
@@ -544,6 +689,45 @@ def test_eval_interval_batch_sound_and_equal_to_scalar():
                 val = p.eval(pt)
                 assert b_lo[k] == -math.inf or Fraction(b_lo[k]) <= val, (p, sides, pt)
                 assert b_hi[k] == math.inf or val <= Fraction(b_hi[k]), (p, sides, pt)
+
+
+def _high_poly(rng, nvars, top):
+    """Random polynomial using many exponents of x1 up to top, some shared
+    with other polynomials and some not, and low powers of the others."""
+    terms = {}
+    for e in sorted(rng.sample(range(1, top + 1), 8)) + [top]:
+        exps = [e] + [rng.randint(0, 3) for _ in range(nvars - 1)]
+        terms[tuple(exps)] = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 3, 7]))
+    return Poly(nvars, terms)
+
+
+def test_eval_interval_batch_shared_pow_cache_equals_scalar():
+    # polynomials over the same box arrays sharing one pow_cache, as the
+    # clearance, the survey and the Krawczyk rows do: whichever polynomial
+    # forms a power first, every row equals the scalar reference bit for bit
+    rng = random.Random(314159)
+    for _ in range(40):
+        nvars = rng.randint(1, 3)
+        boxes = [[_random_side(rng) for _ in range(nvars)] for _ in range(rng.randint(1, 5))]
+        # sides near 1 keep high powers finite; others overflow, as they may
+        for b in boxes[:2]:
+            lo = Fraction(rng.randint(-8, 8), 8)
+            b[0] = (lo, lo + Fraction(rng.randint(0, 4), 8))
+        los = np.array([[float(lo) for lo, _ in b] for b in boxes])
+        his = np.array([[float(hi) for _, hi in b] for b in boxes])
+        polys = [random_poly(rng, nvars, max_deg=3), _high_poly(rng, nvars, 12),
+                 _high_poly(rng, nvars, 41), _high_poly(rng, nvars, rng.randint(42, 60)),
+                 random_poly(rng, nvars, max_deg=5)]
+        for order in (polys, polys[::-1]):
+            cache: dict = {}
+            for p in order:
+                b_lo, b_hi = p.eval_interval_batch(los, his, cache)
+                for k, sides in enumerate(boxes):
+                    s_lo, s_hi = _scalar_enclosure(p, [(float(lo), float(hi))
+                                                       for lo, hi in sides])
+                    assert (_bits(b_lo[k]), _bits(b_hi[k])) == (_bits(s_lo), _bits(s_hi)), (
+                        p, sides, s_lo, s_hi, b_lo[k], b_hi[k])
+            assert max(e for _, e in cache) >= 41
 
 
 def test_interval_mul_zero_times_inf_is_unbounded():

@@ -19,7 +19,9 @@ run, their median and quartiles, the counters_sha256 values seen (one per
 side when the runs agree; both sides share it when they compute the same
 results), the provenance of the tree, and the traced run's per-layer
 metrics.  ``wins`` counts, per end-to-end metric, the pairs in which the
-change did better, by the direction that BENCHMARK.json gives.
+change did better, by the direction that BENCHMARK.json gives, and
+``verdict`` reads each metric by the rule in ``verdict`` below: ``gain``,
+``worse``, ``unresolved`` or ``unchanged``.
 """
 
 from __future__ import annotations
@@ -48,16 +50,50 @@ def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
     return json.loads(report.read_text())
 
 
+def quartiles(vals: list[float]) -> list[float]:
+    """First and third quartile, "inclusive" method; a single run is its own quartiles."""
+    if len(vals) == 1:
+        return [vals[0], vals[0]]
+    return statistics.quantiles(vals, n=4, method="inclusive")[::2]
+
+
+def wins(parent: list[float], change: list[float], better: str) -> int:
+    """Pairs in which the change did better; ties count for neither side."""
+    return sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+
+
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """Read one metric's paired runs, the first rule that holds deciding.
+
+    gain: the change won at least 9 in 10 of the pairs, and the medians
+    differ in its favour by more than the parent's interquartile distance.
+    worse: the change's median is worse than the parent's by more than
+    bound, a fraction of the parent's median.
+    unresolved: the parent's interquartile distance is wider than bound (as
+    that fraction), and not every change run is better than every parent run.
+    unchanged: none of these.
+    """
+    sign = -1 if better == "lower" else 1  # sign * (c - p) > 0: c is better
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    q1, q3 = quartiles(parent)
+    won = wins(parent, change, better)
+    if won >= 0.9 * len(parent) and sign * (c_med - p_med) > q3 - q1:
+        return "gain"
+    if sign * (p_med - c_med) > bound * abs(p_med):
+        return "worse"
+    every_run_better = min(sign * c for c in change) > max(sign * p for p in parent)
+    if q3 - q1 > bound * abs(p_med) and not every_run_better:
+        return "unresolved"
+    return "unchanged"
+
+
 def summarize(runs: list[dict]) -> dict:
     names = runs[0]["metrics"]
     values = {name: [r["metrics"][name]["value"] for r in runs] for name in names}
     return {
         "runs": [{name: vals[k] for name, vals in values.items()} for k in range(len(runs))],
         "median": {name: statistics.median(vals) for name, vals in values.items()},
-        # first and third quartile, "inclusive" method (a single run is its own quartiles)
-        "quartiles": {name: (statistics.quantiles(vals, n=4, method="inclusive")[::2]
-                             if len(vals) > 1 else [vals[0], vals[0]])
-                      for name, vals in values.items()},
+        "quartiles": {name: quartiles(vals) for name, vals in values.items()},
         "counters_sha256": sorted({r["summary"]["counters_sha256"] for r in runs}),
         "passes": [r["summary"]["passes"] for r in runs],
         "failures": sorted({f for r in runs for f in r["summary"]["failures"]}),
@@ -78,12 +114,13 @@ def record(trees: dict[str, Path], workload: str, seed: int, pairs: int) -> dict
         out[side] = summarize(runs[side])
         traced = run_once(trees[side], workload, seed, 1)
         out[side]["per_layer"] = {name: m["value"] for name, m in traced["metrics"].items()}
-    better = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
-    out["wins"] = {
-        name: sum((c < p) if direction == "lower" else (c > p)
-                  for p, c in zip((r[name] for r in out["parent"]["runs"]),
-                                  (r[name] for r in out["change"]["runs"])))
-        for name, direction in better.items()}
+    values = {side: {m["name"]: [r[m["name"]] for r in out[side]["runs"]]
+                     for m in BENCHMARK["end_to_end"]} for side in SIDES}
+    out["wins"] = {m["name"]: wins(values["parent"][m["name"]], values["change"][m["name"]],
+                                   m["better"]) for m in BENCHMARK["end_to_end"]}
+    out["verdict"] = {m["name"]: verdict(values["parent"][m["name"]],
+                                         values["change"][m["name"]], m["better"], m["bound"])
+                      for m in BENCHMARK["end_to_end"]}
     return out
 
 
