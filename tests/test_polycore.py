@@ -170,8 +170,8 @@ def test_mismatched_nvars_raises():
 
 
 # Reference ring arithmetic: the Fraction-dict loops that Poly's integer
-# numerator arithmetic replaced, on (nvars, terms) pairs.  Poly's results
-# must equal them term for term, with no zero coefficient kept.
+# numerator arithmetic replaced, on terms dicts.  Poly's results must equal
+# them term for term, with no zero coefficient kept.
 
 def _ref_poly_add(a, b, sign=1):
     out = dict(a)
@@ -243,7 +243,7 @@ def test_ring_arithmetic_equals_fraction_reference():
         _assert_terms(b + a - b, a.terms)
         # products whose terms cancel: (a + b)(a - b) = a^2 - b^2
         _assert_terms((a + b) * (a - b), _ref_poly_add(_ref_poly_mul(a.terms, a.terms),
-                                                  _ref_poly_mul(b.terms, b.terms), -1))
+                                                       _ref_poly_mul(b.terms, b.terms), -1))
         # one term (the direct path), a few terms, and many terms
         mono = Poly(n, dict([next(iter(a.terms.items()))]))
         for p, ks in ((mono, (0, 1, 2, 7)), (_mixed_poly(rng, n, 3), (0, 1, 2, 5)),
@@ -307,7 +307,8 @@ def test_jacobian_det_of_pinchuk_equals_cofactor_reference(fixtures_dir):
     f, g = (parse_poly(c, 2) for c in doc["components"])
     det = jacobian_det(PolyMap([f, g]))
     ref = _ref_poly_add(_ref_poly_mul(_ref_poly_diff(f.terms, 1), _ref_poly_diff(g.terms, 2)),
-                   _ref_poly_mul(_ref_poly_diff(f.terms, 2), _ref_poly_diff(g.terms, 1)), -1)
+                        _ref_poly_mul(_ref_poly_diff(f.terms, 2), _ref_poly_diff(g.terms, 1)),
+                        -1)
     _assert_terms(det, ref)
     assert len(det.terms) == 78 and det.total_degree() == 30
 

@@ -76,8 +76,7 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     sign = -1 if better == "lower" else 1  # sign * (c - p) > 0: c is better
     p_med, c_med = statistics.median(parent), statistics.median(change)
     q1, q3 = quartiles(parent)
-    won = wins(parent, change, better)
-    if won >= 0.9 * len(parent) and sign * (c_med - p_med) > q3 - q1:
+    if wins(parent, change, better) >= 0.9 * len(parent) and sign * (c_med - p_med) > q3 - q1:
         return "gain"
     if sign * (p_med - c_med) > bound * abs(p_med):
         return "worse"
@@ -114,13 +113,12 @@ def record(trees: dict[str, Path], workload: str, seed: int, pairs: int) -> dict
         out[side] = summarize(runs[side])
         traced = run_once(trees[side], workload, seed, 1)
         out[side]["per_layer"] = {name: m["value"] for name, m in traced["metrics"].items()}
-    values = {side: {m["name"]: [r[m["name"]] for r in out[side]["runs"]]
-                     for m in BENCHMARK["end_to_end"]} for side in SIDES}
-    out["wins"] = {m["name"]: wins(values["parent"][m["name"]], values["change"][m["name"]],
-                                   m["better"]) for m in BENCHMARK["end_to_end"]}
-    out["verdict"] = {m["name"]: verdict(values["parent"][m["name"]],
-                                         values["change"][m["name"]], m["better"], m["bound"])
-                      for m in BENCHMARK["end_to_end"]}
+    out["wins"], out["verdict"] = {}, {}
+    for m in BENCHMARK["end_to_end"]:
+        name = m["name"]
+        parent, change = ([r[name] for r in out[side]["runs"]] for side in SIDES)
+        out["wins"][name] = wins(parent, change, m["better"])
+        out["verdict"][name] = verdict(parent, change, m["better"], m["bound"])
     return out
 
 
