@@ -1,32 +1,37 @@
 """Certified enumeration of real solutions of F(x) = z inside a box.
 
-The solver is a breadth-first branch-and-prune.  Each level of the search
-is a pair of (N, n) float arrays holding the lower and upper side bounds
-of its boxes, one box per row, and every stage works on whole arrays:
-boxes whose interval image of some residual component excludes zero are
-discarded; surviving boxes are tested with one Krawczyk operator
-(midpoint-preconditioned interval Newton, _krawczyk_batch), whose
-contraction into the strict interior certifies existence and uniqueness
-of a root; certified boxes are refined by further Krawczyk steps and
-undecided boxes are split and re-queued (split_widest, which injectlab's
-breadth-first searches share); exclusion and Krawczyk take a level in
-blocks of _ROW_BLOCK rows, which bounds their working memory.  The input
-box's lo/hi bound vectors are the first level's one row, and each
-certified root's isolator is an IntervalBox of a refined row.  With
-workers > 1 a thread pool refines a level's certified boxes in contiguous
-chunks; every kernel works row by row, so the output is the same for any
-number of workers.
+The solver is a branch-and-prune over a tree of boxes, walked depth first
+in chunks.  A chunk is a pair of (N, n) float arrays holding the lower
+and upper side bounds of at most _ROW_BLOCK boxes of one depth, one box
+per row, and every stage works on a whole chunk: boxes whose interval
+image of some residual component excludes zero are discarded; surviving
+boxes are tested with one Krawczyk operator (midpoint-preconditioned
+interval Newton, _krawczyk_batch), whose contraction into the strict
+interior certifies existence and uniqueness of a root; certified boxes
+are refined by further Krawczyk steps and undecided boxes are split
+(split_widest, which injectlab's breadth-first searches share), their
+children pushed on a stack in chunks of at most _ROW_BLOCK rows.  Taking
+the deepest chunk first bounds the working set, where whole breadth-first
+levels grow to tens of thousands of rows on large boxes.  The input box's
+lo/hi bound vectors are the first chunk's one row, and each certified
+root's isolator is an IntervalBox of a refined row.  With workers > 1 a
+thread pool refines a chunk's certified boxes in contiguous pieces.
+Every kernel works row by row, so the output equals that of a
+breadth-first walk over whole levels, for any number of workers.
 
 The same sum-of-squares positivity kernel that backs boundary clearance,
 a best-first heap on the batched kernel eval_interval_batch, is exported
 with its conversion to a clearance (certified_clearance) for reuse by the
-degree module's boundary and path certifications.
+degree module's boundary and path certifications.  Its look-ahead encloses
+whole subtrees below the boxes the heap is likely to pop next in one
+batch, since each batch costs far more than its rows.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,11 +54,17 @@ _SPLIT_RATIO = 127.0 / 256.0
 # immediately instead of subdividing their way down to the gate.
 _KRAWCZYK_GATE = 2.0
 
-# Rows per block of the exclusion stage and the Krawczyk operator.
+# Most boxes in one chunk of solve_fiber's search, and samples per block
+# of injectlab's pair search.
 _ROW_BLOCK = 4096
 
-# Heap boxes whose children certified_min_sum_squares encloses in one batch.
+# The clearance heap's look-ahead splits at most _LOOKAHEAD boxes whose
+# children are unknown in one batch; while the weakest bound reaches zero
+# it takes every such box that reaches zero, up to _BATCH_ROWS // 2.  The
+# boxes are split as many levels deep as keeps the batch within
+# _BATCH_ROWS rows: a batch costs as much as some hundreds of rows.
 _LOOKAHEAD = 32
+_BATCH_ROWS = 512
 
 _STATUS_PRIORITY = ("boundary_contact", "singular_suspect", "depth_exceeded")
 
@@ -115,14 +126,8 @@ def _krawczyk_batch(gs, jac, los: np.ndarray, his: np.ndarray):
     usable is False where that Jacobian is singular (slogdet sign 0, the
     zero-pivot case in which inv raises) or where Y or the image is not
     finite.  Every step works row by row, so a row's image does not depend
-    on the other rows of the stack; the stack is taken in blocks of
-    _ROW_BLOCK rows, which bounds the working memory.
+    on the other rows of the stack.
     """
-    parts = [_krawczyk_rows(gs, jac, los[b], his[b]) for b in _row_blocks(len(los))]
-    return tuple(np.concatenate(part) for part in zip(*parts))
-
-
-def _krawczyk_rows(gs, jac, los: np.ndarray, his: np.ndarray):
     count, n = los.shape
     mids = los + 0.5 * (his - los)
     with np.errstate(all="ignore"):
@@ -198,13 +203,12 @@ def _refine_rows(gs, jac, los: np.ndarray, his: np.ndarray, cfg: SolverConfig):
 
 def _reaches_zero(gs, los: np.ndarray, his: np.ndarray) -> np.ndarray:
     """Mask of the rows on which every residual component's enclosure
-    reaches zero, one row block at a time."""
+    reaches zero."""
     alive = np.ones(len(los), dtype=bool)
-    for b in _row_blocks(len(los)):
-        pows: dict = {}
-        for g in gs:
-            glo, ghi = g.eval_interval_batch(los[b], his[b], pows)
-            alive[b] &= (glo <= 0.0) & (ghi >= 0.0)
+    pows: dict = {}
+    for g in gs:
+        glo, ghi = g.eval_interval_batch(los, his, pows)
+        alive &= (glo <= 0.0) & (ghi >= 0.0)
     return alive
 
 
@@ -278,13 +282,15 @@ def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
     roots: list[CertifiedRoot] = []
     stuck_lo: list[np.ndarray] = []
     stuck_hi: list[np.ndarray] = []
-    boxes_processed = deepest = depth = 0
-    los, his = outer_lo[None, :], outer_hi[None, :]
+    boxes_processed = deepest = 0
+    # chunks (depth, lo, hi) of at most _ROW_BLOCK boxes, walked depth first
+    stack = [(0, outer_lo[None, :], outer_hi[None, :])]
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        while len(los):
+        while stack:
+            depth, los, his = stack.pop()
             boxes_processed += len(los)
-            deepest = depth
+            deepest = max(deepest, depth)
             # exclusion: a box survives only if every residual component's
             # enclosure can reach zero
             alive = _reaches_zero(gs, los, his)
@@ -325,7 +331,8 @@ def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
                 stuck_hi.append(his[~split])
                 pair = np.repeat(split, 2)
                 los, his = kids_lo[pair], kids_hi[pair]
-            depth += 1
+                stack.extend((depth + 1, los[b:b + _ROW_BLOCK], his[b:b + _ROW_BLOCK])
+                             for b in range(0, len(los), _ROW_BLOCK))
     finally:
         if pool is not None:
             pool.shutdown(wait=False)
@@ -386,6 +393,92 @@ def _sum_squares_lower(polys, los: np.ndarray, his: np.ndarray) -> list[float]:
     return acc.tolist()
 
 
+class _BoxTree:
+    """Every box a clearance heap has enclosed, addressed by an integer id.
+
+    Rows id of lo and hi hold the box's bounds, bound[id] its lower bound
+    of the sum of squares, first[id] the id of its first child (the second
+    child is first[id] + 1), or -1 while its children are unknown, and
+    inside[id] is 1 when its split point fell strictly inside the side.
+    first and inside are compact arrays, since the 20,000-split calls of
+    the path clearance keep tens of thousands of boxes.
+    """
+
+    def __init__(self, polys, los: np.ndarray, his: np.ndarray):
+        self.polys = polys
+        self.lo, self.hi = los, his
+        self.bound = _sum_squares_lower(polys, los, his)
+        self.first = array("q", [-1] * len(self.bound))
+        self.inside = bytearray(len(self.bound))
+
+    def split(self, parents: list[int], depth: int) -> None:
+        """Split the parents depth levels deep and enclose every descendant
+        in one batch; the children of the deepest level stay unknown."""
+        lo, hi = self.lo[parents], self.hi[parents]
+        levels = []
+        with np.errstate(all="ignore"):
+            for _ in range(depth):
+                lo, hi, inside = split_widest(lo, hi, _SPLIT_RATIO)
+                levels.append((lo, hi, inside.tolist()))
+        base = len(self.first)
+        for j, node in enumerate(parents):
+            self.first[node] = base + 2 * j
+            self.inside[node] = levels[0][2][j]
+        # row i of a level is node start + i, and its children are rows
+        # 2i and 2i + 1 of the next level, which starts at start + len(lo)
+        for k, (lo, _, _) in enumerate(levels):
+            start = len(self.first)
+            if k + 1 < depth:
+                self.first.extend(range(start + len(lo), start + 3 * len(lo), 2))
+                self.inside.extend(levels[k + 1][2])
+            else:
+                self.first.extend([-1] * len(lo))
+                self.inside.extend(bytes(len(lo)))
+        kids_lo = np.concatenate([level[0] for level in levels])
+        kids_hi = np.concatenate([level[1] for level in levels])
+        self.bound.extend(_sum_squares_lower(self.polys, kids_lo, kids_hi))
+        end = len(self.first)
+        if end > len(self.lo):
+            rows = max(end, len(self.lo) * 3 // 2)
+            self.lo = np.concatenate([self.lo, np.empty((rows - len(self.lo), kids_lo.shape[1]))])
+            self.hi = np.concatenate([self.hi, np.empty((rows - len(self.hi), kids_hi.shape[1]))])
+        self.lo[base:end] = kids_lo
+        self.hi[base:end] = kids_hi
+
+
+def _lookahead(heap: list, tree: _BoxTree) -> list[int]:
+    """Boxes with unknown children to split in the next batch.
+
+    A best-first walk over the heap's entries and the known descendants of
+    each, on the key (lower bound, id): up to the first box whose children
+    are unknown this is the order in which the heap will pop them, so the
+    popped box comes first and the boxes after it are the next ones likely
+    to be popped.  While the weakest bound reaches zero every box that
+    reaches zero is popped unless a budget ends the call, so the walk takes
+    all of them it reaches, up to _BATCH_ROWS // 2.
+    """
+    zero = heap[0][0] <= 0.0
+    limit = _BATCH_ROWS // 2 if zero else _LOOKAHEAD
+    parents: list[int] = []
+    # entries are (lower bound, id, index in heap or -1 for a box not in it)
+    walk = [(heap[0][0], heap[0][3], 0)]
+    while walk and len(parents) < limit:
+        low, node, at = heapq.heappop(walk)
+        if zero and low > 0.0:
+            break
+        kid = tree.first[node]
+        if kid < 0:
+            parents.append(node)
+        else:
+            heapq.heappush(walk, (tree.bound[kid], kid, -1))
+            heapq.heappush(walk, (tree.bound[kid + 1], kid + 1, -1))
+        if at >= 0:
+            for child in (2 * at + 1, 2 * at + 2):
+                if child < len(heap):
+                    heapq.heappush(walk, (heap[child][0], heap[child][3], child))
+    return parents
+
+
 def certified_min_sum_squares(polys: Sequence[Poly], regions: Sequence[IntervalBox],
                               max_depth: int = 40, split_budget: int = 20000,
                               improve_splits: int = 300):
@@ -396,51 +489,26 @@ def certified_min_sum_squares(polys: Sequence[Poly], regions: Sequence[IntervalB
     a sound but useless bound, reported as failure.
 
     Best-first on the key (lower bound, seq), seq numbering boxes as they
-    are made; a node is a row of shared (rows, n) bound arrays.  When the
-    popped box's children are not known yet, one batch encloses them, the
-    children of those two and those of the next _LOOKAHEAD - 1 weakest
-    boxes, kept by seq until popped.  Children depend only on their box and
-    the pop order only on the keys, so this equals splitting one at a time.
+    are pushed; a heap entry names its box by its id in a _BoxTree.  When
+    the popped box's children are not known yet, it and the boxes that
+    _lookahead picks are split several levels deep, and every descendant
+    is enclosed in one batch; the loop itself only reads children from the
+    tree.  Children depend only on their box and the pop order only on the
+    keys, so this equals splitting one box at a time.
     """
     if not regions:
         return 0.0, 0, 0, "no regions supplied"
-    los = np.array([r.lo for r in regions])
-    his = np.array([r.hi for r in regions])
-    # a node is (lower bound, seq, depth, lo array, hi array, its row)
-    heap = [(low, seq, 0, los, his, seq)
-            for seq, low in enumerate(_sum_squares_lower(polys, los, his))]
+    tree = _BoxTree(polys, np.array([r.lo for r in regions]),
+                    np.array([r.hi for r in regions]))
+    heap = [(low, node, 0, node) for node, low in enumerate(tree.bound)]
     heapq.heapify(heap)
-    # seq -> (children lo, hi, lower bounds, left child's row, split inside)
-    known: dict[int, tuple] = {}
-
-    def look_ahead(seq: int) -> None:
-        ahead = [heapq.heappop(heap) for _ in range(min(_LOOKAHEAD, len(heap)))]
-        for node in ahead:
-            heapq.heappush(heap, node)
-        parents = [node for node in ahead if node[1] not in known]
-        plo = np.array([node[3][node[5]] for node in parents])
-        phi = np.array([node[4][node[5]] for node in parents])
-        with np.errstate(all="ignore"):
-            kids_lo, kids_hi, inside = split_widest(plo, phi, _SPLIT_RATIO)
-            # the popped box's children are split too: they take seq, seq + 1
-            grand_lo, grand_hi, grand_inside = split_widest(
-                kids_lo[:2], kids_hi[:2], _SPLIT_RATIO)
-        kids_lo = np.concatenate([kids_lo, grand_lo])
-        kids_hi = np.concatenate([kids_hi, grand_hi])
-        lows = _sum_squares_lower(polys, kids_lo, kids_hi)
-        for j, node in enumerate(parents):
-            known[node[1]] = (kids_lo, kids_hi, lows, 2 * j, bool(inside[j]))
-        first = 2 * len(parents)
-        for j in range(2):
-            known[seq + j] = (kids_lo, kids_hi, lows, first + 2 * j, bool(grand_inside[j]))
-
     seq = examined = len(heap)
     deepest = splits = sharpened = 0
     while True:
         # the weakest box is split until every box is strictly positive;
         # then a fixed budget of splits sharpens the weakest enclosure,
         # which is usually loose overestimation
-        low, node_seq, depth = heap[0][:3]
+        low, _, depth, node = heap[0]
         positive = low > 0.0
         if positive and sharpened >= improve_splits:
             break
@@ -449,10 +517,11 @@ def certified_min_sum_squares(polys: Sequence[Poly], regions: Sequence[IntervalB
         elif not positive and splits >= split_budget:
             failure = "split budget exhausted"
         else:
-            if node_seq not in known:
-                look_ahead(seq)
-            kids_lo, kids_hi, lows, row, inside = known.pop(node_seq)
-            failure = None if inside else (
+            if tree.first[node] < 0:
+                parents = _lookahead(heap, tree)
+                # the most levels with len(parents) * (2^(levels+1) - 2) <= _BATCH_ROWS
+                tree.split(parents, (_BATCH_ROWS // len(parents) + 2).bit_length() - 2)
+            failure = None if tree.inside[node] else (
                 "degenerate box still encloses zero; the minimum may be zero")
         if failure is not None:
             if positive:
@@ -462,10 +531,10 @@ def certified_min_sum_squares(polys: Sequence[Poly], regions: Sequence[IntervalB
             sharpened += 1
         else:
             splits += 1
-        heapq.heappop(heap)
-        for k in (row, row + 1):
-            heapq.heappush(heap, (lows[k], seq, depth + 1, kids_lo, kids_hi, k))
-            seq += 1
+        kid = tree.first[node]
+        heapq.heapreplace(heap, (tree.bound[kid], seq, depth + 1, kid))
+        heapq.heappush(heap, (tree.bound[kid + 1], seq + 1, depth + 1, kid + 1))
+        seq += 2
         examined += 2
         deepest = max(deepest, depth + 1)
     return heap[0][0], examined, deepest, None

@@ -1,4 +1,5 @@
-"""The verdict rule of tools/bench_record.py, on synthetic paired runs."""
+"""The verdict rule and the counter diff of tools/bench_record.py, on
+synthetic runs."""
 
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-from bench_record import verdict, wins  # noqa: E402
+from bench_record import counter_diff, verdict, wins  # noqa: E402
 
 PARENT = [5.0, 5.1, 4.9, 5.0, 5.2, 4.8, 5.0, 5.1, 4.9, 5.0]
 
@@ -47,3 +48,24 @@ def test_wins_ignore_ties_and_follow_direction():
 ])
 def test_verdict(parent, change, better, expected):
     assert verdict(parent, change, better, 0.25) == expected
+
+
+def test_counter_diff_lists_moved_counts_only():
+    parent = {"polycore.eval_interval_batch.calls": 48374.0,
+              "polycore.eval_interval_batch.rows": 806801.0,
+              "fibersolve.certified_min_sum_squares.boxes": 258048.0,
+              "fibersolve.certified_min_sum_squares.s": 3.9}
+    change = {**parent, "polycore.eval_interval_batch.calls": 9000.0,
+              "fibersolve.certified_min_sum_squares.s": 1.2}
+    # a moved time is not a count; unchanged counts are left out
+    assert counter_diff(parent, change) == {
+        "polycore.eval_interval_batch.calls": {"parent": 48374.0, "change": 9000.0}}
+    assert counter_diff(parent, parent) == {}
+
+
+def test_counter_diff_names_a_count_one_side_lacks():
+    change = {"fibersolve.solve_fiber.boxes": 23151.0}
+    assert counter_diff({}, change) == {
+        "fibersolve.solve_fiber.boxes": {"parent": None, "change": 23151.0}}
+    # names outside BENCHMARK.json's per-layer list are ignored
+    assert counter_diff({}, {"made.up.calls": 1.0}) == {}

@@ -8,14 +8,24 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from degreelab import fibersolve
 from degreelab.polycore import IntervalBox, Poly, parse_poly
-from degreelab.mapforms import PolyMap, jacobian_matrix, keller_check
+from degreelab.mapforms import PolyMap, jacobian_det, jacobian_matrix, keller_check
+from degreelab.degree import _faces_times_unit
 from degreelab.fibersolve import (
+    _KRAWCZYK_GATE,
     _ROW_BLOCK,
     _SPLIT_RATIO,
+    _STATUS_PRIORITY,
+    CertifiedRoot,
     ClearanceResult,
+    FiberResult,
     SolverConfig,
+    SolveStats,
     _krawczyk_batch,
+    _reaches_zero,
+    _refine_rows,
+    _stuck_kinds,
     bezout_bound,
     boundary_clearance,
     box_faces,
@@ -241,7 +251,7 @@ def test_krawczyk_batch_marks_only_singular_row():
     assert np.array_equal(alone_lo, k_lo[1:]) and np.array_equal(alone_hi, k_hi[1:])
     for k, root in ((1, 1.0), (2, -1.0)):
         assert k_lo[k, 0] <= root <= k_hi[k, 0] and k_lo[k, 1] <= 0.0 <= k_hi[k, 1]
-    # a stack longer than one row block: every copy keeps its row's image
+    # a long stack: every copy keeps its row's image
     reps = _ROW_BLOCK // len(los) + 2
     big_lo, big_hi, big_ok = _krawczyk_batch(
         gs, jac, np.tile(los, (reps, 1)), np.tile(his, (reps, 1)))
@@ -249,6 +259,130 @@ def test_krawczyk_batch_marks_only_singular_row():
     assert np.array_equal(big_ok, np.tile(usable, reps))
     assert np.array_equal(big_lo, np.tile(k_lo, (reps, 1)), equal_nan=True)
     assert np.array_equal(big_hi, np.tile(k_hi, (reps, 1)), equal_nan=True)
+
+
+def _reference_solve_fiber(F, z, box, cfg=SolverConfig()):
+    """solve_fiber as a breadth-first search: each level of the box tree is
+    one pair of bound arrays, taken whole through exclusion, the Krawczyk
+    step, certification and the split."""
+    gs = _residuals(F, [Fraction(v) for v in z])
+    jac = jacobian_matrix(F)
+    det = jacobian_det(F)
+    outer_lo, outer_hi = np.array(box.lo), np.array(box.hi)
+    roots, stuck_lo, stuck_hi = [], [], []
+    boxes_processed = deepest = depth = 0
+    los, his = outer_lo[None, :], outer_hi[None, :]
+    while len(los):
+        boxes_processed += len(los)
+        deepest = depth
+        alive = _reaches_zero(gs, los, his)
+        los, his = los[alive], his[alive]
+        certify = np.zeros(len(los), dtype=bool)
+        newton = ((his - los).max(axis=1) <= _KRAWCZYK_GATE) | (depth == 0)
+        if newton.any():
+            rows = np.nonzero(newton)[0]
+            k_lo, k_hi, usable = _krawczyk_batch(gs, jac, los[rows], his[rows])
+            rows, k_lo, k_hi = rows[usable], k_lo[usable], k_hi[usable]
+            xl, xh = los[rows], his[rows]
+            keep = np.ones(len(los), dtype=bool)
+            keep[rows] = ~((k_hi < xl).any(axis=1) | (k_lo > xh).any(axis=1))
+            certify[rows] = (xl < k_lo).all(axis=1) & (k_hi < xh).all(axis=1)
+            los[rows] = np.maximum(xl, k_lo)
+            his[rows] = np.minimum(xh, k_hi)
+            los, his, certify = los[keep], his[keep], certify[keep]
+        if certify.any():
+            iso_lo, iso_hi = _refine_rows(gs, jac, los[certify], his[certify], cfg)
+            det_lo, det_hi = det.eval_interval_batch(iso_lo, iso_hi)
+            signs = np.where(det_lo > 0.0, 1, np.where(det_hi < 0.0, -1, 0))
+            for lo, hi, sign in zip(iso_lo.tolist(), iso_hi.tolist(), signs.tolist()):
+                if sign:
+                    isolator = IntervalBox(lo, hi)
+                    roots.append(CertifiedRoot(isolator, sign, isolator.max_width()))
+            stuck_lo.append(iso_lo[signs == 0])
+            stuck_hi.append(iso_hi[signs == 0])
+            los, his = los[~certify], his[~certify]
+        if len(los):
+            kids_lo, kids_hi, inside = fibersolve.split_widest(los, his, _SPLIT_RATIO)
+            split = (inside & ((his - los).max(axis=1) > cfg.target_width)
+                     & (depth < cfg.max_depth))
+            stuck_lo.append(los[~split])
+            stuck_hi.append(his[~split])
+            pair = np.repeat(split, 2)
+            los, his = kids_lo[pair], kids_hi[pair]
+        depth += 1
+    kinds = set()
+    if sum(len(s) for s in stuck_lo):
+        kinds = _stuck_kinds(np.concatenate(stuck_lo), np.concatenate(stuck_hi),
+                             outer_lo, outer_hi, det, cfg)
+    roots.sort(key=lambda r: r.isolator.midpoint())
+    if any(r.isolator.boundary_gap(box) <= cfg.boundary_margin for r in roots):
+        status = "boundary_contact"
+    elif kinds:
+        status = next(s for s in _STATUS_PRIORITY if s in kinds)
+    else:
+        status = "complete"
+    return FiberResult(tuple(roots), status, SolveStats(boxes_processed, deepest))
+
+
+def _random_fiber_case(rng):
+    n = rng.choice([1, 2, 2, 3])
+    kind = rng.choice(["automorphism", "druzkowski", "random"])
+    if kind == "automorphism":
+        F, _ = random_composed_automorphism(rng, n)
+    elif kind == "druzkowski":
+        F, _ = random_druzkowski_map(rng, n, nilpotent=rng.random() < 0.5)
+    else:
+        F = PolyMap([random_poly(rng, n, max_deg=3) for _ in range(n)])
+    # the image of a point inside the box, so that the fiber is not empty
+    x = [Fraction(rng.randint(-7, 7), 8) for _ in range(n)]
+    z = [p.eval(x) for p in F.components]
+    return F, z, cube(n, rng.choice([1.0, 2.0])), SolverConfig(max_depth=rng.choice([6, 16]))
+
+
+@pytest.mark.parametrize("row_block", [None, 7])
+def test_solve_fiber_equals_breadth_first_reference(monkeypatch, row_block):
+    # walking the box tree depth first in chunks of at most _ROW_BLOCK rows
+    # must give the roots, isolators, status and counts of whole levels
+    if row_block:
+        monkeypatch.setattr(fibersolve, "_ROW_BLOCK", row_block)
+    rng = random.Random(6161)
+    cases = [_random_fiber_case(rng) for _ in range(16)] + [
+        (make_map("x1^2", "x2"), [0, 0], cube(2, 2.0), SolverConfig()),
+        (make_map("x1^2"), [4], cube(1, 2.0), SolverConfig()),
+        (make_map("x1^3 - 3*x1", "x2 + x1^2"), [0, 0], cube(2, 3.0), SolverConfig(max_depth=3)),
+    ]
+    statuses, roots = set(), 0
+    for F, z, box, cfg in cases:
+        got = solve_fiber(F, z, box, cfg)
+        expected = _reference_solve_fiber(F, z, box, cfg)
+        assert got == expected, (F, z, box, cfg)
+        assert repr(got) == repr(expected)
+        statuses.add(got.status)
+        roots += len(got.roots)
+    assert len(statuses) == 4 and roots > 10
+
+
+@pytest.mark.parametrize("row_block, radius", [(None, 400), (7, 2), (256, 50)])
+def test_solve_fiber_splits_at_most_a_row_block(monkeypatch, row_block, radius):
+    # the breadth-first levels of this solve grow far past the row block;
+    # solve_fiber never hands split_widest more than _ROW_BLOCK rows
+    if row_block:
+        monkeypatch.setattr(fibersolve, "_ROW_BLOCK", row_block)
+    block = fibersolve._ROW_BLOCK
+    rows = []
+    split_widest = fibersolve.split_widest
+
+    def recording(los, his, ratio):
+        rows.append(len(los))
+        return split_widest(los, his, ratio)
+
+    monkeypatch.setattr(fibersolve, "split_widest", recording)
+    F = make_map("18*x1^4 - 12*x1^2*x2 + 6*x1^2 + 2*x2^2 + x1 - 2*x2", "-3*x1^2 + x2")
+    expected = _reference_solve_fiber(F, [25, -3], cube(2, radius))
+    assert max(rows) > block
+    rows.clear()
+    assert solve_fiber(F, [25, -3], cube(2, radius)) == expected
+    assert sum(rows) > block and max(rows) <= block
 
 
 def test_fiber_input_validation():
@@ -383,13 +517,20 @@ def _reference_min_sum_squares(polys, regions, max_depth, split_budget, improve_
 def _random_clearance_case(rng):
     n = rng.randint(1, 3)
     polys = [random_poly(rng, n, max_deg=3) for _ in range(rng.randint(1, 3))]
-    regions = []
-    for _ in range(rng.choice([1, 2, 5, 40])):
-        sides = []
-        for _ in range(n):
-            lo = Fraction(rng.randint(-16, 16), 8)
-            sides.append((lo, lo + Fraction(rng.choice([0, 1, 3, 16]), 8)))
-        regions.append(sides)
+    if rng.random() < 0.2:
+        # the faces of a box times a parameter side [0, 1], as the degree
+        # module's homotopy and path clearances pass them
+        polys = [random_poly(rng, n + 1, max_deg=3) for _ in range(n)]
+        regions = [[(Fraction(lo), Fraction(hi)) for lo, hi in zip(face.lo, face.hi)]
+                   for face in _faces_times_unit(cube(n, rng.choice([1.0, 2.0])))]
+    else:
+        regions = []
+        for _ in range(rng.choice([1, 2, 5, 40])):
+            sides = []
+            for _ in range(n):
+                lo = Fraction(rng.randint(-16, 16), 8)
+                sides.append((lo, lo + Fraction(rng.choice([0, 1, 3, 16]), 8)))
+            regions.append(sides)
     if rng.random() < 0.3:
         # a point region on which every polynomial vanishes exactly
         point = [lo for lo, _ in regions[0]]
@@ -401,12 +542,41 @@ def _random_clearance_case(rng):
     regions = [[(float(lo), float(hi)) for lo, hi in sides] for sides in regions]
     budgets = dict(max_depth=rng.choice([2, 6, 12, 40]),
                    split_budget=rng.choice([0, 1, 5, 40, 400]),
-                   improve_splits=rng.choice([0, 3, 30, 100]))
+                   improve_splits=rng.choice([0, 3, 30, 100, 300]))
     return polys, regions, budgets
 
 
+def _ulps_around(x, ulps):
+    lo = hi = x
+    for _ in range(ulps):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return lo, hi
+
+
+# Cases that end inside the descendants one look-ahead batch enclosed:
+# (expressions, regions, budgets, expected failure or None)
+_CLEARANCE_CASES = [
+    # a zero 2 ulps from each end: a few splits leave a side too narrow to
+    # split, deep inside the first batch
+    (("x1 - 1/2",), [[_ulps_around(0.5, 2)]], {}, "degenerate box"),
+    (("x1 - 1/2", "x2"), [[_ulps_around(0.5, 3), (0.0, 0.0)]], {}, "degenerate box"),
+    # a zero circle: the budgets run out while boxes reaching zero remain
+    (("x1^2 + x2^2 - 1",), [[(-2.0, 2.0), (-2.0, 2.0)]], dict(split_budget=3),
+     "split budget exhausted"),
+    (("x1^2 + x2^2 - 1",), [[(-2.0, 2.0), (-2.0, 2.0)]], dict(split_budget=100),
+     "split budget exhausted"),
+    (("x1^2 + x2^2 - 1",), [[(-2.0, 2.0), (-2.0, 2.0)]], dict(max_depth=5),
+     "sum-of-squares enclosure still reaches"),
+    # the default 300 sharpening splits, which dive deeper than one batch
+    # reaches (8 levels below the popped box)
+    (("x1^2 - x2 + 2", "x1*x2 - 1/5"), [[(-2.0, 2.0), (-1.0, 1.0)]], {}, None),
+    (("x1 + x3*x1^3 - 1/3", "x2 + x3*x2^3 - 1/4"),
+     [list(zip(f.lo, f.hi)) for f in _faces_times_unit(cube(2, 1.0))], {}, None),
+]
+
+
 def test_min_sum_squares_equals_sequential_reference():
-    # the lookahead batches must not change what the heap returns: bound,
+    # the look-ahead batches must not change what the heap returns: bound,
     # counts and failure text equal a heap that encloses two children per pop
     rng = random.Random(5151)
     kinds = ("sum-of-squares enclosure still reaches", "split budget exhausted",
@@ -425,3 +595,15 @@ def test_min_sum_squares_equals_sequential_reference():
         sharpening += sharpened > 0 and got[3] is None
     assert failures == set(kinds)
     assert sharpening > 5
+    defaults = dict(max_depth=40, split_budget=20000, improve_splits=300)
+    for exprs, regions, budgets, failure in _CLEARANCE_CASES:
+        polys = [parse_poly(e, len(regions[0])) for e in exprs]
+        budgets = {**defaults, **budgets}
+        expected, sharpened = _reference_min_sum_squares(polys, regions, **budgets)
+        got = certified_min_sum_squares(
+            polys, [IntervalBox.from_bounds(sides) for sides in regions], **budgets)
+        assert got == expected, (exprs, budgets)
+        if failure is None:
+            assert got[3] is None and got[2] > 16
+        else:
+            assert got[3].startswith(failure), got

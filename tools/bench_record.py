@@ -21,7 +21,10 @@ results), the provenance of the tree, and the traced run's per-layer
 metrics.  ``wins`` counts, per end-to-end metric, the pairs in which the
 change did better, by the direction that BENCHMARK.json gives, and
 ``verdict`` reads each metric by the rule in ``verdict`` below: ``gain``,
-``worse``, ``unresolved`` or ``unchanged``.
+``worse``, ``unresolved`` or ``unchanged``.  ``counter_diff`` lists each
+per-layer metric in unit ``count`` whose traced value differs between the
+two sides, with both values, so that the work counters a change moved
+show at a glance.
 """
 
 from __future__ import annotations
@@ -86,6 +89,14 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     return "unchanged"
 
 
+def counter_diff(parent: dict, change: dict) -> dict:
+    """The per-layer count metrics whose traced values differ, with both
+    values (None on the side that lacks the metric)."""
+    counts = [m["name"] for m in BENCHMARK["per_layer"] if m["unit"] == "count"]
+    return {name: {"parent": parent.get(name), "change": change.get(name)}
+            for name in counts if parent.get(name) != change.get(name)}
+
+
 def summarize(runs: list[dict]) -> dict:
     names = runs[0]["metrics"]
     values = {name: [r["metrics"][name]["value"] for r in runs] for name in names}
@@ -119,6 +130,7 @@ def record(trees: dict[str, Path], workload: str, seed: int, pairs: int) -> dict
         parent, change = ([r[name] for r in out[side]["runs"]] for side in SIDES)
         out["wins"][name] = wins(parent, change, m["better"])
         out["verdict"][name] = verdict(parent, change, m["better"], m["bound"])
+    out["counter_diff"] = counter_diff(out["parent"]["per_layer"], out["change"]["per_layer"])
     return out
 
 
