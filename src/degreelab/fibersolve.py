@@ -451,9 +451,9 @@ def _lookahead(heap: list, tree: _BoxTree) -> list[int]:
 
     A best-first walk over the heap's entries and the known descendants of
     each, on the key (lower bound, id): up to the first box whose children
-    are unknown this is the order in which the heap will pop them, so the
-    popped box comes first and the boxes after it are the next ones likely
-    to be popped.  While the weakest bound reaches zero every box that
+    are unknown, and to ties in the bound, this is the order in which the
+    heap will pop them, so the popped box comes first and the boxes after
+    it are the next ones likely to be popped.  While the weakest bound reaches zero every box that
     reaches zero is popped unless a budget ends the call, so the walk takes
     all of them it reaches, up to _BATCH_ROWS // 2.
     """

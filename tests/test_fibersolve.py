@@ -556,7 +556,7 @@ def _ulps_around(x, ulps):
 # Cases that end inside the descendants one look-ahead batch enclosed:
 # (expressions, regions, budgets, expected failure or None)
 _CLEARANCE_CASES = [
-    # a zero 2 ulps from each end: a few splits leave a side too narrow to
+    # a zero a few ulps from each end: a few splits leave a side too narrow to
     # split, deep inside the first batch
     (("x1 - 1/2",), [[_ulps_around(0.5, 2)]], {}, "degenerate box"),
     (("x1 - 1/2", "x2"), [[_ulps_around(0.5, 3), (0.0, 0.0)]], {}, "degenerate box"),
