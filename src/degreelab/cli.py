@@ -41,7 +41,6 @@ from .degree import (
 )
 from .injectlab import (
     CollisionConfig,
-    PipelineConfig,
     SurveyBudget,
     collision_search,
     injectivity_pipeline,
@@ -225,6 +224,14 @@ def _fiber_payload(fiber) -> dict:
 # Commands
 # ---------------------------------------------------------------------
 
+def _solver_config(args) -> SolverConfig:
+    """The solver configuration of a command that takes --max-depth."""
+    try:
+        return SolverConfig(max_depth=args.max_depth)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+
+
 def _cmd_analyze(args) -> tuple[dict, dict, int]:
     mf = load_mapfile(args.map)
     F = _compile_map(mf)
@@ -275,7 +282,7 @@ def _cmd_degree(args) -> tuple[dict, dict, int]:
     F = _compile_map(mf)
     box = _parse_box(args.box, F.n)
     z = _parse_point(args.z, F.n)
-    cfg = SolverConfig(max_depth=args.max_depth)
+    cfg = _solver_config(args)
     results: dict = {"method": args.method}
     code = EXIT_CLEAN
     count_res = integral_res = None
@@ -308,8 +315,7 @@ def _cmd_fibers(args) -> tuple[dict, dict, int]:
     F = _compile_map(mf)
     box = _parse_box(args.box, F.n)
     z = _parse_point(args.z, F.n)
-    cfg = SolverConfig(max_depth=args.max_depth)
-    fiber = solve_fiber(F, z, box, cfg)
+    fiber = solve_fiber(F, z, box, _solver_config(args))
     results = _fiber_payload(fiber)
     code = EXIT_CLEAN if fiber.status == "complete" else EXIT_INCONCLUSIVE
     inputs = {"map": mf.name, "path": mf.path, "sha256": mf.sha256,
@@ -324,9 +330,8 @@ def _cmd_inject(args) -> tuple[dict, dict, int]:
         raise CliError("inject needs at least one query point (--z, repeatable)")
     queries = [_parse_point(text, F.n) for text in args.z]
     base = _parse_point(args.base, F.n) if args.base else None
-    cfg = PipelineConfig(solver=SolverConfig(max_depth=args.max_depth))
     try:
-        report = injectivity_pipeline(F, queries, cfg, base=base)
+        report = injectivity_pipeline(F, queries, _solver_config(args), base=base)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     results = {
@@ -372,9 +377,8 @@ def _cmd_homotopy(args) -> tuple[dict, dict, int]:
     t_grid = [
         _parse_scalar(part) for part in args.t_grid.split(",") if part.strip()
     ]
-    cfg = SolverConfig(max_depth=args.max_depth)
     try:
-        report = homotopy_constancy_check(family, box, z, t_grid, cfg)
+        report = homotopy_constancy_check(family, box, z, t_grid, _solver_config(args))
     except ValueError as exc:
         raise CliError(str(exc)) from None
     results = {
@@ -438,11 +442,12 @@ _COMMANDS = {
 # ---------------------------------------------------------------------
 
 def _config_echo(args) -> dict:
-    echo = {"max_depth": args.max_depth, "seed": args.seed,
-            "out": args.out, "solver": asdict(SolverConfig(max_depth=args.max_depth))}
-    for key in ("method", "samples", "max_boxes", "t_grid"):
-        if hasattr(args, key):
-            echo[key] = getattr(args, key)
+    """Every flag the command parsed but those inputs carries, and the
+    solver configuration of a command that takes --max-depth."""
+    echo = {key: value for key, value in vars(args).items()
+            if key not in ("command", "map", "box", "z", "base", "t_grid")}
+    if "max_depth" in echo:
+        echo["solver"] = asdict(_solver_config(args))
     return echo
 
 
@@ -472,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, box=True, z=False):
+    def common(p, box=True, z=False, depth=False, seed=False):
         p.add_argument("--map", required=True, help="map file (JSON)")
         if box:
             p.add_argument("--box", required=True,
@@ -480,36 +485,39 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(use --box=-2:2,-2:2 for negative bounds)")
         if z:
             p.add_argument("--z", required=True, help="target point p/q,p/q,...")
-        p.add_argument("--max-depth", type=int, default=60, dest="max_depth")
-        p.add_argument("--seed", type=int, default=0)
+        if depth:
+            p.add_argument("--max-depth", type=int, default=60, dest="max_depth",
+                           help="depth limit of the fiber solver's box tree")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="seed of the random samples")
         p.add_argument("--out", choices=("json", "md"), default="json")
 
     p = sub.add_parser("analyze", help="determinant, Keller status, form, "
                                        "Bezout bound, sign survey")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--samples", type=int, default=2048)
     p.add_argument("--max-boxes", type=int, default=2048, dest="max_boxes")
 
     p = sub.add_parser("degree", help="topological degree at a target")
-    common(p, z=True)
+    common(p, z=True, depth=True)
     p.add_argument("--method", choices=("count", "integral", "both"),
                    default="count")
 
     p = sub.add_parser("fibers", help="certified fiber enumeration")
-    common(p, z=True)
+    common(p, z=True, depth=True)
 
     p = sub.add_parser("inject", help="injectivity pipeline over query points")
-    common(p, box=False)
+    common(p, box=False, depth=True)
     p.add_argument("--z", action="append", default=[],
                    help="query point (repeatable)")
     p.add_argument("--base", default=None, help="base point override")
 
     p = sub.add_parser("homotopy", help="degree constancy along a family")
-    common(p, z=True)
+    common(p, z=True, depth=True)
     p.add_argument("--t-grid", default="0,1/4,1/2,3/4,1", dest="t_grid")
 
     p = sub.add_parser("collide", help="search for two points with equal images")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--samples", type=int, default=4096)
 
     return parser

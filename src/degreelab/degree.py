@@ -115,7 +115,6 @@ def signed_count_from_fiber(fiber: FiberResult, clearance: ClearanceResult) -> D
 def degree_signed_count(F: PolyMap, box: IntervalBox, z: Sequence[Fraction | int],
                         cfg: SolverConfig | None = None) -> DegreeResult:
     """Degree as the sum of Jacobian signs over the certified fiber."""
-    cfg = cfg or SolverConfig()
     clearance = boundary_clearance(F, z, box)
     if not clearance.ok:
         raise PreconditionViolation(
@@ -345,8 +344,9 @@ def homotopy_constancy_check(family: Sequence[Poly], box: IntervalBox,
     are not computed.  Then the degree is counted at each grid value.
     """
     n = _family_arity(family, box)
-    cfg = cfg or SolverConfig()
     ts = tuple(Fraction(t) for t in t_grid)
+    if not ts:
+        raise ValueError("parameter grid needs at least one value")
     if any(t < 0 or t > 1 for t in ts):
         raise ValueError("parameter grid must lie in [0, 1]")
     target = [Fraction(v) for v in z]
@@ -414,7 +414,6 @@ def component_constancy_check(F: PolyMap, box: IntervalBox,
     all vertices in one connected component of the complement, which is
     exactly when their degrees are forced to agree.
     """
-    cfg = cfg or SolverConfig()
     vertices = [[Fraction(c) for c in vertex] for vertex in z_path]
     if not vertices:
         raise ValueError("path needs at least one vertex")

@@ -8,7 +8,8 @@ image of some residual component excludes zero are discarded; surviving
 boxes are tested with one Krawczyk operator (midpoint-preconditioned
 interval Newton, _krawczyk_batch), whose contraction into the strict
 interior certifies existence and uniqueness of a root; certified boxes
-are refined by further Krawczyk steps and undecided boxes are split
+are refined by at most _NEWTON_MAX_ITERS further Krawczyk steps, down to
+_TARGET_WIDTH, and undecided boxes wider than that are split
 (split_widest, which injectlab's breadth-first searches share), their
 children pushed on a stack in chunks of at most _ROW_BLOCK rows.  Taking
 the deepest chunk first bounds the working set, where whole breadth-first
@@ -17,7 +18,9 @@ lo/hi bound vectors are the first chunk's one row, and each certified
 root's isolator is an IntervalBox of a refined row.  With workers > 1 a
 thread pool refines a chunk's certified boxes in contiguous pieces.
 Every kernel works row by row, so the output equals that of a
-breadth-first walk over whole levels, for any number of workers.
+breadth-first walk over whole levels, for any number of workers.  Roots
+and given-up boxes within _BOUNDARY_MARGIN of the box boundary mean
+boundary_contact.  SolverConfig holds the depth limit, which callers vary.
 
 The same sum-of-squares positivity kernel that backs boundary clearance,
 a best-first heap on the batched kernel eval_interval_batch, is exported
@@ -66,21 +69,21 @@ _ROW_BLOCK = 4096
 _LOOKAHEAD = 32
 _BATCH_ROWS = 512
 
+# refinement, splitting and boundary contact, as the module docstring says
+_TARGET_WIDTH = 1e-10
+_NEWTON_MAX_ITERS = 50
+_BOUNDARY_MARGIN = 1e-8
+
 _STATUS_PRIORITY = ("boundary_contact", "singular_suspect", "depth_exceeded")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_depth: int = 60
-    target_width: float = 1e-10
-    newton_max_iters: int = 50
-    boundary_margin: float = 1e-8
 
     def __post_init__(self):
-        if self.max_depth <= 0 or self.newton_max_iters <= 0:
-            raise ValueError("depth and iteration limits must be positive")
-        if self.target_width <= 0 or self.boundary_margin <= 0:
-            raise ValueError("width and margin parameters must be positive")
+        if self.max_depth <= 0:
+            raise ValueError(f"solver max_depth must be positive, got {self.max_depth}")
 
 
 @dataclass(frozen=True)
@@ -178,17 +181,17 @@ def _krawczyk_batch(gs, jac, los: np.ndarray, his: np.ndarray):
     return k_lo, k_hi, usable
 
 
-def _refine_rows(gs, jac, los: np.ndarray, his: np.ndarray, cfg: SolverConfig):
+def _refine_rows(gs, jac, los: np.ndarray, his: np.ndarray):
     """Contract each row by repeated Krawczyk steps.
 
-    A row stops once it is no wider than the target width, or when a step
-    is unusable, leaves nothing of the row, or changes nothing; all stop
-    after newton_max_iters steps.
+    A row stops once it is no wider than _TARGET_WIDTH, or when a step is
+    unusable, leaves nothing of the row, or changes nothing; all stop
+    after _NEWTON_MAX_ITERS steps.
     """
     los, his = los.copy(), his.copy()
     active = np.arange(len(los))
-    for _ in range(cfg.newton_max_iters):
-        active = active[(his[active] - los[active]).max(axis=1) > cfg.target_width]
+    for _ in range(_NEWTON_MAX_ITERS):
+        active = active[(his[active] - los[active]).max(axis=1) > _TARGET_WIDTH]
         if not active.size:
             break
         xl, xh = los[active], his[active]
@@ -212,11 +215,11 @@ def _reaches_zero(gs, los: np.ndarray, his: np.ndarray) -> np.ndarray:
     return alive
 
 
-def _stuck_kinds(los, his, outer_lo, outer_hi, det: Poly, cfg: SolverConfig) -> set[str]:
+def _stuck_kinds(los, his, outer_lo, outer_hi, det: Poly) -> set[str]:
     """Why undecided boxes were given up: near the outer boundary, a
     determinant enclosure reaching zero, or neither."""
     gap = np.minimum(los - outer_lo, outer_hi - his).min(axis=1)
-    boundary = gap <= cfg.boundary_margin
+    boundary = gap <= _BOUNDARY_MARGIN
     kinds = {"boundary_contact"} if boundary.any() else set()
     if not boundary.all():
         det_lo, det_hi = det.eval_interval_batch(los[~boundary], his[~boundary])
@@ -255,8 +258,7 @@ def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
 
     status is "complete" only when every sub-box was either discarded by
     a sound exclusion test or certified to hold exactly one root, and no
-    isolator approaches the outer boundary closer than the configured
-    margin.  Worker count never changes the result, only the wall time.
+    isolator approaches the outer boundary closer than _BOUNDARY_MARGIN.  Worker count never changes the result, only the wall time.
     """
     cfg = cfg or SolverConfig()
     if box.dims != F.n:
@@ -271,10 +273,10 @@ def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
     def refine(los, his):
         # rows are independent, so contiguous chunks give the serial result
         if pool is None:
-            return _refine_rows(gs, jac, los, his, cfg)
+            return _refine_rows(gs, jac, los, his)
         chunks = [c for c in np.array_split(np.arange(len(los)), workers) if c.size]
         parts = list(pool.map(
-            lambda c: _refine_rows(gs, jac, los[c], his[c], cfg), chunks))
+            lambda c: _refine_rows(gs, jac, los[c], his[c]), chunks))
         return (np.concatenate([p[0] for p in parts]),
                 np.concatenate([p[1] for p in parts]))
 
@@ -325,7 +327,7 @@ def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
                 # limit, no wider than the target width, or too narrow for
                 # the split point to fall strictly inside
                 kids_lo, kids_hi, inside = split_widest(los, his, _SPLIT_RATIO)
-                split = (inside & ((his - los).max(axis=1) > cfg.target_width)
+                split = (inside & ((his - los).max(axis=1) > _TARGET_WIDTH)
                          & (depth < cfg.max_depth))
                 stuck_lo.append(los[~split])
                 stuck_hi.append(his[~split])
@@ -340,10 +342,10 @@ def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
     stuck_kinds: set[str] = set()
     if sum(len(s) for s in stuck_lo):
         stuck_kinds = _stuck_kinds(np.concatenate(stuck_lo), np.concatenate(stuck_hi),
-                                   outer_lo, outer_hi, det, cfg)
+                                   outer_lo, outer_hi, det)
     roots.sort(key=lambda r: r.isolator.midpoint())
     boundary_roots = any(
-        r.isolator.boundary_gap(box) <= cfg.boundary_margin for r in roots)
+        r.isolator.boundary_gap(box) <= _BOUNDARY_MARGIN for r in roots)
     if boundary_roots:
         status = "boundary_contact"
     elif stuck_kinds:

@@ -13,13 +13,17 @@ polynomial and level, cells decided in FIFO order, fibersolve.split_widest
 at the midpoint.  The sampled pair search finds neighbouring image cells
 by searchsorted on integer cell keys.  Collision seeds are polished by one
 stacked float Newton.
+
+A collision witness is two points _WITNESS_SEPARATION apart or more whose
+images differ by _WITNESS_RESIDUAL or less, both checked exactly.  The
+pipeline doubles its box radius from _INITIAL_RADIUS up to _MAX_RADIUS.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -222,7 +226,7 @@ def origin_injectivity_cubic(F: PolyMap, box: IntervalBox,
     origin = (Fraction(0),) * F.n
     if not box.contains_point(origin):
         raise ValueError("box must contain the origin")
-    fiber = solve_fiber(F, origin, box, cfg or SolverConfig())
+    fiber = solve_fiber(F, origin, box, cfg)
     if fiber.status != "complete":
         return OriginCheck("inconclusive", fiber, f"solver status {fiber.status}")
     holders = [r for r in fiber.roots if r.isolator.contains_point(origin)]
@@ -259,7 +263,7 @@ def global_injectivity_probe(F: PolyMap, b: Sequence[Fraction | int],
     zero (b outside the image of the box).  The answer is restricted to
     the box; it says nothing about points outside it.
     """
-    fiber = solve_fiber(F, b, box, cfg or SolverConfig())
+    fiber = solve_fiber(F, b, box, cfg)
     if fiber.status != "complete":
         return ProbeResult("inconclusive", None, fiber)
     count = len(fiber.roots)
@@ -270,6 +274,11 @@ def global_injectivity_probe(F: PolyMap, b: Sequence[Fraction | int],
 # Collision witnesses
 # ---------------------------------------------------------------------
 
+# least distance between the two points of a witness, most between images
+_WITNESS_SEPARATION = 0.1
+_WITNESS_RESIDUAL = 1e-8
+
+
 @dataclass(frozen=True)
 class CollisionWitness:
     p1: Point
@@ -278,16 +287,15 @@ class CollisionWitness:
     residual: float
 
 
-def _exact_pair_check(F: PolyMap, p1: Point, p2: Point,
-                      separation: float, residual: float) -> CollisionWitness | None:
+def _exact_pair_check(F: PolyMap, p1: Point, p2: Point) -> CollisionWitness | None:
     sep_sq = sum((a - b) ** 2 for a, b in zip(p1, p2))
-    if sep_sq < Fraction(separation) ** 2:
+    if sep_sq < Fraction(_WITNESS_SEPARATION) ** 2:
         return None
     res_sq = Fraction(0)
     for comp in F.components:
         diff = comp.eval(p1) - comp.eval(p2)
         res_sq += diff * diff
-    if res_sq > Fraction(residual) ** 2:
+    if res_sq > Fraction(_WITNESS_RESIDUAL) ** 2:
         return None
     return CollisionWitness(
         p1=p1, p2=p2,
@@ -295,13 +303,11 @@ def _exact_pair_check(F: PolyMap, p1: Point, p2: Point,
         residual=math.sqrt(float(res_sq)))
 
 
-def witness_from_fiber(F: PolyMap, fiber: FiberResult,
-                       separation: float = 0.1,
-                       residual: float = 1e-8) -> CollisionWitness | None:
+def witness_from_fiber(F: PolyMap, fiber: FiberResult) -> CollisionWitness | None:
     """Turn a multi-root certified fiber into a collision witness pair."""
     points = [_midpoint_exact(r.isolator.lo, r.isolator.hi) for r in fiber.roots]
     for p1, p2 in itertools.combinations(points, 2):
-        witness = _exact_pair_check(F, p1, p2, separation, residual)
+        witness = _exact_pair_check(F, p1, p2)
         if witness is not None:
             return witness
     return None
@@ -388,8 +394,6 @@ _CELL_CAP = 16
 class CollisionConfig:
     samples: int = 4096
     seed: int = 0
-    separation: float = 0.1
-    residual: float = 1e-8
     prune_boxes: int = 2048
     max_candidates: int = 48
     max_pairs: int = 64
@@ -416,12 +420,12 @@ def _prune_candidates(F: PolyMap, box: IntervalBox, cfg: CollisionConfig) -> lis
 
     The solution set is never isolated (the diagonal always solves it),
     so this pass cannot certify; it only narrows down off-diagonal
-    regions worth polishing.  Cells entirely within the separation band
-    of the diagonal are discarded.
+    regions worth polishing.  Cells entirely within the _WITNESS_SEPARATION
+    band of the diagonal are discarded.
     """
     n = F.n
     diffs = [comp.pad(n) - _shift_to_second_copy(comp) for comp in F.components]
-    sep = cfg.separation
+    sep = _WITNESS_SEPARATION
     leaf_width = box.max_width() / 16.0
     los = np.array([box.lo * 2])
     his = np.array([box.hi * 2])
@@ -456,7 +460,7 @@ def _sampled_pairs(F: PolyMap, box: IntervalBox,
     _BUCKET_CELLS cells per axis.  A pair (j, i) is scored when j < i, j is
     among the first _CELL_CAP samples of its own cell, that cell is one of
     the 3^n neighbours of the cell of i, and the points are at least
-    0.8 * separation apart in the max norm.  Its score is the max-norm
+    0.8 * _WITNESS_SEPARATION apart in the max norm.  Its score is the max-norm
     image gap in cell widths; pairs come back in (gap, j, i) order.
 
     Each cell is one integer key, so the neighbour lookups are searchsorted
@@ -500,7 +504,7 @@ def _sampled_pairs(F: PolyMap, box: IntervalBox,
     # into a few cells
     member = np.arange(count) - np.searchsorted(sorted_keys, sorted_keys) < _CELL_CAP
     members, member_keys = order[member], sorted_keys[member]
-    min_sep = 0.8 * cfg.separation
+    min_sep = 0.8 * _WITNESS_SEPARATION
     kept = []
     for block in _row_blocks(count):
         rows = np.arange(count)[block]
@@ -528,7 +532,7 @@ def collision_search(F: PolyMap, box: IntervalBox,
     """Search the box for two separated points with (exactly checked) equal images.
 
     Returns the first witness that survives exact rational verification
-    of both thresholds, or None when the budget is spent.  None means
+    of both witness thresholds, or None when the budget is spent.  None means
     "not found", never "none exists".
     """
     cfg = cfg or CollisionConfig()
@@ -555,12 +559,12 @@ def collision_search(F: PolyMap, box: IntervalBox,
         p1f, p2f = polished[k], polished[count + k]
         if not (ok[k] and ok[count + k]):
             continue
-        if np.max(np.abs(p1f - p2f)) < 0.9 * cfg.separation:
+        if np.max(np.abs(p1f - p2f)) < 0.9 * _WITNESS_SEPARATION:
             continue
         target_rat = [Fraction(float(t)) for t in target]
         p1 = _newton_exact(F, jac, target_rat, _rational_point(p1f), steps=2)
         p2 = _newton_exact(F, jac, target_rat, _rational_point(p2f), steps=2)
-        witness = _exact_pair_check(F, p1, p2, cfg.separation, cfg.residual)
+        witness = _exact_pair_check(F, p1, p2)
         if witness is not None:
             return witness
     return None
@@ -570,16 +574,9 @@ def collision_search(F: PolyMap, box: IntervalBox,
 # The injectivity pipeline
 # ---------------------------------------------------------------------
 
-# Radius of the first box the pipeline tries; it doubles from there.
+# Radius of the first and the largest box the pipeline tries.
 _INITIAL_RADIUS = 1
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    max_radius: int = 1 << 20
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    separation: float = 0.1
-    residual: float = 1e-8
+_MAX_RADIUS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -608,7 +605,7 @@ class _GrowNeeded(Exception):
 
 
 def _certified_pair(F: PolyMap, z: Point, box: IntervalBox,
-                    solver: SolverConfig) -> tuple[ClearanceResult, FiberResult]:
+                    solver: SolverConfig | None) -> tuple[ClearanceResult, FiberResult]:
     clearance = boundary_clearance(F, z, box)
     if not clearance.ok:
         raise _GrowNeeded(f"clearance failed: {clearance.failure}")
@@ -619,7 +616,7 @@ def _certified_pair(F: PolyMap, z: Point, box: IntervalBox,
 
 
 def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]],
-                         cfg: PipelineConfig | None = None,
+                         solver: SolverConfig | None = None,
                          base: Sequence[Fraction | int] | None = None) -> InjectivityReport:
     """Three-step injectivity evidence for a constant-Jacobian map.
 
@@ -632,9 +629,9 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
     query to inconclusive rather than being assumed away.
 
     Any multi-point fiber met along the way is converted into an exact
-    collision witness and reported as non-injectivity.
+    collision witness and reported as non-injectivity.  solver configures
+    every fiber solve.
     """
-    cfg = cfg or PipelineConfig()
     if not keller_check(F).is_keller:
         raise ValueError("pipeline requires a nonzero constant Jacobian determinant")
     n = F.n
@@ -651,13 +648,13 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
 
     def base_at(radius: Fraction, box: IntervalBox):
         if radius not in base_cache:
-            base_cache[radius] = _certified_pair(F, base_point, box, cfg.solver)
+            base_cache[radius] = _certified_pair(F, base_point, box, solver)
         return base_cache[radius]
 
     # Step 1: base fiber must be a certified singleton
     radius = Fraction(_INITIAL_RADIUS)
     base_fiber: FiberResult | None = None
-    while radius <= cfg.max_radius:
+    while radius <= _MAX_RADIUS:
         box = IntervalBox.cube(n, radius)
         try:
             _, base_fiber = base_at(radius, box)
@@ -670,7 +667,7 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
             verdict="inconclusive", base_point=base_point, base_fiber=None,
             records=(), detail="no certified base fiber within the radius cap")
     if len(base_fiber.roots) > 1:
-        witness = witness_from_fiber(F, base_fiber, cfg.separation, cfg.residual)
+        witness = witness_from_fiber(F, base_fiber)
         if witness is not None:
             return InjectivityReport(
                 verdict="non_injective_witness", base_point=base_point,
@@ -695,10 +692,10 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
             raise ValueError(f"query {q} has wrong dimension")
         radius = max(base_radius, *(abs(v) * 2 for v in q), Fraction(1))
         record = None
-        while radius <= cfg.max_radius:
+        while radius <= _MAX_RADIUS:
             box = IntervalBox.cube(n, radius)
             try:
-                clr_q, fib_q = _certified_pair(F, q, box, cfg.solver)
+                clr_q, fib_q = _certified_pair(F, q, box, solver)
                 if not fib_q.roots:
                     raise _GrowNeeded("query fiber empty so far")
                 clr_b, fib_b = base_at(radius, box)
@@ -712,7 +709,7 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
             deg_b = signed_count_from_fiber(fib_b, clr_b)
             for fib in (fib_q, fib_b):
                 if len(fib.roots) > 1 and witness is None:
-                    witness = witness_from_fiber(F, fib, cfg.separation, cfg.residual)
+                    witness = witness_from_fiber(F, fib)
             record = QueryRecord(
                 query=q, radius=radius,
                 fiber_size=len(fib_q.roots),

@@ -516,15 +516,9 @@ class Poly:
             self._exps = (tuple(exps[-1] if exps else 0 for exps in occurring), occurring)
         return self._exps
 
-    def _float_terms(self) -> tuple[list[tuple[Exponent, float]], tuple[int, ...]]:
+    def _float_terms(self) -> list[tuple[Exponent, float]]:
         if self._floats is None:
-            terms = [(e, _float_or_inf(c)) for e, c in self.sorted_terms()]
-            maxes = [0] * self.nvars
-            for e, _ in terms:
-                for i, d in enumerate(e):
-                    if d > maxes[i]:
-                        maxes[i] = d
-            self._floats = (terms, tuple(maxes))
+            self._floats = [(e, _float_or_inf(c)) for e, c in self.sorted_terms()]
         return self._floats
 
     def eval_array(self, points: np.ndarray) -> np.ndarray:
@@ -536,7 +530,8 @@ class Poly:
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.nvars:
             raise ValueError(f"expected shape (N, {self.nvars}), got {pts.shape}")
-        terms, maxes = self._float_terms()
+        terms = self._float_terms()
+        maxes = self._exponents()[0]
         n = pts.shape[0]
         # overflow gives inf or nan, as Python floats do, and no warning
         with np.errstate(all="ignore"):

@@ -411,7 +411,74 @@ def test_config_echo_present(fixtures_dir, capsys):
     assert code == 0
     assert payload["config"]["max_depth"] == 40
     assert payload["config"]["solver"]["max_depth"] == 40
+    code, payload, _ = run_cli(
+        capsys, "collide", "--map", str(fixtures_dir / "cubic_line.map"),
+        "--box=-2:2", "--samples", "64")
+    assert code == 0
     assert payload["config"]["seed"] == 0
+
+
+# each command's invocation, and the config keys its report echoes: the
+# flags it takes that inputs does not carry, and the solver block with
+# --max-depth
+_COMMAND_CONFIG = {
+    "analyze": (["--map", "squares.map", "--box=-2:2,-2:2", "--samples", "64",
+                 "--max-boxes", "64"], {"out", "seed", "samples", "max_boxes"}),
+    "degree": (["--map", "triangular.map", "--box=-2:2,-2:2", "--z", "0,0"],
+               {"out", "max_depth", "solver", "method"}),
+    "fibers": (["--map", "cubic_line.map", "--box=-2:2", "--z", "0"],
+               {"out", "max_depth", "solver"}),
+    "inject": (["--map", "triangular.map", "--z", "1,1"], {"out", "max_depth", "solver"}),
+    "homotopy": (["--map", "family_cubic.map", "--box=-2:2", "--z", "0", "--t-grid", "0,1"],
+                 {"out", "max_depth", "solver"}),
+    "collide": (["--map", "even.map", "--box=-2:2,-2:2", "--samples", "64"],
+                {"out", "seed", "samples"}),
+}
+
+
+def _command_argv(fixtures_dir, command):
+    argv, keys = _COMMAND_CONFIG[command]
+    return [command] + [str(fixtures_dir / a) if a.endswith(".map") else a
+                        for a in argv], keys
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_CONFIG))
+def test_config_echo_is_the_flags_the_command_takes(fixtures_dir, capsys, command):
+    argv, keys = _command_argv(fixtures_dir, command)
+    code, payload, _ = run_cli(capsys, *argv)
+    assert code in (0, 3) and payload is not None
+    assert set(payload["config"]) == keys
+    if "solver" in keys:
+        assert payload["config"]["solver"] == {"max_depth": 60}
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("fibers", ("--seed", "1")), ("degree", ("--seed", "1")), ("inject", ("--seed", "1")),
+    ("homotopy", ("--seed", "1")), ("collide", ("--max-depth", "5")),
+    ("analyze", ("--max-depth", "5"))])
+def test_removed_flag_is_usage_error(fixtures_dir, capsys, command, flag):
+    argv, _ = _command_argv(fixtures_dir, command)
+    with pytest.raises(SystemExit) as info:
+        main(argv + list(flag))
+    assert info.value.code == 1
+    assert "unrecognized arguments: " + " ".join(flag) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["degree", "fibers", "inject", "homotopy"])
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_bad_max_depth_is_usage_error(fixtures_dir, capsys, command, depth):
+    argv, _ = _command_argv(fixtures_dir, command)
+    code, payload, captured = run_cli(capsys, *argv, "--max-depth", depth)
+    assert code == 1 and payload is None
+    assert captured.err == f"error: solver max_depth must be positive, got {depth}\n"
+
+
+def test_homotopy_empty_grid_is_usage_error(fixtures_dir, capsys):
+    code, payload, captured = run_cli(
+        capsys, "homotopy", "--map", str(fixtures_dir / "family_cubic.map"),
+        "--box=-2:2", "--z", "0", "--t-grid=,")
+    assert code == 1 and payload is None
+    assert captured.err == "error: parameter grid needs at least one value\n"
 
 
 def test_md_output(fixtures_dir, capsys):

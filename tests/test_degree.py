@@ -318,6 +318,13 @@ def test_homotopy_validates_arity():
             [parse_poly("x1 + x2", 2)], cube(1, 1), [0], [Fraction(3, 2)])
 
 
+def test_homotopy_empty_grid_rejected():
+    # no degree is computed on an empty grid, so there is nothing to compare
+    family = [parse_poly("x1 + x2*x1^3", 2)]
+    with pytest.raises(ValueError, match="at least one"):
+        homotopy_constancy_check(family, cube(1, 2), [0], [])
+
+
 # ---------------------------------------------------------------------
 # Component constancy
 # ---------------------------------------------------------------------

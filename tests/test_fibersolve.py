@@ -13,10 +13,12 @@ from degreelab.polycore import IntervalBox, Poly, parse_poly
 from degreelab.mapforms import PolyMap, jacobian_det, jacobian_matrix, keller_check
 from degreelab.degree import _faces_times_unit
 from degreelab.fibersolve import (
+    _BOUNDARY_MARGIN,
     _KRAWCZYK_GATE,
     _ROW_BLOCK,
     _SPLIT_RATIO,
     _STATUS_PRIORITY,
+    _TARGET_WIDTH,
     CertifiedRoot,
     ClearanceResult,
     FiberResult,
@@ -291,7 +293,7 @@ def _reference_solve_fiber(F, z, box, cfg=SolverConfig()):
             his[rows] = np.minimum(xh, k_hi)
             los, his, certify = los[keep], his[keep], certify[keep]
         if certify.any():
-            iso_lo, iso_hi = _refine_rows(gs, jac, los[certify], his[certify], cfg)
+            iso_lo, iso_hi = _refine_rows(gs, jac, los[certify], his[certify])
             det_lo, det_hi = det.eval_interval_batch(iso_lo, iso_hi)
             signs = np.where(det_lo > 0.0, 1, np.where(det_hi < 0.0, -1, 0))
             for lo, hi, sign in zip(iso_lo.tolist(), iso_hi.tolist(), signs.tolist()):
@@ -303,7 +305,7 @@ def _reference_solve_fiber(F, z, box, cfg=SolverConfig()):
             los, his = los[~certify], his[~certify]
         if len(los):
             kids_lo, kids_hi, inside = fibersolve.split_widest(los, his, _SPLIT_RATIO)
-            split = (inside & ((his - los).max(axis=1) > cfg.target_width)
+            split = (inside & ((his - los).max(axis=1) > _TARGET_WIDTH)
                      & (depth < cfg.max_depth))
             stuck_lo.append(los[~split])
             stuck_hi.append(his[~split])
@@ -313,9 +315,9 @@ def _reference_solve_fiber(F, z, box, cfg=SolverConfig()):
     kinds = set()
     if sum(len(s) for s in stuck_lo):
         kinds = _stuck_kinds(np.concatenate(stuck_lo), np.concatenate(stuck_hi),
-                             outer_lo, outer_hi, det, cfg)
+                             outer_lo, outer_hi, det)
     roots.sort(key=lambda r: r.isolator.midpoint())
-    if any(r.isolator.boundary_gap(box) <= cfg.boundary_margin for r in roots):
+    if any(r.isolator.boundary_gap(box) <= _BOUNDARY_MARGIN for r in roots):
         status = "boundary_contact"
     elif kinds:
         status = next(s for s in _STATUS_PRIORITY if s in kinds)
@@ -396,8 +398,6 @@ def test_fiber_input_validation():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_depth=0)
-    with pytest.raises(ValueError):
-        SolverConfig(target_width=-1.0)
 
 
 # -------------------------------------------------- boundary clearance

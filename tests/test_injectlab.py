@@ -11,7 +11,6 @@ from degreelab import fibersolve
 from degreelab.fibersolve import solve_fiber
 from degreelab.injectlab import (
     CollisionConfig,
-    PipelineConfig,
     SurveyBudget,
     collision_search,
     global_injectivity_probe,
@@ -22,6 +21,7 @@ from degreelab.injectlab import (
 )
 from degreelab.injectlab import (
     _BUCKET_CELLS,
+    _WITNESS_SEPARATION,
     _newton_float,
     _prune_candidates,
     _sampled_pairs,
@@ -310,7 +310,7 @@ def _reference_pairs(F, box, cfg):
         for off in itertools.product((-1, 0, 1), repeat=n):
             neighbor = tuple(k + o for k, o in zip(key, off))
             for j in buckets.get(neighbor, ()):
-                if np.max(np.abs(pts[i] - pts[j])) >= 0.8 * cfg.separation:
+                if np.max(np.abs(pts[i] - pts[j])) >= 0.8 * _WITNESS_SEPARATION:
                     gap = float(np.max(np.abs((images[i] - images[j]) / scale)))
                     scored.append((gap, j, i))
         bucket = buckets.setdefault(key, [])

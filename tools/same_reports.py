@@ -3,14 +3,18 @@
 
     python3 tools/same_reports.py --src ../parent/src --seed 1 --seed 2 > parent.txt
     python3 tools/same_reports.py --src src --seed 1 --seed 2 > change.txt
-    diff parent.txt change.txt
+    diff parent.txt change.txt                 # same results and config
+    diff <(cut -d' ' -f1-5 parent.txt) <(cut -d' ' -f1-5 change.txt)   # same results
 
 Builds each perfbench workload at the given seeds in this repository (the
 map files go to .bench_build/perfbench/) and runs every operation through
 perfbench/run.py's run_op under its deadline, with degreelab imported from
---src.  Prints one line per operation: workload, seed, index, exit code and
-the SHA-256 of the JSON report without its timings, or the text of the
-timeout or exception.  Two trees agree exactly when the outputs do.
+--src.  Prints one line per operation: workload, seed, index, exit code,
+then two SHA-256 digests of the JSON report, one of its results and one of
+the rest without the timings (command, tool version, inputs and config
+echo), or the text of the timeout or exception.  Two trees compute the
+same results exactly when the first five columns agree; the last one also
+moves when only the config echo changed.
 """
 
 from __future__ import annotations
@@ -30,6 +34,10 @@ import run  # noqa: E402
 import workloads  # noqa: E402
 
 
+def _digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="directory that holds the degreelab package")
@@ -47,8 +55,8 @@ def main(argv=None) -> int:
                 _, code, report, outcome = run.run_op(cli, op)
                 if outcome is None:
                     del report["timings"]
-                    outcome = hashlib.sha256(
-                        json.dumps(report, sort_keys=True).encode()).hexdigest()
+                    results = report.pop("results")
+                    outcome = f"{_digest(results)} {_digest(report)}"
                 print(workload, seed, idx, code, outcome, flush=True)
     return 0
 
