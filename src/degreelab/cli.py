@@ -7,6 +7,13 @@ version, so that any result can be reproduced from its own output.
 Result payloads are deterministic; only the timings section varies
 between identical runs.
 
+Reports are written by one encoder.  Besides JSON's own types they hold
+two: a Fraction, written as its exact text p/q, and an IntervalBox,
+written as its list of [lo, hi] sides; any other type is an error.
+Result records whose field names are the report keys go in whole, by
+dataclasses.asdict.  A field with no value is null: analyze reports a
+null bezout_bound when a component is identically zero.
+
 Exit codes: 0 clean verdict, 1 usage or parse error, 2 inconclusive,
 3 witness of failure (a collision, a certified degree disagreement, a
 non-constant family), 4 internal error (an unexpected exception, such as
@@ -183,33 +190,103 @@ def _compile_component(mf: MapFile, i: int, nvars: int) -> Poly:
 # Serialization
 # ---------------------------------------------------------------------
 
-def _frac(x: Fraction) -> str:
-    return str(x)
+def _encode(obj):
+    """json's fallback for the two non-JSON types reports hold."""
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, IntervalBox):
+        return [[lo, hi] for lo, hi in zip(obj.lo, obj.hi)]
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
-def _point(p: Sequence[Fraction]) -> list[str]:
-    return [str(c) for c in p]
 
-def _box(box: IntervalBox) -> list[list[float]]:
-    return [[lo, hi] for lo, hi in zip(box.lo, box.hi)]
+_dumps = functools.partial(json.dumps, indent=2, sort_keys=True, default=_encode)
 
 
-def _degree_result(res) -> dict:
-    return {
-        "value": res.value,
-        "raw": res.raw,
-        "method": res.method,
-        "certified": res.certified,
-        "diagnostics": res.diagnostics,
+# ---------------------------------------------------------------------
+# Commands: each takes the parsed flags and the loaded map file, and
+# returns its own inputs, its results and its exit code
+# ---------------------------------------------------------------------
+
+def _checked(build, *args, **kwargs):
+    """build(*args, **kwargs), with a ValueError turned into a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+
+
+def _solver_config(args) -> SolverConfig:
+    """The solver configuration of a command that takes --max-depth."""
+    return _checked(SolverConfig, max_depth=args.max_depth)
+
+
+def _cmd_analyze(args, mf: MapFile) -> tuple[dict, dict, int]:
+    F = _compile_map(mf)
+    box = _parse_box(args.box, F.n)
+    budget = _checked(SurveyBudget, samples=args.samples, max_boxes=args.max_boxes,
+                      seed=args.seed)
+    det = jacobian_det(F)
+    status = keller_check(F)
+    witness = recognize_form(F)
+    survey = jacobian_sign_survey(F, box, budget)
+    results = {
+        "jacobian_determinant": poly_to_string(det),
+        "keller": asdict(status),
+        "form": {
+            "form": witness.form,
+            "linear_part_identity": witness.linear_part_identity,
+            "cube_rows": witness.druzkowski_matrix,
+        },
+        # a zero component has no total degree, so no Bezout bound
+        "bezout_bound": None if any(p.is_zero for p in F.components)
+        else bezout_bound(F),
+        "sign_survey": {
+            **asdict(survey),
+            "evidence": [{"point": p, "value": v} for p, v in survey.evidence],
+        },
     }
+    return {"box": box}, results, EXIT_CLEAN
 
 
-def _fiber_payload(fiber) -> dict:
-    return {
+def _cmd_degree(args, mf: MapFile) -> tuple[dict, dict, int]:
+    F = _compile_map(mf)
+    box = _parse_box(args.box, F.n)
+    z = _parse_point(args.z, F.n)
+    cfg = _solver_config(args)
+    methods = {"count": lambda: degree_signed_count(F, box, z, cfg),
+               "integral": lambda: degree_integral(F, box, z)}
+    results: dict = {"method": args.method}
+    code = EXIT_CLEAN
+    values = []
+    for method, run in methods.items():
+        if args.method not in (method, "both"):
+            continue
+        try:
+            res = run()
+        except DegreeComputationError as exc:
+            results[method] = {"error": str(exc)}
+            code = EXIT_INCONCLUSIVE
+        else:
+            results[method] = asdict(res)
+            values.append(res.value)
+    if len(values) == 2:
+        results["agree"] = values[0] == values[1]
+        if not results["agree"]:
+            code = EXIT_WITNESS
+    return {"z": z, "box": box}, results, code
+
+
+def _cmd_fibers(args, mf: MapFile) -> tuple[dict, dict, int]:
+    F = _compile_map(mf)
+    box = _parse_box(args.box, F.n)
+    z = _parse_point(args.z, F.n)
+    fiber = solve_fiber(F, z, box, _solver_config(args))
+    results = {
         "status": fiber.status,
         "count": len(fiber.roots),
         "roots": [
             {
-                "isolator": _box(r.isolator),
+                "isolator": r.isolator,
                 "jacobian_sign": r.jac_sign,
                 "refinement_width": r.refinement_width,
             }
@@ -218,213 +295,61 @@ def _fiber_payload(fiber) -> dict:
         "boxes_processed": fiber.stats.boxes_processed,
         "max_depth_reached": fiber.stats.max_depth,
     }
-
-
-# ---------------------------------------------------------------------
-# Commands
-# ---------------------------------------------------------------------
-
-def _solver_config(args) -> SolverConfig:
-    """The solver configuration of a command that takes --max-depth."""
-    try:
-        return SolverConfig(max_depth=args.max_depth)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-
-def _cmd_analyze(args) -> tuple[dict, dict, int]:
-    mf = load_mapfile(args.map)
-    F = _compile_map(mf)
-    box = _parse_box(args.box, F.n)
-    try:
-        budget = SurveyBudget(samples=args.samples, max_boxes=args.max_boxes,
-                              seed=args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    det = jacobian_det(F)
-    status = keller_check(F)
-    witness = recognize_form(F)
-    survey = jacobian_sign_survey(F, box, budget)
-    results = {
-        "jacobian_determinant": poly_to_string(det),
-        "keller": {
-            "kind": status.kind,
-            "constant_value": None if status.constant_value is None
-            else _frac(status.constant_value),
-        },
-        "form": {
-            "form": witness.form,
-            "linear_part_identity": witness.linear_part_identity,
-            "cube_rows": None if witness.druzkowski_matrix is None else [
-                [_frac(v) for v in row] for row in witness.druzkowski_matrix
-            ],
-        },
-        "bezout_bound": bezout_bound(F),
-        "sign_survey": {
-            "classification": survey.classification,
-            "certified": survey.certified,
-            "partial": survey.partial,
-            "samples_used": survey.samples_used,
-            "boxes_used": survey.boxes_used,
-            "evidence": [
-                {"point": _point(p), "value": _frac(v)} for p, v in survey.evidence
-            ],
-            "detail": survey.detail,
-        },
-    }
-    inputs = {"map": mf.name, "path": mf.path, "sha256": mf.sha256,
-              "box": _box(box)}
-    return inputs, results, EXIT_CLEAN
-
-
-def _cmd_degree(args) -> tuple[dict, dict, int]:
-    mf = load_mapfile(args.map)
-    F = _compile_map(mf)
-    box = _parse_box(args.box, F.n)
-    z = _parse_point(args.z, F.n)
-    cfg = _solver_config(args)
-    results: dict = {"method": args.method}
-    code = EXIT_CLEAN
-    count_res = integral_res = None
-    if args.method in ("count", "both"):
-        try:
-            count_res = degree_signed_count(F, box, z, cfg)
-            results["count"] = _degree_result(count_res)
-        except DegreeComputationError as exc:
-            results["count"] = {"error": str(exc)}
-            code = EXIT_INCONCLUSIVE
-    if args.method in ("integral", "both"):
-        try:
-            integral_res = degree_integral(F, box, z)
-            results["integral"] = _degree_result(integral_res)
-        except DegreeComputationError as exc:
-            results["integral"] = {"error": str(exc)}
-            code = EXIT_INCONCLUSIVE
-    if args.method == "both" and count_res is not None and integral_res is not None:
-        agree = count_res.value == integral_res.value
-        results["agree"] = agree
-        if not agree:
-            code = EXIT_WITNESS
-    inputs = {"map": mf.name, "path": mf.path, "sha256": mf.sha256,
-              "z": _point(z), "box": _box(box)}
-    return inputs, results, code
-
-
-def _cmd_fibers(args) -> tuple[dict, dict, int]:
-    mf = load_mapfile(args.map)
-    F = _compile_map(mf)
-    box = _parse_box(args.box, F.n)
-    z = _parse_point(args.z, F.n)
-    fiber = solve_fiber(F, z, box, _solver_config(args))
-    results = _fiber_payload(fiber)
     code = EXIT_CLEAN if fiber.status == "complete" else EXIT_INCONCLUSIVE
-    inputs = {"map": mf.name, "path": mf.path, "sha256": mf.sha256,
-              "z": _point(z), "box": _box(box)}
-    return inputs, results, code
+    return {"z": z, "box": box}, results, code
 
 
-def _cmd_inject(args) -> tuple[dict, dict, int]:
-    mf = load_mapfile(args.map)
+def _cmd_inject(args, mf: MapFile) -> tuple[dict, dict, int]:
     F = _compile_map(mf)
     if not args.z:
         raise CliError("inject needs at least one query point (--z, repeatable)")
     queries = [_parse_point(text, F.n) for text in args.z]
     base = _parse_point(args.base, F.n) if args.base else None
-    try:
-        report = injectivity_pipeline(F, queries, _solver_config(args), base=base)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    report = _checked(injectivity_pipeline, F, queries, _solver_config(args), base=base)
     results = {
         "verdict": report.verdict,
-        "base_point": _point(report.base_point),
+        "base_point": report.base_point,
         "base_fiber_size": None if report.base_fiber is None
         else len(report.base_fiber.roots),
-        "records": [
-            {
-                "query": _point(r.query),
-                "radius": None if r.radius is None else _frac(r.radius),
-                "fiber_size": r.fiber_size,
-                "degree_at_query": r.degree_at_query,
-                "degree_at_base": r.degree_at_base,
-                "path_certified": r.path_certified,
-                "note": r.note,
-            }
-            for r in report.records
-        ],
-        "witness": None if report.witness is None else {
-            "p1": _point(report.witness.p1),
-            "p2": _point(report.witness.p2),
-            "separation": report.witness.separation,
-            "residual": report.witness.residual,
-        },
+        "records": [asdict(r) for r in report.records],
+        "witness": None if report.witness is None else asdict(report.witness),
         "detail": report.detail,
     }
     code = {"consistent_with_injectivity": EXIT_CLEAN,
             "non_injective_witness": EXIT_WITNESS}.get(report.verdict,
                                                        EXIT_INCONCLUSIVE)
-    inputs = {"map": mf.name, "path": mf.path, "sha256": mf.sha256,
-              "queries": [_point(q) for q in queries],
-              "base": None if base is None else _point(base)}
-    return inputs, results, code
+    return {"queries": queries, "base": base}, results, code
 
 
-def _cmd_homotopy(args) -> tuple[dict, dict, int]:
-    mf = load_mapfile(args.map)
+def _cmd_homotopy(args, mf: MapFile) -> tuple[dict, dict, int]:
     family = _compile_family(mf)
-    n = mf.n
-    box = _parse_box(args.box, n)
-    z = _parse_point(args.z, n)
+    box = _parse_box(args.box, mf.n)
+    z = _parse_point(args.z, mf.n)
     t_grid = [
         _parse_scalar(part) for part in args.t_grid.split(",") if part.strip()
     ]
-    try:
-        report = homotopy_constancy_check(family, box, z, t_grid, _solver_config(args))
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    results = {
-        "boundary_certified": report.boundary_certified,
-        "t_grid": [_frac(t) for t in report.t_grid],
-        "degrees": list(report.degrees),
-        "constant": report.constant,
-        "failures": list(report.failures),
-    }
+    report = _checked(homotopy_constancy_check, family, box, z, t_grid,
+                      _solver_config(args))
     if report.constant:
         code = EXIT_CLEAN
     elif report.boundary_certified and not report.failures:
         code = EXIT_WITNESS  # certified degrees genuinely disagree
     else:
         code = EXIT_INCONCLUSIVE
-    inputs = {"map": mf.name, "path": mf.path, "sha256": mf.sha256,
-              "z": _point(z), "box": _box(box), "t_grid": [_frac(t) for t in t_grid]}
-    return inputs, results, code
+    return {"z": z, "box": box, "t_grid": t_grid}, asdict(report), code
 
 
-def _cmd_collide(args) -> tuple[dict, dict, int]:
-    mf = load_mapfile(args.map)
+def _cmd_collide(args, mf: MapFile) -> tuple[dict, dict, int]:
     F = _compile_map(mf)
     box = _parse_box(args.box, F.n)
-    try:
-        cfg = CollisionConfig(samples=args.samples, seed=args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    cfg = _checked(CollisionConfig, samples=args.samples, seed=args.seed)
     witness = collision_search(F, box, cfg)
     if witness is None:
         results = {"found": False,
                    "note": "no witness within budget; this is not a proof "
                            "of injectivity"}
-        code = EXIT_CLEAN
-    else:
-        results = {
-            "found": True,
-            "p1": _point(witness.p1),
-            "p2": _point(witness.p2),
-            "separation": witness.separation,
-            "residual": witness.residual,
-        }
-        code = EXIT_WITNESS
-    inputs = {"map": mf.name, "path": mf.path, "sha256": mf.sha256,
-              "box": _box(box)}
-    return inputs, results, code
+        return {"box": box}, results, EXIT_CLEAN
+    return {"box": box}, {"found": True, **asdict(witness)}, EXIT_WITNESS
 
 
 _COMMANDS = {
@@ -443,9 +368,11 @@ _COMMANDS = {
 
 def _config_echo(args) -> dict:
     """Every flag the command parsed but those inputs carries, and the
-    solver configuration of a command that takes --max-depth."""
-    echo = {key: value for key, value in vars(args).items()
-            if key not in ("command", "map", "box", "z", "base", "t_grid")}
+    solver configuration of a command that runs the fiber solver."""
+    skip = {"command", "map", "box", "z", "base", "t_grid"}
+    if getattr(args, "method", None) == "integral":
+        skip.add("max_depth")  # the integral runs no fiber solve
+    echo = {key: value for key, value in vars(args).items() if key not in skip}
     if "max_depth" in echo:
         echo["solver"] = asdict(_solver_config(args))
     return echo
@@ -459,7 +386,7 @@ def _render_md(report: dict) -> str:
         lines.append("")
         lines.append(f"## {section}")
         lines.append("```json")
-        lines.append(json.dumps(report[section], indent=2, sort_keys=True))
+        lines.append(_dumps(report[section]))
         lines.append("```")
     return "\n".join(lines) + "\n"
 
@@ -528,7 +455,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        inputs, results, code = _COMMANDS[args.command](args)
+        mf = load_mapfile(args.map)
+        inputs, results, code = _COMMANDS[args.command](args, mf)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -540,7 +468,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     report = {
         "command": args.command,
         "tool_version": __version__,
-        "inputs": inputs,
+        "inputs": {"map": mf.name, "path": mf.path, "sha256": mf.sha256, **inputs},
         "config": _config_echo(args),
         "results": results,
         "timings": {"seconds": time.monotonic() - started},
@@ -548,7 +476,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.out == "md":
         print(_render_md(report), end="")
     else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_dumps(report))
     return code
 
 

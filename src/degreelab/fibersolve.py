@@ -258,7 +258,8 @@ def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
 
     status is "complete" only when every sub-box was either discarded by
     a sound exclusion test or certified to hold exactly one root, and no
-    isolator approaches the outer boundary closer than _BOUNDARY_MARGIN.  Worker count never changes the result, only the wall time.
+    isolator approaches the outer boundary closer than _BOUNDARY_MARGIN.
+    Worker count never changes the result, only the wall time.
     """
     cfg = cfg or SolverConfig()
     if box.dims != F.n:

@@ -21,6 +21,7 @@ pipeline doubles its box radius from _INITIAL_RADIUS up to _MAX_RADIUS.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -82,6 +83,10 @@ class SignSurvey:
     detail: str | None = None
 
 
+# survey classification by the sign of a determinant known to keep it
+_SIGN_CLASSES = {1: "positive", -1: "negative", 0: "vanishing_found"}
+
+
 def jacobian_sign_survey(F: PolyMap, box: IntervalBox,
                          budget: SurveyBudget | None = None) -> SignSurvey:
     """Classify the sign behavior of det JF over the box.
@@ -97,49 +102,46 @@ def jacobian_sign_survey(F: PolyMap, box: IntervalBox,
         raise ValueError(f"box has {box.dims} dims, expected {F.n}")
     det = jacobian_det(F)
     status = keller_check(F)
-    if status.kind == "nonzero_constant":
+    if status.kind != "nonconstant":
         c = status.constant_value
-        mid = _midpoint_exact(box.lo, box.hi)
         return SignSurvey(
-            classification="positive" if c > 0 else "negative",
-            evidence=((mid, c),),
+            classification=_SIGN_CLASSES[(c > 0) - (c < 0)],
+            evidence=((_midpoint_exact(box.lo, box.hi), c),),
             certified=True, partial=False, samples_used=0, boxes_used=0,
-            detail=f"constant Jacobian determinant {c}")
-    if status.kind == "zero_constant":
-        mid = _midpoint_exact(box.lo, box.hi)
-        return SignSurvey(
-            classification="vanishing_found",
-            evidence=((mid, Fraction(0)),),
-            certified=True, partial=False, samples_used=0, boxes_used=0,
-            detail="Jacobian determinant is identically zero")
+            detail=f"constant Jacobian determinant {c}" if c
+            else "Jacobian determinant is identically zero")
+
+    # exact values found so far, the first one of each sign: an exact zero
+    # certifies vanishing, two strict opposite signs certify mixed
+    found: dict[int, Evidence] = {}
+
+    def record(point: Point) -> None:
+        exact = det.eval(point)
+        found.setdefault((exact > 0) - (exact < 0), (point, exact))
+
+    def settled(boxes_used: int) -> SignSurvey | None:
+        if 0 in found:
+            classification, evidence = "vanishing_found", (found[0],)
+        elif 1 in found and -1 in found:
+            classification, evidence = "mixed", (found[1], found[-1])
+        else:
+            return None
+        return SignSurvey(classification=classification, evidence=evidence,
+                          certified=True, partial=False,
+                          samples_used=budget.samples, boxes_used=boxes_used)
 
     # sampling pass: exact re-evaluation turns float hints into proof-grade
-    # evidence (two strict opposite signs certify mixed; an exact zero
-    # certifies vanishing)
+    # evidence; all of them are read before either verdict is drawn
     rng = np.random.default_rng(budget.seed)
     lo, hi = np.array(box.lo), np.array(box.hi)
     pts = lo[None, :] + rng.random((budget.samples, F.n)) * (hi - lo)[None, :]
     vals = det.eval_array(pts)
-    pos_evidence: Evidence | None = None
-    neg_evidence: Evidence | None = None
     for idx in itertools.chain(np.nonzero(vals > 0)[0][:4], np.nonzero(vals < 0)[0][:4],
                                np.nonzero(vals == 0)[0][:4]):
-        point = _rational_point(pts[int(idx)])
-        exact = det.eval(point)
-        if exact == 0:
-            return SignSurvey(
-                classification="vanishing_found", evidence=((point, exact),),
-                certified=True, partial=False,
-                samples_used=budget.samples, boxes_used=0)
-        if exact > 0 and pos_evidence is None:
-            pos_evidence = (point, exact)
-        elif exact < 0 and neg_evidence is None:
-            neg_evidence = (point, exact)
-    if pos_evidence and neg_evidence:
-        return SignSurvey(
-            classification="mixed", evidence=(pos_evidence, neg_evidence),
-            certified=True, partial=False,
-            samples_used=budget.samples, boxes_used=0)
+        record(_rational_point(pts[int(idx)]))
+    survey = settled(0)
+    if survey is not None:
+        return survey
 
     # subdivision pass, breadth first: certify one uniform sign, or catch a
     # zero at the midpoint of a straddling cell.  Each level is enclosed in
@@ -157,41 +159,21 @@ def jacobian_sign_survey(F: PolyMap, box: IntervalBox,
             boxes_used += 1
             # exact midpoint values: on a straddling cell always, on a
             # signed cell only while that sign still lacks evidence
-            if (straddle[k] or (pos_evidence is None and enc_lo[k] > 0.0)
-                    or (neg_evidence is None and enc_hi[k] < 0.0)):
-                mid = _midpoint_exact(los[k].tolist(), his[k].tolist())
-                exact = det.eval(mid)
-                if exact == 0:
-                    return SignSurvey(
-                        classification="vanishing_found", evidence=((mid, exact),),
-                        certified=True, partial=False,
-                        samples_used=budget.samples, boxes_used=boxes_used)
-                if exact > 0 and pos_evidence is None:
-                    pos_evidence = (mid, exact)
-                elif exact < 0 and neg_evidence is None:
-                    neg_evidence = (mid, exact)
-            if pos_evidence and neg_evidence:
-                return SignSurvey(
-                    classification="mixed", evidence=(pos_evidence, neg_evidence),
-                    certified=True, partial=False,
-                    samples_used=budget.samples, boxes_used=boxes_used)
+            if (straddle[k] or (1 not in found and enc_lo[k] > 0.0)
+                    or (-1 not in found and enc_hi[k] < 0.0)):
+                record(_midpoint_exact(los[k].tolist(), his[k].tolist()))
+                survey = settled(boxes_used)
+                if survey is not None:
+                    return survey
         los, his, _ = split_widest(los[straddle], his[straddle], 0.5)
-    # certified only if the last level was finished and left no children
-    certified_uniform = level_done and not len(los)
-
-    evidence = tuple(e for e in (pos_evidence, neg_evidence) if e is not None)
-    if pos_evidence and not neg_evidence:
-        classification = "positive"
-    elif neg_evidence and not pos_evidence:
-        classification = "negative"
-    else:
-        # not a single exactly signed point found: the determinant hugs
-        # zero as far as this budget can see
-        classification = "vanishing_found"
-        certified_uniform = False
+    # found holds one sign at most here, or none when the determinant hugs
+    # zero as far as this budget can see.  The sign is certified only if
+    # the last level was finished and left no children.
+    sign = next(iter(found), 0)
+    certified_uniform = level_done and not len(los) and sign != 0
     return SignSurvey(
-        classification=classification,
-        evidence=evidence,
+        classification=_SIGN_CLASSES[sign],
+        evidence=tuple(found.values()),
         certified=certified_uniform,
         partial=not certified_uniform,
         samples_used=budget.samples,
@@ -615,6 +597,19 @@ def _certified_pair(F: PolyMap, z: Point, box: IntervalBox,
     return clearance, fiber
 
 
+def _first_radius(n: int, radius: Fraction, attempt):
+    """The first radius, doubling from radius up to _MAX_RADIUS, at which
+    attempt(radius, box) returns instead of raising _GrowNeeded, with that
+    value; (None, None) when the cap is passed first.  box is the cube of
+    that radius about the origin."""
+    while radius <= _MAX_RADIUS:
+        try:
+            return radius, attempt(radius, IntervalBox.cube(n, radius))
+        except _GrowNeeded:
+            radius *= 2
+    return None, None
+
+
 def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]],
                          solver: SolverConfig | None = None,
                          base: Sequence[Fraction | int] | None = None) -> InjectivityReport:
@@ -651,37 +646,33 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
             base_cache[radius] = _certified_pair(F, base_point, box, solver)
         return base_cache[radius]
 
+    def query_at(q: Point, radius: Fraction, box: IntervalBox):
+        clr_q, fib_q = _certified_pair(F, q, box, solver)
+        if not fib_q.roots:
+            raise _GrowNeeded("query fiber empty so far")
+        clr_b, fib_b = base_at(radius, box)
+        seg = path_segment_clearance(F, box, base_point, q)
+        if not seg.ok:
+            raise _GrowNeeded(f"path segment: {seg.failure}")
+        return clr_q, fib_q, clr_b, fib_b
+
     # Step 1: base fiber must be a certified singleton
-    radius = Fraction(_INITIAL_RADIUS)
-    base_fiber: FiberResult | None = None
-    while radius <= _MAX_RADIUS:
-        box = IntervalBox.cube(n, radius)
-        try:
-            _, base_fiber = base_at(radius, box)
-            break
-        except _GrowNeeded:
-            radius *= 2
-            base_fiber = None
-    if base_fiber is None:
-        return InjectivityReport(
-            verdict="inconclusive", base_point=base_point, base_fiber=None,
-            records=(), detail="no certified base fiber within the radius cap")
-    if len(base_fiber.roots) > 1:
+    base_radius, base_pair = _first_radius(n, Fraction(_INITIAL_RADIUS), base_at)
+    base_fiber = None if base_pair is None else base_pair[1]
+    if base_fiber is not None and len(base_fiber.roots) > 1:
         witness = witness_from_fiber(F, base_fiber)
         if witness is not None:
             return InjectivityReport(
                 verdict="non_injective_witness", base_point=base_point,
                 base_fiber=base_fiber, records=(), witness=witness,
                 detail="base fiber already holds two separated points")
+    if base_fiber is None or len(base_fiber.roots) != 1:
         return InjectivityReport(
             verdict="inconclusive", base_point=base_point, base_fiber=base_fiber,
             records=(),
-            detail="base fiber has several roots but none pass the witness thresholds")
-    if not base_fiber.roots:
-        return InjectivityReport(
-            verdict="inconclusive", base_point=base_point, base_fiber=base_fiber,
-            records=(), detail="base point has an empty certified fiber")
-    base_radius = radius
+            detail="no certified base fiber within the radius cap" if base_fiber is None
+            else "base point has an empty certified fiber" if not base_fiber.roots
+            else "base fiber has several roots but none pass the witness thresholds")
 
     # Steps 2 and 3, per query
     records: list[QueryRecord] = []
@@ -690,44 +681,32 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
         q = _rational_point(raw_query)
         if len(q) != n:
             raise ValueError(f"query {q} has wrong dimension")
-        radius = max(base_radius, *(abs(v) * 2 for v in q), Fraction(1))
-        record = None
-        while radius <= _MAX_RADIUS:
-            box = IntervalBox.cube(n, radius)
-            try:
-                clr_q, fib_q = _certified_pair(F, q, box, solver)
-                if not fib_q.roots:
-                    raise _GrowNeeded("query fiber empty so far")
-                clr_b, fib_b = base_at(radius, box)
-                seg = path_segment_clearance(F, box, base_point, q)
-                if not seg.ok:
-                    raise _GrowNeeded(f"path segment: {seg.failure}")
-            except _GrowNeeded:
-                radius *= 2
-                continue
-            deg_q = signed_count_from_fiber(fib_q, clr_q)
-            deg_b = signed_count_from_fiber(fib_b, clr_b)
-            for fib in (fib_q, fib_b):
-                if len(fib.roots) > 1 and witness is None:
-                    witness = witness_from_fiber(F, fib)
-            record = QueryRecord(
-                query=q, radius=radius,
-                fiber_size=len(fib_q.roots),
-                degree_at_query=deg_q.value,
-                degree_at_base=deg_b.value,
-                path_certified=True)
-            if (len(fib_q.roots) == 1 and len(fib_b.roots) == 1
-                    and deg_q.value != deg_b.value):
-                raise RuntimeError(
-                    "certified singleton fibers on a certified path disagree in "
-                    "degree; this is a soundness bug")
-            break
-        if record is None:
-            record = QueryRecord(
+        radius, pairs = _first_radius(
+            n, max(base_radius, *(abs(v) * 2 for v in q), Fraction(1)),
+            functools.partial(query_at, q))
+        if pairs is None:
+            records.append(QueryRecord(
                 query=q, radius=None, fiber_size=None, degree_at_query=None,
                 degree_at_base=None, path_certified=False,
-                note="radius cap reached without full certification")
-        records.append(record)
+                note="radius cap reached without full certification"))
+            continue
+        clr_q, fib_q, clr_b, fib_b = pairs
+        deg_q = signed_count_from_fiber(fib_q, clr_q)
+        deg_b = signed_count_from_fiber(fib_b, clr_b)
+        for fib in (fib_q, fib_b):
+            if len(fib.roots) > 1 and witness is None:
+                witness = witness_from_fiber(F, fib)
+        if (len(fib_q.roots) == 1 and len(fib_b.roots) == 1
+                and deg_q.value != deg_b.value):
+            raise RuntimeError(
+                "certified singleton fibers on a certified path disagree in "
+                "degree; this is a soundness bug")
+        records.append(QueryRecord(
+            query=q, radius=radius,
+            fiber_size=len(fib_q.roots),
+            degree_at_query=deg_q.value,
+            degree_at_base=deg_b.value,
+            path_certified=True))
 
     if witness is not None:
         return InjectivityReport(

@@ -67,6 +67,13 @@ def test_parse_box():
         _parse_box("-1:1", 2)  # wrong arity
 
 
+def test_encode_fraction_and_box_only():
+    assert cli._encode(Fraction(-3, 4)) == "-3/4"
+    assert cli._encode(_parse_box("-2:2,0:1/2", 2)) == [[-2.0, 2.0], [0.0, 0.5]]
+    with pytest.raises(TypeError):
+        cli._encode(1 + 2j)
+
+
 # ---------------------------------------------------------------------
 # Map files
 # ---------------------------------------------------------------------
@@ -180,6 +187,19 @@ def test_analyze_survives_overflowing_samples(tmp_path, capsys):
     assert code == 0
     assert payload["results"]["sign_survey"]["classification"] == "mixed"
     assert "Warning" not in captured.err
+
+
+def test_analyze_zero_component_has_no_bezout_bound(tmp_path, capsys):
+    # a zero component has no total degree: the bound is null, not a crash
+    mapfile = tmp_path / "zero.map"
+    mapfile.write_text(json.dumps({"name": "zero", "n": 2, "components": ["0", "x2"]}))
+    code, payload, captured = run_cli(
+        capsys, "analyze", "--map", str(mapfile), "--box=-1:1,-1:1")
+    assert code == 0, captured.err
+    results = payload["results"]
+    assert results["bezout_bound"] is None
+    assert results["keller"] == {"kind": "zero_constant", "constant_value": "0"}
+    assert results["sign_survey"]["classification"] == "vanishing_found"
 
 
 def test_degree_both_methods(fixtures_dir, capsys):
@@ -450,6 +470,18 @@ def test_config_echo_is_the_flags_the_command_takes(fixtures_dir, capsys, comman
     assert set(payload["config"]) == keys
     if "solver" in keys:
         assert payload["config"]["solver"] == {"max_depth": 60}
+
+
+def test_degree_integral_echoes_no_solver(fixtures_dir, capsys):
+    # the integral runs no fiber solve, so nothing reads --max-depth
+    argv, _ = _command_argv(fixtures_dir, "degree")
+    code, payload, _ = run_cli(capsys, *argv, "--method", "integral", "--max-depth", "7")
+    assert code == 0
+    assert payload["config"] == {"method": "integral", "out": "json"}
+    code, payload, captured = run_cli(capsys, *argv, "--method", "integral",
+                                      "--max-depth", "0")
+    assert code == 1 and payload is None
+    assert captured.err == "error: solver max_depth must be positive, got 0\n"
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from degreelab.polycore import IntervalBox, parse_poly
-from degreelab.mapforms import PolyMap, jacobian_matrix, realify
+from degreelab.mapforms import PolyMap, jacobian_det, jacobian_matrix, keller_check, realify
 from degreelab import fibersolve
-from degreelab.fibersolve import solve_fiber
+from degreelab.fibersolve import solve_fiber, split_widest
 from degreelab.injectlab import (
     CollisionConfig,
+    SignSurvey,
     SurveyBudget,
     collision_search,
     global_injectivity_probe,
@@ -22,8 +23,10 @@ from degreelab.injectlab import (
 from degreelab.injectlab import (
     _BUCKET_CELLS,
     _WITNESS_SEPARATION,
+    _midpoint_exact,
     _newton_float,
     _prune_candidates,
+    _rational_point,
     _sampled_pairs,
 )
 from gen_maps import (
@@ -145,6 +148,187 @@ def test_survey_realified_maps_never_negative():
 def test_survey_dimension_mismatch():
     with pytest.raises(ValueError):
         jacobian_sign_survey(make_map(1, "x1^2"), cube(2, 1))
+
+
+def _reference_sign_survey(F, box, budget=None):
+    # reference: the survey written out plainly, with separate positive and
+    # negative evidence, the exact-evidence check repeated in both passes
+    # and a SignSurvey built at each of its seven exits
+    budget = budget or SurveyBudget()
+    if box.dims != F.n:
+        raise ValueError(f"box has {box.dims} dims, expected {F.n}")
+    det = jacobian_det(F)
+    status = keller_check(F)
+    if status.kind == "nonzero_constant":
+        c = status.constant_value
+        mid = _midpoint_exact(box.lo, box.hi)
+        return SignSurvey(
+            classification="positive" if c > 0 else "negative",
+            evidence=((mid, c),),
+            certified=True, partial=False, samples_used=0, boxes_used=0,
+            detail=f"constant Jacobian determinant {c}")
+    if status.kind == "zero_constant":
+        mid = _midpoint_exact(box.lo, box.hi)
+        return SignSurvey(
+            classification="vanishing_found",
+            evidence=((mid, Fraction(0)),),
+            certified=True, partial=False, samples_used=0, boxes_used=0,
+            detail="Jacobian determinant is identically zero")
+
+    # sampling pass: exact re-evaluation turns float hints into proof-grade
+    # evidence (two strict opposite signs certify mixed; an exact zero
+    # certifies vanishing)
+    rng = np.random.default_rng(budget.seed)
+    lo, hi = np.array(box.lo), np.array(box.hi)
+    pts = lo[None, :] + rng.random((budget.samples, F.n)) * (hi - lo)[None, :]
+    vals = det.eval_array(pts)
+    pos_evidence = None
+    neg_evidence = None
+    for idx in itertools.chain(np.nonzero(vals > 0)[0][:4], np.nonzero(vals < 0)[0][:4],
+                               np.nonzero(vals == 0)[0][:4]):
+        point = _rational_point(pts[int(idx)])
+        exact = det.eval(point)
+        if exact == 0:
+            return SignSurvey(
+                classification="vanishing_found", evidence=((point, exact),),
+                certified=True, partial=False,
+                samples_used=budget.samples, boxes_used=0)
+        if exact > 0 and pos_evidence is None:
+            pos_evidence = (point, exact)
+        elif exact < 0 and neg_evidence is None:
+            neg_evidence = (point, exact)
+    if pos_evidence and neg_evidence:
+        return SignSurvey(
+            classification="mixed", evidence=(pos_evidence, neg_evidence),
+            certified=True, partial=False,
+            samples_used=budget.samples, boxes_used=0)
+
+    # subdivision pass, breadth first: certify one uniform sign, or catch a
+    # zero at the midpoint of a straddling cell.  Each level is enclosed in
+    # one batched call, then its cells are decided one by one in FIFO order.
+    los, his = lo[None, :], hi[None, :]
+    boxes_used = 0
+    level_done = True
+    while len(los) and boxes_used < budget.max_boxes:
+        take = min(len(los), budget.max_boxes - boxes_used)
+        level_done = take == len(los)
+        los, his = los[:take], his[:take]
+        enc_lo, enc_hi = det.eval_interval_batch(los, his)
+        straddle = (enc_lo <= 0.0) & (enc_hi >= 0.0)
+        for k in range(take):
+            boxes_used += 1
+            # exact midpoint values: on a straddling cell always, on a
+            # signed cell only while that sign still lacks evidence
+            if (straddle[k] or (pos_evidence is None and enc_lo[k] > 0.0)
+                    or (neg_evidence is None and enc_hi[k] < 0.0)):
+                mid = _midpoint_exact(los[k].tolist(), his[k].tolist())
+                exact = det.eval(mid)
+                if exact == 0:
+                    return SignSurvey(
+                        classification="vanishing_found", evidence=((mid, exact),),
+                        certified=True, partial=False,
+                        samples_used=budget.samples, boxes_used=boxes_used)
+                if exact > 0 and pos_evidence is None:
+                    pos_evidence = (mid, exact)
+                elif exact < 0 and neg_evidence is None:
+                    neg_evidence = (mid, exact)
+            if pos_evidence and neg_evidence:
+                return SignSurvey(
+                    classification="mixed", evidence=(pos_evidence, neg_evidence),
+                    certified=True, partial=False,
+                    samples_used=budget.samples, boxes_used=boxes_used)
+        los, his, _ = split_widest(los[straddle], his[straddle], 0.5)
+    # certified only if the last level was finished and left no children
+    certified_uniform = level_done and not len(los)
+
+    evidence = tuple(e for e in (pos_evidence, neg_evidence) if e is not None)
+    if pos_evidence and not neg_evidence:
+        classification = "positive"
+    elif neg_evidence and not pos_evidence:
+        classification = "negative"
+    else:
+        # not a single exactly signed point found: the determinant hugs
+        # zero as far as this budget can see
+        classification = "vanishing_found"
+        certified_uniform = False
+    return SignSurvey(
+        classification=classification,
+        evidence=evidence,
+        certified=certified_uniform,
+        partial=not certified_uniform,
+        samples_used=budget.samples,
+        boxes_used=boxes_used,
+        detail=None if certified_uniform else "box budget exhausted before certification")
+
+
+def _random_monomial(rng, variables, max_deg):
+    factors = [f"x{v}^{rng.randint(1, max_deg)}" for v in variables
+               if rng.random() < 0.5]
+    return "*".join([str(rng.choice([-3, -2, -1, 1, 2, 3]))] + factors)
+
+
+def _random_survey_map(rng, n):
+    """A random map of one of four shapes, so that every classification
+    comes up: dense components, a triangular map whose determinant is a
+    product of powers of the variables, a linear map (a constant
+    determinant, sometimes 0) and a map with a zero component."""
+    shape = rng.choice(["dense", "triangular", "triangular", "linear", "zero"])
+    if shape == "linear":
+        exprs = [" + ".join(f"{rng.randint(-2, 2)}*x{j}" for j in range(1, n + 1))
+                 for _ in range(n)]
+    elif shape == "triangular":
+        exprs = [" + ".join([f"{rng.choice([-2, -1, 1, 2])}*x{i}^{rng.randint(1, 3)}"]
+                            + [_random_monomial(rng, range(i + 1, n + 1), 2)
+                               for _ in range(rng.randint(0, 2))])
+                 for i in range(1, n + 1)]
+    else:
+        exprs = [" + ".join(_random_monomial(rng, range(1, n + 1), 3)
+                            for _ in range(rng.randint(1, 4)))
+                 for _ in range(n)]
+        if shape == "zero":
+            exprs[rng.randrange(n)] = "0"
+    return make_map(n, *exprs)
+
+
+def _random_survey_box(rng, n):
+    # symmetric and lopsided sides, degenerate ones, and the side of two
+    # subnormals, on which samples land exactly on -tiny, 0 and tiny
+    tiny = 5e-324
+    sides = []
+    for _ in range(n):
+        kind = rng.choice(["symmetric", "symmetric", "lopsided", "degenerate", "tiny"])
+        if kind == "symmetric":
+            r = rng.choice([0.5, 1.0, 2.0, 3.0])
+            sides.append((-r, r))
+        elif kind == "lopsided":
+            a, b = sorted(rng.sample([-2.0, -1.5, -0.25, 0.0, 0.75, 1.0, 2.5], 2))
+            sides.append((a, b))
+        elif kind == "degenerate":
+            a = rng.choice([-1.0, 0.0, 0.5, 2.0])
+            sides.append((a, a))
+        else:
+            sides.append((-tiny, tiny))
+    return IntervalBox.from_bounds(sides)
+
+
+def test_survey_equals_reference_on_random_maps():
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        F = _random_survey_map(rng, n)
+        box = _random_survey_box(rng, n)
+        # budgets log-uniform on 1..2048, so that most cases stay cheap
+        budget = SurveyBudget(samples=round(2 ** rng.uniform(0, 11)),
+                              max_boxes=round(2 ** rng.uniform(0, 11)),
+                              seed=rng.randint(0, 5))
+        with np.errstate(all="ignore"):
+            got = jacobian_sign_survey(F, box, budget)
+            ref = _reference_sign_survey(F, box, budget)
+        assert got == ref, (F.components, box.lo, box.hi, budget)
+        seen.add((got.classification, got.certified))
+    assert {c for c, _ in seen} == {"positive", "negative", "mixed", "vanishing_found"}
+    assert {certified for _, certified in seen} == {True, False}
 
 
 # ---------------------------------------------------------------------
