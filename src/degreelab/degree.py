@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .polycore import IntervalBox, Poly, _float_or_inf
 from .mapforms import PolyMap, jacobian_det
@@ -28,6 +27,7 @@ from .fibersolve import (
     ClearanceResult,
     FiberResult,
     SolverConfig,
+    _row_blocks,
     boundary_clearance,
     box_faces,
     certified_clearance,
@@ -229,6 +229,68 @@ def bump_build(epsilon: float, n: int) -> Bump:
 # Integral method
 # ---------------------------------------------------------------------
 
+# Each Halton coordinate reads its low digits from a table of at most
+# _HALTON_TABLE radical inverses.
+_HALTON_TABLE = 4096
+
+
+def _first_primes(count: int) -> list[int]:
+    primes: list[int] = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+class _Halton:
+    """Unscrambled Halton points in [0, 1)^d, index 0 first.
+
+    Coordinate j of point k is the radical inverse of k in the j-th prime
+    base p, summed the way scipy.stats.qmc.Halton(d, scramble=False)
+    sums it, least significant digit first: seq += digit * b2r, then
+    b2r /= p, from b2r = 1 / p.  So every point equals scipy's bit for bit.
+    The partial sums over the m lowest digits (p^m <= _HALTON_TABLE) come
+    from a table; the higher digits are constant along each aligned run of
+    p^m indices, so they are added to a run as scalars.
+    """
+
+    def __init__(self, d: int):
+        self.digits = []
+        for p in _first_primes(d):
+            size = p
+            while size * p <= _HALTON_TABLE:
+                size *= p
+            q = np.arange(size)
+            table = np.zeros(size)
+            b2r = 1.0 / p
+            while q.any():
+                table += (q % p) * b2r
+                b2r /= p
+                q //= p
+            # b2r is now the place value of the first digit above the table
+            self.digits.append((p, size, table, b2r))
+
+    def points(self, start: int, count: int) -> np.ndarray:
+        """Points start .. start + count - 1 as a (count, d) array."""
+        out = np.empty((count, len(self.digits)))
+        for j, (p, size, table, b2r_high) in enumerate(self.digits):
+            k = start
+            while k < start + count:
+                run, low = divmod(k, size)
+                take = min(size - low, start + count - k)
+                seg = out[k - start:k - start + take, j]
+                seg[:] = table[low:low + take]
+                b2r = b2r_high
+                while run:
+                    seg += (run % p) * b2r
+                    b2r /= p
+                    run //= p
+                k += take
+        return out
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     start_samples: int = 4096
@@ -242,7 +304,11 @@ def degree_integral(F: PolyMap, box: IntervalBox, z: Sequence[Fraction | int],
     """Degree as the box average of weight(|F - z|) times det JF.
 
     The weight's scale is set to half the certified boundary clearance,
-    so its support cannot reach the image of the boundary.
+    so its support cannot reach the image of the boundary.  Each round
+    draws as many Halton points as were drawn before (start_samples in
+    the first) and evaluates them in blocks of _ROW_BLOCK rows, the n
+    components and det JF sharing one power table per block; the round's
+    per-point products are summed in one np.sum.
     """
     quad = quad or QuadratureConfig()
     n = F.n
@@ -261,19 +327,25 @@ def degree_integral(F: PolyMap, box: IntervalBox, z: Sequence[Fraction | int],
     span = np.array(box.hi) - lo
     volume = float(np.prod(span))
 
-    halton = qmc.Halton(d=n, scramble=False)
+    halton = _Halton(n)
     total = 0.0
     drawn = 0
     estimates: list[float] = []
     batch = quad.start_samples
     while True:
-        pts = lo[None, :] + halton.random(batch) * span[None, :]
-        residual_sq = np.zeros(pts.shape[0])
-        for i, comp in enumerate(F.components):
-            diff = comp.eval_array(pts) - z_float[i]
-            residual_sq = residual_sq + diff * diff
-        weights = bump.value_array(np.sqrt(residual_sq))
-        total += float(np.sum(weights * det.eval_array(pts)))
+        products = np.empty(batch)
+        for rows in _row_blocks(batch):
+            block = products[rows]
+            unit = halton.points(drawn + rows.start, len(block))
+            pts = lo[None, :] + unit * span[None, :]
+            pows: dict = {}
+            residual_sq = np.zeros(len(block))
+            for i, comp in enumerate(F.components):
+                diff = comp.eval_array(pts, pows) - z_float[i]
+                residual_sq = residual_sq + diff * diff
+            weights = bump.value_array(np.sqrt(residual_sq))
+            block[:] = weights * det.eval_array(pts, pows)
+        total += float(np.sum(products))
         drawn += batch
         estimates.append(volume * total / drawn)
         if len(estimates) >= 2 and abs(estimates[-1] - estimates[-2]) < quad.agreement:

@@ -58,7 +58,7 @@ _SPLIT_RATIO = 127.0 / 256.0
 _KRAWCZYK_GATE = 2.0
 
 # Most boxes in one chunk of solve_fiber's search, and samples per block
-# of injectlab's pair search.
+# of injectlab's pair search and of the degree integral.
 _ROW_BLOCK = 4096
 
 # The clearance heap's look-ahead splits at most _LOOKAHEAD boxes whose
@@ -135,9 +135,10 @@ def _krawczyk_batch(gs, jac, los: np.ndarray, his: np.ndarray):
     mids = los + 0.5 * (his - los)
     with np.errstate(all="ignore"):
         jm = np.empty((count, n, n))
+        cache_mid: dict = {}
         for i in range(n):
             for j in range(n):
-                jm[:, i, j] = jac[i][j].eval_array(mids)
+                jm[:, i, j] = jac[i][j].eval_array(mids, cache_mid)
         usable = np.linalg.slogdet(jm)[0] != 0
         jm[~usable] = np.eye(n)
         Y = np.linalg.inv(jm)
@@ -259,7 +260,9 @@ def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
     status is "complete" only when every sub-box was either discarded by
     a sound exclusion test or certified to hold exactly one root, and no
     isolator approaches the outer boundary closer than _BOUNDARY_MARGIN.
-    Worker count never changes the result, only the wall time.
+    When det JF is the zero polynomial only the outer box is tested:
+    complete with no roots if exclusion discards it, singular_suspect
+    otherwise.  Worker count never changes the result, only the wall time.
     """
     cfg = cfg or SolverConfig()
     if box.dims != F.n:
@@ -282,6 +285,11 @@ def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
                 np.concatenate([p[1] for p in parts]))
 
     outer_lo, outer_hi = np.array(box.lo), np.array(box.hi)
+    if det.is_zero:
+        # no root of a map whose det JF vanishes identically can be
+        # certified, and splitting cannot decide what exclusion leaves
+        alive = _reaches_zero(gs, outer_lo[None, :], outer_hi[None, :])[0]
+        return FiberResult((), "singular_suspect" if alive else "complete", SolveStats(1, 0))
     roots: list[CertifiedRoot] = []
     stuck_lo: list[np.ndarray] = []
     stuck_hi: list[np.ndarray] = []

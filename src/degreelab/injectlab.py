@@ -328,7 +328,8 @@ def _newton_float(F: PolyMap, jac, targets: np.ndarray, x0: np.ndarray,
     with np.errstate(all="ignore"):
         for _ in range(iters):
             pts = x[active]
-            res = np.stack([comp.eval_array(pts) for comp in F.components],
+            pows: dict = {}
+            res = np.stack([comp.eval_array(pts, pows) for comp in F.components],
                            axis=1) - targets[active]
             finite = np.isfinite(res).all(axis=1)
             active, pts, res = active[finite], pts[finite], res[finite]
@@ -339,9 +340,10 @@ def _newton_float(F: PolyMap, jac, targets: np.ndarray, x0: np.ndarray,
             if not active.size:
                 break
             J = np.empty((len(active), n, n))
+            pows = {}
             for i in range(n):
                 for j in range(n):
-                    J[:, i, j] = jac[i][j].eval_array(pts)
+                    J[:, i, j] = jac[i][j].eval_array(pts, pows)
             regular = np.linalg.slogdet(J)[0] != 0
             active, pts, J, res = active[regular], pts[regular], J[regular], res[regular]
             x[active] = pts - np.linalg.solve(J, res[:, :, None])[:, :, 0]
@@ -455,7 +457,8 @@ def _sampled_pairs(F: PolyMap, box: IntervalBox,
     lo = np.array(box.lo)
     span = np.array(box.hi) - lo
     pts = lo[None, :] + rng.random((cfg.samples, n)) * span[None, :]
-    images = np.stack([comp.eval_array(pts) for comp in F.components], axis=1)
+    pows: dict = {}
+    images = np.stack([comp.eval_array(pts, pows) for comp in F.components], axis=1)
     finite = np.all(np.isfinite(images), axis=1)
     pts, images = pts[finite], images[finite]
     count = pts.shape[0]
@@ -531,7 +534,8 @@ def collision_search(F: PolyMap, box: IntervalBox,
     starts = np.stack(seeds)
     count = len(starts)
     ends = np.concatenate([starts[:, :n], starts[:, n:]])
-    images = np.stack([comp.eval_array(ends) for comp in F.components], axis=1)
+    pows: dict = {}
+    images = np.stack([comp.eval_array(ends, pows) for comp in F.components], axis=1)
     with np.errstate(all="ignore"):
         targets = 0.5 * (images[:count] + images[count:])
     polished, ok = _newton_float(F, jac, np.concatenate([targets, targets]), ends,

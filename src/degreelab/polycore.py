@@ -521,11 +521,17 @@ class Poly:
             self._floats = [(e, _float_or_inf(c)) for e, c in self.sorted_terms()]
         return self._floats
 
-    def eval_array(self, points: np.ndarray) -> np.ndarray:
+    def eval_array(self, points: np.ndarray, pow_cache: dict | None = None) -> np.ndarray:
         """Vectorized float evaluation on an (N, nvars) array of points.
 
         Terms are walked in the canonical order and summed left to right,
         so each row's value is reproducible bit for bit.
+
+        pow_cache maps (i, e), i a 0-based variable index and e >= 1, to the
+        column x_i^e over the rows, formed by the chain x_i^e = x_i^(e-1) *
+        x_i.  The dict may be shared by several calls evaluating different
+        polynomials over the same points; an entry does not depend on which
+        polynomial made it.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.nvars:
@@ -533,20 +539,23 @@ class Poly:
         terms = self._float_terms()
         maxes = self._exponents()[0]
         n = pts.shape[0]
+        if pow_cache is None:
+            pow_cache = {}
         # overflow gives inf or nan, as Python floats do, and no warning
         with np.errstate(all="ignore"):
-            pows = []
             for i, m in enumerate(maxes):
-                col = [np.ones(n)]
-                for _ in range(m):
-                    col.append(col[-1] * pts[:, i])
-                pows.append(col)
+                x = prev = pts[:, i]
+                for e in range(1, m + 1):
+                    got = pow_cache.get((i, e))
+                    if got is None:
+                        got = pow_cache[i, e] = x if e == 1 else prev * x
+                    prev = got
             acc = np.zeros(n)
             for exps, coeff in terms:
-                t = np.full(n, coeff)
+                t = coeff
                 for i, e in enumerate(exps):
                     if e:
-                        t = t * pows[i][e]
+                        t = t * pow_cache[i, e]
                 acc = acc + t
         return acc
 

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -248,6 +253,33 @@ def test_fibers_singular_exit_2(fixtures_dir, capsys):
         "--z", "0,0", "--box=-2:2,-2:2")
     assert code == 2
     assert payload["results"]["status"] == "singular_suspect"
+
+
+@pytest.mark.parametrize("z, code, status", [("0,0", 2, "singular_suspect"),
+                                            ("1,0", 0, "complete")])
+def test_fibers_zero_component_ends_at_once(tmp_path, capsys, z, code, status):
+    # det JF vanishes identically, so no root can be certified: the outer
+    # box alone decides, where splitting used to run toward depth 60
+    mapfile = tmp_path / "zero.map"
+    mapfile.write_text(json.dumps({"name": "zero", "n": 2, "components": ["0", "x2"]}))
+    started = time.perf_counter()
+    got, payload, _ = run_cli(capsys, "fibers", "--map", str(mapfile),
+                              "--box=-1:1,-1:1", "--z", z)
+    assert time.perf_counter() - started < 1.0
+    assert got == code
+    assert payload["results"]["status"] == status
+    assert payload["results"]["count"] == 0
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test dependency only; the CLI must not pay for its import
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, degreelab.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_degree_count_survives_overflowing_enclosure(tmp_path, capsys):

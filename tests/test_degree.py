@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import qmc
 
 from degreelab.polycore import IntervalBox, Poly, parse_poly
-from degreelab.mapforms import PolyMap
+from degreelab.mapforms import PolyMap, jacobian_det
 from degreelab.fibersolve import (
     ClearanceResult,
     FiberResult,
@@ -14,6 +15,7 @@ from degreelab.fibersolve import (
     boundary_clearance,
     solve_fiber,
 )
+from degreelab import degree
 from degreelab.degree import (
     BudgetExceededError,
     Bump,
@@ -272,6 +274,89 @@ def test_integral_deterministic():
 def test_integral_dimension_mismatch():
     with pytest.raises(ValueError):
         degree_integral(PolyMap.identity(2), cube(3, 1), [0, 0])
+
+
+def test_halton_equals_scipy():
+    # bit for bit, over pieces whose starts fall inside the digit tables'
+    # runs (2^12, 3^7, 5^5, ... indices)
+    rng = np.random.default_rng(12)
+    total = 1 << 17
+    for d in range(1, 7):
+        expected = qmc.Halton(d=d, scramble=False).random(total)
+        halton = degree._Halton(d)
+        pieces, start = [], 0
+        while start < total:
+            count = min(int(rng.integers(1, 9000)), total - start)
+            pieces.append(halton.points(start, count))
+            start += count
+        got = np.concatenate(pieces)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), d
+
+
+def _reference_integral(F, box, z, quad_cfg):
+    """degree_integral's sampling loop with one (batch, n) array per round
+    from scipy's Halton engine, each polynomial evaluated on its own.
+    Returns (estimates, samples); raises BudgetExceededError like it."""
+    clearance = boundary_clearance(F, z, box)
+    bump = bump_build(clearance.m / 2.0, F.n)
+    det = jacobian_det(F)
+    z_float = np.array([float(Fraction(v)) for v in z])
+    lo = np.array(box.lo)
+    span = np.array(box.hi) - lo
+    volume = float(np.prod(span))
+    halton = qmc.Halton(d=F.n, scramble=False)
+    total, drawn, estimates = 0.0, 0, []
+    batch = quad_cfg.start_samples
+    while True:
+        pts = lo[None, :] + halton.random(batch) * span[None, :]
+        residual_sq = np.zeros(pts.shape[0])
+        for i, comp in enumerate(F.components):
+            diff = comp.eval_array(pts) - z_float[i]
+            residual_sq = residual_sq + diff * diff
+        weights = bump.value_array(np.sqrt(residual_sq))
+        total += float(np.sum(weights * det.eval_array(pts)))
+        drawn += batch
+        estimates.append(volume * total / drawn)
+        if len(estimates) >= 2 and abs(estimates[-1] - estimates[-2]) < quad_cfg.agreement:
+            return estimates, drawn
+        if drawn >= quad_cfg.max_samples:
+            tail = estimates[-2:] if len(estimates) >= 2 else estimates
+            raise BudgetExceededError(
+                f"no agreement after {drawn} samples; last estimates {tail}")
+        batch = drawn
+
+
+@pytest.mark.parametrize("F, box, z", [
+    (make_map(2, "x1^2 - x2^2", "2*x1*x2"), cube(2, 2), [Fraction(1, 2), Fraction(1, 3)]),
+    (make_map(3, "x1 + x2^2*x3", "x2 + x3^3", "x3"), cube(3, 1), [0, Fraction(1, 5), 0]),
+])
+@pytest.mark.parametrize("quad_cfg", [
+    QuadratureConfig(), QuadratureConfig(start_samples=1000),
+    # rounds up to 512000 points: many blocks, the last of each round
+    # ending inside it, and a round summed per block would differ
+    QuadratureConfig(start_samples=1000, agreement=0.002)])
+def test_integral_equals_one_array_reference(F, box, z, quad_cfg):
+    # row blocks, the built-in Halton points and the shared power table
+    # leave every estimate unchanged bit for bit, also when a round is not
+    # a whole number of blocks
+    estimates, samples = _reference_integral(F, box, z, quad_cfg)
+    res = degree_integral(F, box, z, quad_cfg)
+    assert res.raw == estimates[-1]
+    assert res.diagnostics["estimates"] == estimates[-2:]
+    assert res.diagnostics["samples"] == samples
+
+
+def test_integral_budget_message_equals_one_array_reference():
+    F = make_map(2, "x1^2 - x2^2", "2*x1*x2")
+    z = [Fraction(1, 2), Fraction(1, 3)]
+    quad_cfg = QuadratureConfig(start_samples=1000, max_samples=20000, agreement=0.0)
+    with pytest.raises(BudgetExceededError) as expected:
+        _reference_integral(F, cube(2, 2), z, quad_cfg)
+    with pytest.raises(BudgetExceededError) as got:
+        degree_integral(F, cube(2, 2), z, quad_cfg)
+    assert str(got.value) == str(expected.value)
+    assert "32000 samples" in str(got.value)
 
 
 # ---------------------------------------------------------------------

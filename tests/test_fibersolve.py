@@ -271,6 +271,10 @@ def _reference_solve_fiber(F, z, box, cfg=SolverConfig()):
     jac = jacobian_matrix(F)
     det = jacobian_det(F)
     outer_lo, outer_hi = np.array(box.lo), np.array(box.hi)
+    if det.is_zero:
+        # the solver's one-box answer for a map with no certifiable root
+        alive = _reaches_zero(gs, outer_lo[None, :], outer_hi[None, :])[0]
+        return FiberResult((), "singular_suspect" if alive else "complete", SolveStats(1, 0))
     roots, stuck_lo, stuck_hi = [], [], []
     boxes_processed = deepest = depth = 0
     los, his = outer_lo[None, :], outer_hi[None, :]

@@ -731,6 +731,47 @@ def test_eval_interval_batch_shared_pow_cache_equals_scalar():
             assert max(e for _, e in cache) >= 41
 
 
+def _scalar_value(p: Poly, point) -> float:
+    """eval_array's per-term loop over plain floats: x_i^e by the chain
+    1.0 * x_i * ... * x_i, terms in the canonical order, summed left to right."""
+    acc = 0.0
+    for exps, coeff in p.sorted_terms():
+        t = polycore._float_or_inf(coeff)
+        for x, e in zip(point, exps):
+            if e:
+                power = 1.0
+                for _ in range(e):
+                    power = power * x
+                t = t * power
+        acc = acc + t
+    return acc
+
+
+def test_eval_array_shared_pow_cache_equals_scalar():
+    # polynomials over the same points sharing one pow_cache, as the degree
+    # integral, the Krawczyk midpoints and the Newton stacks do: whichever
+    # polynomial forms a power first, every row equals the scalar loop bit
+    # for bit
+    rng = random.Random(271828)
+    for _ in range(40):
+        nvars = rng.randint(1, 3)
+        rows = [[rng.uniform(-1.2, 1.2) for _ in range(nvars)] for _ in range(4)]
+        # large coordinates overflow high powers, as they may
+        rows += [[rng.choice([-1, 1]) * rng.uniform(2, 1e3) for _ in range(nvars)]
+                 for _ in range(2)]
+        pts = np.array(rows)
+        polys = [random_poly(rng, nvars, max_deg=3), _high_poly(rng, nvars, 12),
+                 _high_poly(rng, nvars, 41), _high_poly(rng, nvars, rng.randint(42, 60)),
+                 random_poly(rng, nvars, max_deg=5)]
+        for order in (polys, polys[::-1]):
+            cache: dict = {}
+            for p in order:
+                vals = p.eval_array(pts, cache)
+                for k, point in enumerate(rows):
+                    assert _bits(vals[k]) == _bits(_scalar_value(p, point)), (p, point)
+            assert max(e for _, e in cache) >= 41
+
+
 def test_interval_mul_zero_times_inf_is_unbounded():
     # x1^400 overflows to [DBL_MAX, inf] on [8, 16]; times x2 on [0, 1]
     # that meets 0 * inf, and nothing is known
