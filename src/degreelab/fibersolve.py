@@ -253,6 +253,30 @@ def split_widest(los: np.ndarray, his: np.ndarray, ratio: float):
     return kids_lo, kids_hi, (side_lo < at) & (at < side_hi)
 
 
+def _excluded_or_singular(gs, outer_lo: np.ndarray, outer_hi: np.ndarray,
+                          cfg: SolverConfig) -> FiberResult:
+    """The fiber of a map whose det JF vanishes identically, none of whose
+    roots can be certified: complete with no roots when breadth-first
+    subdivision excludes every box, singular_suspect as soon as a
+    surviving box cannot be split or the next level would pass
+    _ROW_BLOCK boxes in all."""
+    los, his = outer_lo[None, :], outer_hi[None, :]
+    boxes_processed = depth = 0
+    while True:
+        boxes_processed += len(los)
+        alive = _reaches_zero(gs, los, his)
+        los, his = los[alive], his[alive]
+        if not len(los):
+            return FiberResult((), "complete", SolveStats(boxes_processed, depth))
+        kids_lo, kids_hi, inside = split_widest(los, his, _SPLIT_RATIO)
+        if (boxes_processed + len(kids_lo) > _ROW_BLOCK or not inside.all()
+                or (his - los).max(axis=1).min() <= _TARGET_WIDTH
+                or depth == cfg.max_depth):
+            return FiberResult((), "singular_suspect", SolveStats(boxes_processed, depth))
+        los, his = kids_lo, kids_hi
+        depth += 1
+
+
 def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
                 cfg: SolverConfig | None = None, workers: int = 1) -> FiberResult:
     """Certified solution set of F(x) = z in the closed box.
@@ -260,9 +284,10 @@ def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
     status is "complete" only when every sub-box was either discarded by
     a sound exclusion test or certified to hold exactly one root, and no
     isolator approaches the outer boundary closer than _BOUNDARY_MARGIN.
-    When det JF is the zero polynomial only the outer box is tested:
-    complete with no roots if exclusion discards it, singular_suspect
-    otherwise.  Worker count never changes the result, only the wall time.
+    When det JF is the zero polynomial no root can be certified, and an
+    exclusion-only subdivision of at most _ROW_BLOCK boxes decides between
+    complete with no roots and singular_suspect.  Worker count never
+    changes the result, only the wall time.
     """
     cfg = cfg or SolverConfig()
     if box.dims != F.n:
@@ -286,10 +311,7 @@ def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
 
     outer_lo, outer_hi = np.array(box.lo), np.array(box.hi)
     if det.is_zero:
-        # no root of a map whose det JF vanishes identically can be
-        # certified, and splitting cannot decide what exclusion leaves
-        alive = _reaches_zero(gs, outer_lo[None, :], outer_hi[None, :])[0]
-        return FiberResult((), "singular_suspect" if alive else "complete", SolveStats(1, 0))
+        return _excluded_or_singular(gs, outer_lo, outer_hi, cfg)
     roots: list[CertifiedRoot] = []
     stuck_lo: list[np.ndarray] = []
     stuck_hi: list[np.ndarray] = []

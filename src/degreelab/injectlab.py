@@ -17,6 +17,12 @@ stacked float Newton.
 A collision witness is two points _WITNESS_SEPARATION apart or more whose
 images differ by _WITNESS_RESIDUAL or less, both checked exactly.  The
 pipeline doubles its box radius from _INITIAL_RADIUS up to _MAX_RADIUS.
+For each query it first finds the smallest radius whose box holds a root
+of the query (boundary clearance, then a complete, nonempty fiber); from
+there it checks the bounded certificates first at each radius: the
+query's boundary clearance and the base-to-query path segment, both under
+a split budget, then the query's and the base's fiber solves, whose cost
+grows with the box.
 """
 
 from __future__ import annotations
@@ -590,28 +596,41 @@ class _GrowNeeded(Exception):
     pass
 
 
-def _certified_pair(F: PolyMap, z: Point, box: IntervalBox,
-                    solver: SolverConfig | None) -> tuple[ClearanceResult, FiberResult]:
-    clearance = boundary_clearance(F, z, box)
-    if not clearance.ok:
-        raise _GrowNeeded(f"clearance failed: {clearance.failure}")
-    fiber = solve_fiber(F, z, box, solver)
-    if fiber.status != "complete":
-        raise _GrowNeeded(f"solver status {fiber.status}")
-    return clearance, fiber
+def _certificates(F: PolyMap, z: Point, solver: SolverConfig | None):
+    """The certified clearance and the complete fiber of z over the cube of
+    a radius about the origin, as two functions of the radius that compute
+    each once; one that fails raises _GrowNeeded, and is not kept."""
+    @functools.cache
+    def cleared(radius: Fraction) -> ClearanceResult:
+        clearance = boundary_clearance(F, z, IntervalBox.cube(F.n, radius))
+        if not clearance.ok:
+            raise _GrowNeeded(f"clearance failed: {clearance.failure}")
+        return clearance
+
+    @functools.cache
+    def solved(radius: Fraction) -> FiberResult:
+        fiber = solve_fiber(F, z, IntervalBox.cube(F.n, radius), solver)
+        if fiber.status != "complete":
+            raise _GrowNeeded(f"solver status {fiber.status}")
+        return fiber
+
+    return cleared, solved
 
 
 def _first_radius(n: int, radius: Fraction, attempt):
     """The first radius, doubling from radius up to _MAX_RADIUS, at which
-    attempt(radius, box) returns instead of raising _GrowNeeded, with that
-    value; (None, None) when the cap is passed first.  box is the cube of
-    that radius about the origin."""
+    attempt(radius, box) returns instead of raising _GrowNeeded, as
+    (radius, value, ""); box is the cube of that radius about the origin.
+    When the cap is passed first, (None, None, last), where last names the
+    largest radius tried and why it was turned down ("" if none was)."""
+    last = ""
     while radius <= _MAX_RADIUS:
         try:
-            return radius, attempt(radius, IntervalBox.cube(n, radius))
-        except _GrowNeeded:
+            return radius, attempt(radius, IntervalBox.cube(n, radius)), ""
+        except _GrowNeeded as why:
+            last = f"; last at radius {radius}: {why}"
             radius *= 2
-    return None, None
+    return None, None, last
 
 
 def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]],
@@ -622,10 +641,20 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
     Step 1 fixes a base point with a certified singleton fiber: the
     origin for cubic/cube-linear forms, else a caller-supplied point
     defaulting to F(0).  Step 2 grows a centered box (radius doubling)
-    per query until fibers, clearances, and the base-to-query segment
-    all certify.  Step 3 compares the degree at the query and at the
-    base over the same box; a failed path certificate downgrades the
-    query to inconclusive rather than being assumed away.
+    per query until four certificates hold: the query's boundary
+    clearance, the base-to-query path segment, the query's fiber
+    (complete and nonempty), and the base's clearance and fiber.  Up to
+    the first radius whose box holds a root of the query, an empty fiber
+    turns a radius down, as a solve on a box holding no root is cheap
+    (the segment must fail there too, the degrees differing).  From then
+    on the order is clearance, segment, then the fiber solves: the first
+    two run under split budgets, so a radius they turn down costs no
+    solve.  The first radius at which all four hold does not depend on
+    the order.  When the radius cap is passed first, the note names the
+    last radius tried and the certificate that failed there.  Step 3
+    compares the degree at the query and at the base over the same box;
+    a failed path certificate downgrades the query to inconclusive rather
+    than being assumed away.
 
     Any multi-point fiber met along the way is converted into an exact
     collision witness and reported as non-injectivity.  solver configures
@@ -643,25 +672,14 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
     else:
         base_point = _rational_point(base)
 
-    base_cache: dict[Fraction, tuple[ClearanceResult, FiberResult]] = {}
+    base_cleared, base_solved = _certificates(F, base_point, solver)
 
     def base_at(radius: Fraction, box: IntervalBox):
-        if radius not in base_cache:
-            base_cache[radius] = _certified_pair(F, base_point, box, solver)
-        return base_cache[radius]
-
-    def query_at(q: Point, radius: Fraction, box: IntervalBox):
-        clr_q, fib_q = _certified_pair(F, q, box, solver)
-        if not fib_q.roots:
-            raise _GrowNeeded("query fiber empty so far")
-        clr_b, fib_b = base_at(radius, box)
-        seg = path_segment_clearance(F, box, base_point, q)
-        if not seg.ok:
-            raise _GrowNeeded(f"path segment: {seg.failure}")
-        return clr_q, fib_q, clr_b, fib_b
+        return base_cleared(radius), base_solved(radius)
 
     # Step 1: base fiber must be a certified singleton
-    base_radius, base_pair = _first_radius(n, Fraction(_INITIAL_RADIUS), base_at)
+    base_radius, base_pair, base_last = _first_radius(
+        n, Fraction(_INITIAL_RADIUS), base_at)
     base_fiber = None if base_pair is None else base_pair[1]
     if base_fiber is not None and len(base_fiber.roots) > 1:
         witness = witness_from_fiber(F, base_fiber)
@@ -674,7 +692,8 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
         return InjectivityReport(
             verdict="inconclusive", base_point=base_point, base_fiber=base_fiber,
             records=(),
-            detail="no certified base fiber within the radius cap" if base_fiber is None
+            detail="no certified base fiber within the radius cap" + base_last
+            if base_fiber is None
             else "base point has an empty certified fiber" if not base_fiber.roots
             else "base fiber has several roots but none pass the witness thresholds")
 
@@ -685,14 +704,35 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
         q = _rational_point(raw_query)
         if len(q) != n:
             raise ValueError(f"query {q} has wrong dimension")
-        radius, pairs = _first_radius(
-            n, max(base_radius, *(abs(v) * 2 for v in q), Fraction(1)),
-            functools.partial(query_at, q))
+        cleared, solved = _certificates(F, q, solver)
+
+        def holds_root(radius: Fraction, box: IntervalBox):
+            # where the box holds no root of the query the path segment
+            # fails too, the degree being 0 at the query and nonzero at
+            # the base, but only after spending its whole split budget
+            cleared(radius)
+            if not solved(radius).roots:
+                raise _GrowNeeded("query fiber empty so far")
+
+        def query_at(radius: Fraction, box: IntervalBox):
+            # a complete fiber here holds the roots found at a smaller
+            # radius, so it is not empty
+            clr_q = cleared(radius)
+            seg = path_segment_clearance(F, box, base_point, q)
+            if not seg.ok:
+                raise _GrowNeeded(f"path segment: {seg.failure}")
+            return clr_q, solved(radius), *base_at(radius, box)
+
+        rooted, _, last = _first_radius(
+            n, max(base_radius, *(abs(v) * 2 for v in q), Fraction(1)), holds_root)
+        radius = pairs = None
+        if rooted is not None:
+            radius, pairs, last = _first_radius(n, rooted, query_at)
         if pairs is None:
             records.append(QueryRecord(
                 query=q, radius=None, fiber_size=None, degree_at_query=None,
                 degree_at_base=None, path_certified=False,
-                note="radius cap reached without full certification"))
+                note="radius cap reached without full certification" + last))
             continue
         clr_q, fib_q, clr_b, fib_b = pairs
         deg_q = signed_count_from_fiber(fib_q, clr_q)

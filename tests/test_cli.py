@@ -271,6 +271,22 @@ def test_fibers_zero_component_ends_at_once(tmp_path, capsys, z, code, status):
     assert payload["results"]["count"] == 0
 
 
+def test_fibers_zero_determinant_empty_fiber(tmp_path, capsys):
+    # det JF vanishes identically and both residuals' enclosures reach
+    # zero on the outer box, but x1 + x2 = 0 and x1 + x2 = 1 have no common
+    # point: exclusion on the subdivided box proves the fiber empty
+    mapfile = tmp_path / "diagonal.map"
+    mapfile.write_text(json.dumps(
+        {"name": "diagonal", "n": 2, "components": ["x1 + x2", "x1 + x2"]}))
+    got, payload, _ = run_cli(capsys, "fibers", "--map", str(mapfile),
+                              "--box=-1:1,-1:1", "--z", "0,1")
+    assert got == 0
+    results = payload["results"]
+    assert results["status"] == "complete"
+    assert results["count"] == 0
+    assert results["boxes_processed"] == 9
+
+
 def test_cli_import_leaves_scipy_out():
     # scipy is a test dependency only; the CLI must not pay for its import
     src = str(Path(cli.__file__).resolve().parent.parent)

@@ -272,9 +272,26 @@ def _reference_solve_fiber(F, z, box, cfg=SolverConfig()):
     det = jacobian_det(F)
     outer_lo, outer_hi = np.array(box.lo), np.array(box.hi)
     if det.is_zero:
-        # the solver's one-box answer for a map with no certifiable root
-        alive = _reaches_zero(gs, outer_lo[None, :], outer_hi[None, :])[0]
-        return FiberResult((), "singular_suspect" if alive else "complete", SolveStats(1, 0))
+        # no root can be certified: exclusion alone, level by level, until
+        # nothing is left, a box cannot be split, or the next level would
+        # pass _ROW_BLOCK boxes in all
+        los, his = outer_lo[None, :], outer_hi[None, :]
+        boxes, depth, status = 0, 0, None
+        while status is None:
+            boxes += len(los)
+            alive = _reaches_zero(gs, los, his)
+            los, his = los[alive], his[alive]
+            if not len(los):
+                status = "complete"
+                continue
+            kids_lo, kids_hi, inside = fibersolve.split_widest(los, his, _SPLIT_RATIO)
+            widths = (his - los).max(axis=1)
+            if (boxes + len(kids_lo) > fibersolve._ROW_BLOCK or (~inside).any()
+                    or (widths <= _TARGET_WIDTH).any() or depth == cfg.max_depth):
+                status = "singular_suspect"
+            else:
+                los, his, depth = kids_lo, kids_hi, depth + 1
+        return FiberResult((), status, SolveStats(boxes, depth))
     roots, stuck_lo, stuck_hi = [], [], []
     boxes_processed = deepest = depth = 0
     los, his = outer_lo[None, :], outer_hi[None, :]
@@ -356,6 +373,10 @@ def test_solve_fiber_equals_breadth_first_reference(monkeypatch, row_block):
         (make_map("x1^2", "x2"), [0, 0], cube(2, 2.0), SolverConfig()),
         (make_map("x1^2"), [4], cube(1, 2.0), SolverConfig()),
         (make_map("x1^3 - 3*x1", "x2 + x1^2"), [0, 0], cube(2, 3.0), SolverConfig(max_depth=3)),
+        # det JF vanishes identically: exclusion alone decides
+        (make_map("x1 + x2", "x1 + x2"), [0, 1], cube(2, 1.0), SolverConfig()),
+        (make_map("0", "x2"), [0, 0], cube(2, 1.0), SolverConfig()),
+        (make_map("x1^2 + x2^2", "x1^2 + x2^2"), [0, 0], cube(2, 1.0), SolverConfig(max_depth=6)),
     ]
     statuses, roots = set(), 0
     for F, z, box, cfg in cases:

@@ -7,7 +7,7 @@ import pytest
 
 from degreelab.polycore import IntervalBox, parse_poly
 from degreelab.mapforms import PolyMap, jacobian_det, jacobian_matrix, keller_check, realify
-from degreelab import fibersolve
+from degreelab import fibersolve, injectlab
 from degreelab.fibersolve import solve_fiber, split_widest
 from degreelab.injectlab import (
     CollisionConfig,
@@ -654,3 +654,68 @@ def test_pipeline_caller_base():
     report = injectivity_pipeline(F, [[2, 2]], base=[Fraction(1, 2), 0])
     assert report.base_point == (Fraction(1, 2), 0)
     assert report.verdict == "consistent_with_injectivity"
+
+
+def _record_pipeline_calls(monkeypatch, query):
+    """Wrap the query's fiber solves and the path segment checks; returns the
+    box radii of the query's solves, of the segments that held and of the
+    segments that failed."""
+    solved, held, failed = [], [], []
+    segment, solve = injectlab.path_segment_clearance, injectlab.solve_fiber
+
+    def recording_segment(F, box, a, b):
+        result = segment(F, box, a, b)
+        (held if result.ok else failed).append(box.hi[0])
+        return result
+
+    def recording_solve(F, z, box, cfg=None):
+        if tuple(z) == query:
+            solved.append(box.hi[0])
+        return solve(F, z, box, cfg)
+
+    monkeypatch.setattr(injectlab, "path_segment_clearance", recording_segment)
+    monkeypatch.setattr(injectlab, "solve_fiber", recording_solve)
+    return solved, held, failed
+
+
+def test_pipeline_solves_no_query_fiber_where_the_segment_failed(monkeypatch):
+    # on this map the base-to-query segment runs out of splits at every
+    # radius.  The query's fiber is solved once, at the first radius (50),
+    # whose box holds its root; every later radius is turned down by the
+    # segment before any fiber solve, and the cap note names the segment
+    F = make_map(2, "18*x1^4 - 12*x1^2*x2 + 6*x1^2 + 2*x2^2 + x1 - 2*x2",
+                 "-3*x1^2 + x2")
+    query = (Fraction(25), Fraction(-3))
+    monkeypatch.setattr(injectlab, "_MAX_RADIUS", 1600)
+    solved, held, failed = _record_pipeline_calls(monkeypatch, query)
+    report = injectivity_pipeline(F, [query])
+    assert failed == [50.0, 100.0, 200.0, 400.0, 800.0, 1600.0] and not held
+    assert solved == [50.0]
+    assert report.verdict == "inconclusive"
+    (record,) = report.records
+    assert record.radius is None and not record.path_certified
+    assert record.note == ("radius cap reached without full certification; "
+                           "last at radius 1600: path segment: split budget exhausted")
+
+
+def test_pipeline_checks_no_segment_while_the_query_fiber_is_empty(monkeypatch):
+    # the root (-27, 3) of the query lies outside the boxes of radius 6, 12
+    # and 24; the segment must fail there, but an empty fiber turns those
+    # radii down first, and the segment is checked only at radius 48
+    query = (Fraction(0), Fraction(3))
+    solved, held, failed = _record_pipeline_calls(monkeypatch, query)
+    report = injectivity_pipeline(make_map(2, "x1 + x2^3", "x2"), [query])
+    assert report.verdict == "consistent_with_injectivity"
+    assert report.records[0].radius == 48
+    assert solved == [6.0, 12.0, 24.0, 48.0]
+    assert held == [48.0] and not failed
+
+
+def test_pipeline_base_cap_names_the_failed_certificate(monkeypatch):
+    # the base point (1, 0) lies on the image of the radius-1 box's
+    # boundary, and the cap allows no larger box
+    monkeypatch.setattr(injectlab, "_MAX_RADIUS", 1)
+    report = injectivity_pipeline(PolyMap.identity(2), [[0, 0]], base=[1, 0])
+    assert report.verdict == "inconclusive" and report.base_fiber is None
+    assert report.detail.startswith("no certified base fiber within the radius cap; "
+                                    "last at radius 1: clearance failed: ")
