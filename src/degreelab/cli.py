@@ -39,7 +39,7 @@ import jsonschema
 from . import __version__
 from .polycore import IntervalBox, Poly, PolyParseError, parse_poly, poly_to_string
 from .mapforms import PolyMap, jacobian_det, keller_check, recognize_form
-from .fibersolve import SolverConfig, bezout_bound, solve_fiber
+from .fibersolve import SolverConfig, bezout_bound, boundary_clearance, solve_fiber
 from .degree import (
     DegreeComputationError,
     degree_integral,
@@ -253,8 +253,10 @@ def _cmd_degree(args, mf: MapFile) -> tuple[dict, dict, int]:
     box = _parse_box(args.box, F.n)
     z = _parse_point(args.z, F.n)
     cfg = _solver_config(args)
-    methods = {"count": lambda: degree_signed_count(F, box, z, cfg),
-               "integral": lambda: degree_integral(F, box, z)}
+    # with --method both, the two methods read one boundary certificate
+    clearance = boundary_clearance(F, z, box)
+    methods = {"count": lambda: degree_signed_count(F, box, z, cfg, clearance),
+               "integral": lambda: degree_integral(F, box, z, clearance=clearance)}
     results: dict = {"method": args.method}
     code = EXIT_CLEAN
     values = []

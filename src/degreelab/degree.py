@@ -113,9 +113,17 @@ def signed_count_from_fiber(fiber: FiberResult, clearance: ClearanceResult) -> D
 
 
 def degree_signed_count(F: PolyMap, box: IntervalBox, z: Sequence[Fraction | int],
-                        cfg: SolverConfig | None = None) -> DegreeResult:
-    """Degree as the sum of Jacobian signs over the certified fiber."""
-    clearance = boundary_clearance(F, z, box)
+                        cfg: SolverConfig | None = None,
+                        clearance: ClearanceResult | None = None) -> DegreeResult:
+    """Degree as the sum of Jacobian signs over the certified fiber.
+
+    clearance is a certificate that z stays off the image of the box
+    boundary, such as a family's clearance over (box boundary) x [0, 1];
+    without one, boundary_clearance computes it, sharpened, since the
+    result reports its m.
+    """
+    if clearance is None:
+        clearance = boundary_clearance(F, z, box)
     if not clearance.ok:
         raise PreconditionViolation(
             "boundary", f"no certified clearance ({clearance.failure})")
@@ -300,21 +308,26 @@ class QuadratureConfig:
 
 
 def degree_integral(F: PolyMap, box: IntervalBox, z: Sequence[Fraction | int],
-                    quad: QuadratureConfig | None = None) -> DegreeResult:
+                    quad: QuadratureConfig | None = None,
+                    clearance: ClearanceResult | None = None) -> DegreeResult:
     """Degree as the box average of weight(|F - z|) times det JF.
 
     The weight's scale is set to half the certified boundary clearance,
-    so its support cannot reach the image of the boundary.  Each round
-    draws as many Halton points as were drawn before (start_samples in
-    the first) and evaluates them in blocks of _ROW_BLOCK rows, the n
-    components and det JF sharing one power table per block; the round's
-    per-point products are summed in one np.sum.
+    so its support cannot reach the image of the boundary.  clearance is
+    that certificate when the caller already has it; its m sets the
+    scale, so it should be boundary_clearance's sharpened one, which is
+    computed here when none is given.  Each round draws as many Halton
+    points as were drawn before (start_samples in the first) and
+    evaluates them in blocks of _ROW_BLOCK rows, the n components and
+    det JF sharing one power table per block; the round's per-point
+    products are summed in one np.sum.
     """
     quad = quad or QuadratureConfig()
     n = F.n
     if box.dims != n:
         raise ValueError(f"box has {box.dims} dims, expected {n}")
-    clearance = boundary_clearance(F, z, box)
+    if clearance is None:
+        clearance = boundary_clearance(F, z, box)
     if not clearance.ok:
         raise PreconditionViolation(
             "boundary", f"no certified clearance ({clearance.failure})")
@@ -414,6 +427,9 @@ def homotopy_constancy_check(family: Sequence[Poly], box: IntervalBox,
     variable being the parameter.  First the target is certified to stay
     off the image of (box boundary) x [0,1]; if that fails the degrees
     are not computed.  Then the degree is counted at each grid value.
+    The family certificate serves as each grid instance's boundary
+    certificate, as it covers the boundary at every t in [0, 1]; only its
+    ok and failure are read, so it is not sharpened.
     """
     n = _family_arity(family, box)
     ts = tuple(Fraction(t) for t in t_grid)
@@ -423,7 +439,7 @@ def homotopy_constancy_check(family: Sequence[Poly], box: IntervalBox,
         raise ValueError("parameter grid must lie in [0, 1]")
     target = [Fraction(v) for v in z]
     shifted = [p - Poly.const(n + 1, zi) for p, zi in zip(family, target)]
-    clearance = certified_clearance(shifted, _faces_times_unit(box))
+    clearance = certified_clearance(shifted, _faces_times_unit(box), improve_splits=0)
     if not clearance.ok:
         return HomotopyReport(
             boundary_certified=False,
@@ -437,7 +453,8 @@ def homotopy_constancy_check(family: Sequence[Poly], box: IntervalBox,
     for t in ts:
         instance = PolyMap([p.substitute(n + 1, t) for p in family])
         try:
-            degrees.append(degree_signed_count(instance, box, target, cfg).value)
+            degrees.append(
+                degree_signed_count(instance, box, target, cfg, clearance).value)
         except DegreeComputationError as exc:
             degrees.append(None)
             failures.append(f"t={t}: {exc}")
@@ -466,7 +483,8 @@ def path_segment_clearance(F: PolyMap, box: IntervalBox,
 
     Builds residuals F_i(x) - (a_i + s (b_i - a_i)) in one extra segment
     variable s and bounds their squared norm away from zero over
-    (box faces) x [0,1].
+    (box faces) x [0,1].  Callers read only ok and failure, so m is not
+    sharpened.
     """
     n = F.n
     seg = Poly.var(n + 1, n + 1)
@@ -474,7 +492,7 @@ def path_segment_clearance(F: PolyMap, box: IntervalBox,
     for i, comp in enumerate(F.components):
         drift = Fraction(b[i]) - Fraction(a[i])
         polys.append(comp.pad(1) - Poly.const(n + 1, Fraction(a[i])) - seg.scale(drift))
-    return certified_clearance(polys, _faces_times_unit(box))
+    return certified_clearance(polys, _faces_times_unit(box), improve_splits=0)
 
 
 def component_constancy_check(F: PolyMap, box: IntervalBox,

@@ -521,6 +521,16 @@ def certified_min_sum_squares(polys: Sequence[Poly], regions: Sequence[IntervalB
     0.0 when some sub-box could not be pushed off zero within budget —
     a sound but useless bound, reported as failure.
 
+    Once every box is pushed off zero, improve_splits more splits of the
+    weakest box sharpen the bound.  That phase exists for callers that
+    report the bound itself (the degree command's clearance, and the
+    integral's weight scale derived from it).  It never changes whether
+    the call fails or its failure text, as it starts only once every box
+    is positive and a budget or depth that runs out in it ends the phase,
+    not the call; and it never lowers the bound, as the enclosure is
+    inclusion-isotone, so a child's bound is at least its parent's.
+    Callers that read only success or failure pass improve_splits=0.
+
     Best-first on the key (lower bound, seq), seq numbering boxes as they
     are pushed; a heap entry names its box by its id in a _BoxTree.  When
     the popped box's children are not known yet, it and the boxes that
@@ -573,27 +583,32 @@ def certified_min_sum_squares(polys: Sequence[Poly], regions: Sequence[IntervalB
     return heap[0][0], examined, deepest, None
 
 
-def certified_clearance(polys: Sequence[Poly],
-                        regions: Sequence[IntervalBox]) -> ClearanceResult:
+def certified_clearance(polys: Sequence[Poly], regions: Sequence[IntervalBox],
+                        improve_splits: int = 300) -> ClearanceResult:
     """Certified lower bound m with |(polys)| >= m over the regions.
 
     m is the square root of certified_min_sum_squares' bound, one ulp down
     to guard the rounding of sqrt itself; m = 0 with its failure text when
-    that bound could not be certified.
+    that bound could not be certified.  improve_splits is the number of
+    sharpening splits spent on m once it is positive; ok and failure do not
+    depend on it, so a caller that reads only those passes 0.
     """
-    bound_sq, examined, deepest, failure = certified_min_sum_squares(polys, regions)
+    bound_sq, examined, deepest, failure = certified_min_sum_squares(
+        polys, regions, improve_splits=improve_splits)
     if failure is not None:
         return ClearanceResult(0.0, examined, deepest, failure)
     m = max(0.0, math.nextafter(math.sqrt(bound_sq), -math.inf))
     return ClearanceResult(m, examined, deepest, None)
 
 
-def boundary_clearance(F: PolyMap, z: Sequence[Fraction | int],
-                       box: IntervalBox) -> ClearanceResult:
+def boundary_clearance(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
+                       improve_splits: int = 300) -> ClearanceResult:
     """Certified lower bound m with min over the box boundary of |F - z| >= m.
 
     m = 0 means the certification failed (the target may touch the image
     of the boundary), never that the true clearance is known to be zero.
+    improve_splits is certified_clearance's: 0 when only ok and failure
+    are read.
     """
     if box.dims != F.n:
         raise ValueError(f"box has {box.dims} dims, expected {F.n}")
@@ -601,4 +616,4 @@ def boundary_clearance(F: PolyMap, z: Sequence[Fraction | int],
         raise ValueError(f"target has length {len(z)}, expected {F.n}")
     target = [Fraction(v) for v in z]
     gs = [p - Poly.const(F.n, t) for p, t in zip(F.components, target)]
-    return certified_clearance(gs, box_faces(box))
+    return certified_clearance(gs, box_faces(box), improve_splits)

@@ -602,7 +602,9 @@ def _certificates(F: PolyMap, z: Point, solver: SolverConfig | None):
     each once; one that fails raises _GrowNeeded, and is not kept."""
     @functools.cache
     def cleared(radius: Fraction) -> ClearanceResult:
-        clearance = boundary_clearance(F, z, IntervalBox.cube(F.n, radius))
+        # only ok and failure are read, so the bound is not sharpened
+        clearance = boundary_clearance(F, z, IntervalBox.cube(F.n, radius),
+                                       improve_splits=0)
         if not clearance.ok:
             raise _GrowNeeded(f"clearance failed: {clearance.failure}")
         return clearance

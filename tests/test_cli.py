@@ -220,6 +220,26 @@ def test_degree_both_methods(fixtures_dir, capsys):
     assert results["agree"] is True
 
 
+@pytest.mark.parametrize("z, code", [("0,0", 0), ("2,0", 2)])
+def test_degree_both_certifies_the_boundary_once(fixtures_dir, capsys, monkeypatch, z, code):
+    # both methods read one clearance; where it fails, each reports the
+    # error it reports alone
+    calls = []
+    real = cli.boundary_clearance
+    monkeypatch.setattr(cli, "boundary_clearance",
+                        lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    argv = ["degree", "--map", str(fixtures_dir / "triangular.map"), "--z", z,
+            "--box=-2:2,-2:2"]
+    got, payload, _ = run_cli(capsys, *argv, "--method", "both")
+    assert got == code and len(calls) == 1
+    results = payload["results"]
+    for method in ("count", "integral"):
+        _, alone, _ = run_cli(capsys, *argv, "--method", method)
+        assert results[method] == alone["results"][method]
+    if code:
+        assert results["count"]["error"].startswith("boundary: no certified clearance")
+
+
 def test_degree_zero(fixtures_dir, capsys):
     code, payload, _ = run_cli(
         capsys, "degree", "--map", str(fixtures_dir / "even.map"),

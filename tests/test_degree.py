@@ -1,4 +1,6 @@
+import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +21,7 @@ from degreelab import degree
 from degreelab.degree import (
     BudgetExceededError,
     Bump,
+    DegreeComputationError,
     IncompleteSolveError,
     PreconditionViolation,
     QuadratureConfig,
@@ -31,6 +34,8 @@ from degreelab.degree import (
     path_segment_clearance,
     signed_count_from_fiber,
 )
+
+from gen_maps import random_poly
 
 
 def make_map(n, *exprs):
@@ -393,6 +398,47 @@ def test_homotopy_boundary_hit_aborts():
     assert report.degrees == (None, None)
     assert report.constant is False
     assert report.failures
+
+
+def _random_family(rng, n):
+    # x + t * H(x) / 8 with a random cubic H: the target 0 often stays off
+    # the image of (box boundary) x [0, 1], and the degree is that of x
+    t = Poly.var(n + 1, n + 1)
+    return [Poly.var(n + 1, i + 1) + (t * random_poly(rng, n + 1, max_deg=3)).scale(
+        Fraction(1, 8)) for i in range(n)]
+
+
+def test_homotopy_family_certificate_serves_every_grid_instance(fixtures_dir, monkeypatch):
+    # the family clearance over (box boundary) x [0, 1] certifies each
+    # instance's boundary, so no instance clearance is computed, and the
+    # degrees equal those of a signed count that certifies each instance
+    rng = random.Random(1414)
+    fixture = json.loads((fixtures_dir / "family_cubic.map").read_text())
+    cases = [([parse_poly(e, 2) for e in fixture["components"]], cube(1, 2), [0])]
+    for n in (1, 1, 1, 2, 2, 2):
+        cases.append((_random_family(rng, n), cube(n, 2), [0] * n))
+    grid = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+    calls = []
+    real = degree.boundary_clearance
+    certified = 0
+    for family, box, z in cases:
+        n = box.dims
+        expected = []
+        for t in grid:
+            instance = PolyMap([p.substitute(n + 1, t) for p in family])
+            try:
+                expected.append(degree_signed_count(instance, box, z).value)
+            except DegreeComputationError:
+                expected.append(None)
+        with monkeypatch.context() as patch:
+            patch.setattr(degree, "boundary_clearance",
+                          lambda *args, **kw: calls.append(args) or real(*args, **kw))
+            report = homotopy_constancy_check(family, box, z, grid)
+        if report.boundary_certified:
+            certified += 1
+            assert report.degrees == tuple(expected), family
+    assert calls == []
+    assert certified >= 4
 
 
 def test_homotopy_validates_arity():

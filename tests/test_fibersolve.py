@@ -1,5 +1,6 @@
 """Tests for certified fiber enumeration and boundary clearance."""
 
+import functools
 import heapq
 import math
 import random
@@ -632,3 +633,28 @@ def test_min_sum_squares_equals_sequential_reference():
             assert got[3] is None and got[2] > 16
         else:
             assert got[3].startswith(failure), got
+
+
+def test_clearance_without_sharpening_keeps_ok_and_failure(monkeypatch):
+    # the sharpening splits start only once every box is positive, and a
+    # child's bound is never below its parent's, so skipping them leaves ok
+    # and the failure text alone and can only lower m; the random depth and
+    # split budgets stand in for the defaults, to reach every way to fail
+    rng = random.Random(6262)
+    outcomes = set()
+    for _ in range(200):
+        polys, regions, budgets = _random_clearance_case(rng)
+        del budgets["improve_splits"]
+        boxes = [IntervalBox.from_bounds(sides) for sides in regions]
+        with monkeypatch.context() as patch:
+            patch.setattr(fibersolve, "certified_min_sum_squares", functools.partial(
+                certified_min_sum_squares, **budgets))
+            plain = fibersolve.certified_clearance(polys, boxes, improve_splits=0)
+            sharp = fibersolve.certified_clearance(polys, boxes)
+        assert (plain.ok, plain.failure) == (sharp.ok, sharp.failure), (polys, regions)
+        assert plain.m <= sharp.m
+        expected, sharpened = _reference_min_sum_squares(
+            polys, regions, improve_splits=0, **budgets)
+        assert plain.boxes_examined == expected[1] and sharpened == 0
+        outcomes.add(plain.failure.split(" ")[0] if plain.failure else plain.m < sharp.m)
+    assert outcomes == {"sum-of-squares", "split", "degenerate", False, True}
