@@ -27,7 +27,13 @@ a best-first heap on the batched kernel eval_interval_batch, is exported
 with its conversion to a clearance (certified_clearance) for reuse by the
 degree module's boundary and path certifications.  Its look-ahead encloses
 whole subtrees below the boxes the heap is likely to pop next in one
-batch, since each batch costs far more than its rows.
+batch, since each batch costs far more than its rows.  Where the natural
+enclosures leave a box's bound at zero or below, each polynomial is
+enclosed again in mean-value form, p(c) + grad p(X) . (X - c) about the
+box's midpoint c, whose overestimation shrinks with the square of the box
+width; the natural enclosure's overestimation shrinks only linearly, and
+on the faces of a large box, whose terms cancel, it keeps a clearance from
+certifying at any depth the budget allows.
 """
 
 from __future__ import annotations
@@ -415,15 +421,52 @@ def box_faces(box: IntervalBox) -> list[IntervalBox]:
             for i in range(box.dims) for end in (lo[i], hi[i])]
 
 
-def _sum_squares_lower(polys, los: np.ndarray, his: np.ndarray) -> list[float]:
-    """Lower bound of the sum of the squared polynomials over each row."""
-    acc = np.zeros(len(los))
+def _squares_lower(encs, count: int) -> np.ndarray:
+    """Lower bound of the sum of the squares of the enclosures over each row."""
+    acc = np.zeros(count)
+    for lo, hi in encs:
+        acc = _next_down(acc + _pow_arrays(lo, hi, 2)[0])
+    return acc
+
+
+def _sum_squares_lower(polys, grads, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+    """Lower bound of the sum of the squared polynomials over each row.
+
+    Each polynomial's natural enclosure comes first.  On the rows whose
+    bound is not positive, each polynomial p is enclosed again in mean-value
+    form, p(c) + sum over i of dp/dx_i(X) * (X_i - c_i) with c the row's
+    float midpoint, the sum over the derivatives that are not identically
+    zero and every product and sum rounded outward.  The bound of those
+    rows is recomputed from the intersection of the two enclosures, in
+    which a NaN bound of the form leaves the natural one.  grads[k][i] is
+    the derivative of polys[k] by x_(i+1).
+    """
     pows: dict = {}
     with np.errstate(all="ignore"):
-        for p in polys:
-            lo, hi = p.eval_interval_batch(los, his, pows)
-            acc = _next_down(acc + _pow_arrays(lo, hi, 2)[0])
-    return acc.tolist()
+        encs = [p.eval_interval_batch(los, his, pows) for p in polys]
+        bound = _squares_lower(encs, len(los))
+        redo = np.nonzero(~(bound > 0.0))[0]
+        if redo.size:
+            xl, xh = los[redo], his[redo]
+            mid = xl + 0.5 * (xh - xl)
+            # beyond the float range the midpoint may fall outside its side
+            mid = np.where((xl <= mid) & (mid <= xh), mid, xl)
+            off_lo, off_hi = _next_down(xl - mid), _next_up(xh - mid)
+            at_mid: dict = {}
+            at_box: dict = {}
+            tight = []
+            for p, grad, (lo, hi) in zip(polys, grads, encs):
+                mv_lo, mv_hi = p.eval_interval_batch(mid, mid, at_mid)
+                for i, g in enumerate(grad):
+                    if g.is_zero:
+                        continue
+                    t_lo, t_hi = _mul_arrays(*g.eval_interval_batch(xl, xh, at_box),
+                                             off_lo[:, i], off_hi[:, i])
+                    mv_lo = _next_down(mv_lo + t_lo)
+                    mv_hi = _next_up(mv_hi + t_hi)
+                tight.append((np.fmax(lo[redo], mv_lo), np.fmin(hi[redo], mv_hi)))
+            bound[redo] = _squares_lower(tight, len(redo))
+    return bound
 
 
 class _BoxTree:
@@ -434,19 +477,28 @@ class _BoxTree:
     child is first[id] + 1), or -1 while its children are unknown, and
     inside[id] is 1 when its split point fell strictly inside the side.
     first and inside are compact arrays, since the 20,000-split calls of
-    the path clearance keep tens of thousands of boxes.
+    the path clearance keep tens of thousands of boxes.  grads holds the
+    derivatives of the polynomials that _sum_squares_lower reads, formed
+    once per tree.
     """
 
     def __init__(self, polys, los: np.ndarray, his: np.ndarray):
         self.polys = polys
+        self.grads = [[p.diff(i) for i in range(1, p.nvars + 1)] for p in polys]
         self.lo, self.hi = los, his
-        self.bound = _sum_squares_lower(polys, los, his)
+        self.bound = _sum_squares_lower(polys, self.grads, los, his).tolist()
         self.first = array("q", [-1] * len(self.bound))
         self.inside = bytearray(len(self.bound))
 
     def split(self, parents: list[int], depth: int) -> None:
         """Split the parents depth levels deep and enclose every descendant
-        in one batch; the children of the deepest level stay unknown."""
+        in one batch; the children of the deepest level stay unknown.
+
+        A child's bound is raised to its parent's where lower, which holds
+        on the child as it lies inside the parent: the mean-value enclosure
+        is not inclusion-isotone, and the sharpening splits of
+        certified_min_sum_squares must never lower the bound.
+        """
         lo, hi = self.lo[parents], self.hi[parents]
         levels = []
         with np.errstate(all="ignore"):
@@ -469,7 +521,13 @@ class _BoxTree:
                 self.inside.extend(bytes(len(lo)))
         kids_lo = np.concatenate([level[0] for level in levels])
         kids_hi = np.concatenate([level[1] for level in levels])
-        self.bound.extend(_sum_squares_lower(self.polys, kids_lo, kids_hi))
+        bound = _sum_squares_lower(self.polys, self.grads, kids_lo, kids_hi)
+        above = np.array([self.bound[node] for node in parents])
+        start = 0
+        for lo, _, _ in levels:
+            above = np.maximum(bound[start:start + len(lo)], np.repeat(above, 2))
+            self.bound.extend(above.tolist())
+            start += len(lo)
         end = len(self.first)
         if end > len(self.lo):
             rows = max(end, len(self.lo) * 3 // 2)
@@ -527,9 +585,9 @@ def certified_min_sum_squares(polys: Sequence[Poly], regions: Sequence[IntervalB
     integral's weight scale derived from it).  It never changes whether
     the call fails or its failure text, as it starts only once every box
     is positive and a budget or depth that runs out in it ends the phase,
-    not the call; and it never lowers the bound, as the enclosure is
-    inclusion-isotone, so a child's bound is at least its parent's.
-    Callers that read only success or failure pass improve_splits=0.
+    not the call; and it never lowers the bound, as a child's bound is
+    raised to its parent's where lower (_BoxTree.split).  Callers that read
+    only success or failure pass improve_splits=0.
 
     Best-first on the key (lower bound, seq), seq numbering boxes as they
     are pushed; a heap entry names its box by its id in a _BoxTree.  When

@@ -8,6 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
+import bench_record  # noqa: E402
 from bench_record import counter_diff, verdict, wins  # noqa: E402
 
 PARENT = [5.0, 5.1, 4.9, 5.0, 5.2, 4.8, 5.0, 5.1, 4.9, 5.0]
@@ -69,3 +70,25 @@ def test_counter_diff_names_a_count_one_side_lacks():
         "fibersolve.solve_fiber.boxes": {"parent": None, "change": 23151.0}}
     # names outside BENCHMARK.json's per-layer list are ignored
     assert counter_diff({}, {"made.up.calls": 1.0}) == {}
+
+
+@pytest.mark.parametrize("pairs, expected", [
+    ((), {"fibers": 10, "inject": 10}),
+    (("--pairs", "3"), {"fibers": 3, "inject": 3}),
+    (("--pairs", "3", "--pairs", "12"), {"fibers": 3, "inject": 12}),
+])
+def test_pairs_default_to_ten(tmp_path, monkeypatch, pairs, expected):
+    got = {}
+    monkeypatch.setattr(bench_record, "record",
+                        lambda trees, workload, seed, n: got.setdefault(workload, n))
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--seed", "7",
+            "--workload", "fibers", "--workload", "inject", "--out", str(tmp_path / "b.json")]
+    assert bench_record.main(argv + list(pairs)) == 0
+    assert got == expected
+
+
+def test_pairs_below_one_are_refused(tmp_path):
+    with pytest.raises(SystemExit):
+        bench_record.main(["--parent", ".", "--change", ".", "--seed", "7",
+                           "--workload", "fibers", "--pairs", "0",
+                           "--out", str(tmp_path / "b.json")])

@@ -382,6 +382,21 @@ def test_inject_triangular(fixtures_dir, capsys):
     assert results["records"][0]["degree_at_query"] == 1
 
 
+def test_inject_certifies_the_segment_on_a_quartic_keller_map(tmp_path, capsys):
+    # the natural enclosure of the face terms, of size R^4, runs out of splits
+    # on this path segment at every radius; the mean-value fallback clears it
+    # at radius 100, the first whose boundary image the segment misses
+    mapfile = tmp_path / "r16split.map"
+    mapfile.write_text(json.dumps({"name": "r16split", "n": 2, "components": [
+        "18*x1^4 - 12*x1^2*x2 + 6*x1^2 + 2*x2^2 + x1 - 2*x2", "-3*x1^2 + x2"]}))
+    code, payload, _ = run_cli(capsys, "inject", "--map", str(mapfile), "--z=25,-3")
+    assert code == 0
+    results = payload["results"]
+    assert results["verdict"] == "consistent_with_injectivity"
+    (record,) = results["records"]
+    assert record["radius"] == "100" and record["path_certified"] is True
+
+
 def test_inject_requires_keller(fixtures_dir, capsys):
     code = main(["inject", "--map", str(fixtures_dir / "squares.map"),
                  "--z", "1,1"])

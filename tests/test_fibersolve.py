@@ -2,6 +2,7 @@
 
 import functools
 import heapq
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -482,25 +483,145 @@ def test_positivity_kernel_detects_zero():
     assert failure is not None
 
 
+def _squares_bound(encs):
+    """Lower bound of the sum of squares of the (lo, hi) enclosures."""
+    acc = 0.0
+    for lo, hi in encs:
+        if lo >= 0.0:
+            sq = math.nextafter(lo * lo, -math.inf)
+        elif hi <= 0.0:
+            sq = math.nextafter(hi * hi, -math.inf)
+        else:
+            sq = 0.0
+        acc = math.nextafter(acc + sq, -math.inf)
+    return acc
+
+
+def _natural_encs(polys, sides):
+    box = IntervalBox.from_bounds(sides)
+    return [(enc.lo, enc.hi) for enc in (p.eval_interval(box) for p in polys)]
+
+
+def _reference_lower(polys, sides):
+    """_sum_squares_lower on one box, from eval_interval and float scalars:
+    the natural bound, and where it is not positive, the bound of the
+    natural enclosures intersected with the mean-value ones, whose sums skip
+    the derivatives that are identically zero."""
+    encs = _natural_encs(polys, sides)
+    if _squares_bound(encs) > 0.0:
+        return _squares_bound(encs)
+    box = IntervalBox.from_bounds(sides)
+    mid = []
+    for lo, hi in sides:
+        c = lo + 0.5 * (hi - lo)
+        mid.append(c if lo <= c <= hi else lo)
+    offsets = [(math.nextafter(lo - c, -math.inf), math.nextafter(hi - c, math.inf))
+               for (lo, hi), c in zip(sides, mid)]
+    tight = []
+    for p, (lo, hi) in zip(polys, encs):
+        at_mid = p.eval_interval(IntervalBox(mid, mid))
+        mv_lo, mv_hi = at_mid.lo, at_mid.hi
+        for i, (off_lo, off_hi) in enumerate(offsets):
+            grad = p.diff(i + 1)
+            if grad.is_zero:
+                continue
+            grad = grad.eval_interval(box)
+            products = [a * b for a in (grad.lo, grad.hi) for b in (off_lo, off_hi)]
+            if any(math.isnan(v) for v in products):
+                t_lo = t_hi = math.nan
+            else:
+                t_lo = math.nextafter(min(products), -math.inf)
+                t_hi = math.nextafter(max(products), math.inf)
+            mv_lo = math.nextafter(mv_lo + t_lo, -math.inf)
+            mv_hi = math.nextafter(mv_hi + t_hi, math.inf)
+        tight.append((lo if math.isnan(mv_lo) else max(lo, mv_lo),
+                      hi if math.isnan(mv_hi) else min(hi, mv_hi)))
+    return _squares_bound(tight)
+
+
+def _fallback_case(rng, scale):
+    """Polynomials about a point, about half of them vanishing there, and
+    boxes of widths from 1e-8 to 1 relative to the point, about the point or
+    up to a width off it, some with degenerate sides as on the faces of a
+    box."""
+    n = rng.randint(1, 3)
+    point = [Fraction(rng.uniform(-scale, scale)) for _ in range(n)]
+    # in the coordinates about the point, whose terms cancel far from the
+    # origin as the face terms of a large box do
+    about = [Poly.var(n, i + 1) - x for i, x in enumerate(point)]
+    polys = []
+    for _ in range(rng.choice([n, n, rng.randint(1, 3)])):
+        p = random_poly(rng, n, max_deg=3)
+        polys.append((p - p.constant_value() if rng.random() < 0.5 else p).compose(about))
+    rows = []
+    for _ in range(16):
+        sides = []
+        for x in point:
+            width = 0.0 if rng.random() < 0.3 else 10 ** rng.uniform(-8, 0) * max(1.0, abs(x))
+            gap = rng.choice([-rng.random(), rng.uniform(0.01, 1), -1 - rng.uniform(0.01, 1)])
+            lo = float(x + Fraction(gap * width))
+            sides.append((lo, lo + width))
+        rows.append(sides)
+    return polys, rows
+
+
+def _kernel_bounds(polys, rows):
+    los = np.array([[lo for lo, _ in sides] for sides in rows])
+    his = np.array([[hi for _, hi in sides] for sides in rows])
+    grads = [[p.diff(i) for i in range(1, p.nvars + 1)] for p in polys]
+    return fibersolve._sum_squares_lower(polys, grads, los, his).tolist()
+
+
+def test_sum_squares_fallback_is_sound_and_never_below_natural():
+    # the kernel's bound on a box is at most the exact sum of squares at its
+    # corners, its midpoint and random rational points, and at least the
+    # natural enclosure's bound, so a clearance that held without the
+    # mean-value fallback still holds; coordinates reach 1e5, as on the faces
+    # of the pipeline's path segment clearances
+    rng = random.Random(7373)
+    raised = 0
+    for _ in range(60):
+        polys, rows = _fallback_case(rng, rng.choice([1.0, 1e2, 1e5]))
+        for sides, bound in zip(rows, _kernel_bounds(polys, rows)):
+            natural = _squares_bound(_natural_encs(polys, sides))
+            assert bound >= natural, (polys, sides)
+            assert bound == _reference_lower(polys, sides), (polys, sides)
+            raised += natural <= 0.0 < bound
+            exact = [[Fraction(lo), Fraction(hi)] for lo, hi in sides]
+            points = [list(corner) for corner in itertools.product(*exact)]
+            points.append([(lo + hi) / 2 for lo, hi in exact])
+            points += [[lo + Fraction(rng.random()) * (hi - lo) for lo, hi in exact]
+                       for _ in range(3)]
+            for point in points:
+                assert Fraction(bound) <= sum(p.eval(point) ** 2 for p in polys), (
+                    polys, sides, point)
+    assert raised >= 50, raised
+
+
+def test_sum_squares_fallback_near_float_max_gives_zero():
+    # coefficients near the largest float overflow both enclosures; the
+    # bound on boxes holding a zero must stay at most zero, never NaN, and the
+    # heap must fail with bound 0.0 rather than raise
+    rng = random.Random(7474)
+    for _ in range(40):
+        polys, rows = _fallback_case(rng, rng.choice([1.0, 1e2]))
+        point = [lo + rng.random() * (hi - lo) for lo, hi in rows[0]]
+        polys = [p.scale(Fraction(4e307)) for p in polys]
+        polys = [p - p.eval([Fraction(x) for x in point]) for p in polys]
+        bounds = _kernel_bounds(polys, rows)
+        assert not any(math.isnan(b) for b in bounds)
+        assert bounds[0] <= 0.0
+        bound, _, _, failure = certified_min_sum_squares(
+            polys, [IntervalBox.from_bounds(sides) for sides in rows], split_budget=20)
+        assert bound == 0.0 and failure is not None
+
+
 def _reference_min_sum_squares(polys, regions, max_depth, split_budget, improve_splits):
     """The clearance heap one box at a time: pop the weakest box, split it
-    at its widest axis and enclose its two children.  Returns the tuple of
+    at its widest axis and enclose its two children, each child's bound
+    raised to its parent's where lower.  Returns the tuple of
     certified_min_sum_squares and the number of sharpening splits."""
-
-    def lower(sides):
-        box = IntervalBox.from_bounds(sides)
-        acc = 0.0
-        for p in polys:
-            enc = p.eval_interval(box)
-            if enc.lo >= 0.0:
-                sq = math.nextafter(enc.lo * enc.lo, -math.inf)
-            elif enc.hi <= 0.0:
-                sq = math.nextafter(enc.hi * enc.hi, -math.inf)
-            else:
-                sq = 0.0
-            acc = math.nextafter(acc + sq, -math.inf)
-        return acc
-
+    lower = functools.partial(_reference_lower, polys)
     heap = [(lower(sides), seq, 0, sides) for seq, sides in enumerate(regions)]
     heapq.heapify(heap)
     seq = examined = len(heap)
@@ -533,7 +654,7 @@ def _reference_min_sum_squares(polys, regions, max_depth, split_budget, improve_
         heapq.heappop(heap)
         for side in ((lo, at), (at, hi)):
             child = sides[:axis] + [side] + sides[axis + 1:]
-            heapq.heappush(heap, (lower(child), seq, depth + 1, child))
+            heapq.heappush(heap, (max(lower(child), low), seq, depth + 1, child))
             seq += 1
             examined += 1
             deepest = max(deepest, depth + 1)

@@ -679,23 +679,36 @@ def _record_pipeline_calls(monkeypatch, query):
 
 
 def test_pipeline_solves_no_query_fiber_where_the_segment_failed(monkeypatch):
-    # on this map the base-to-query segment runs out of splits at every
-    # radius.  The query's fiber is solved once, at the first radius (50),
-    # whose box holds its root; every later radius is turned down by the
-    # segment before any fiber solve, and the cap note names the segment
+    # the base-to-query segment crosses the image of the boundary of the
+    # radius-50 box (its preimage reaches x2 = 74) and clears that of every
+    # larger box.  The query's fiber is solved at radius 50, whose box holds
+    # its root; the segment turns that radius down, and radius 100 is
+    # certified.  With the cap at 50 no further radius is tried, and the cap
+    # note names the segment
     F = make_map(2, "18*x1^4 - 12*x1^2*x2 + 6*x1^2 + 2*x2^2 + x1 - 2*x2",
                  "-3*x1^2 + x2")
     query = (Fraction(25), Fraction(-3))
-    monkeypatch.setattr(injectlab, "_MAX_RADIUS", 1600)
+    with monkeypatch.context() as patch:
+        patch.setattr(injectlab, "_MAX_RADIUS", 1600)
+        solved, held, failed = _record_pipeline_calls(patch, query)
+        report = injectivity_pipeline(F, [query])
+    assert failed == [50.0] and held == [100.0]
+    assert solved == [50.0, 100.0]
+    assert report.verdict == "consistent_with_injectivity"
+    (record,) = report.records
+    assert record.radius == 100 and record.path_certified
+
+    monkeypatch.setattr(injectlab, "_MAX_RADIUS", 50)
     solved, held, failed = _record_pipeline_calls(monkeypatch, query)
     report = injectivity_pipeline(F, [query])
-    assert failed == [50.0, 100.0, 200.0, 400.0, 800.0, 1600.0] and not held
+    assert failed == [50.0] and not held
     assert solved == [50.0]
     assert report.verdict == "inconclusive"
     (record,) = report.records
     assert record.radius is None and not record.path_certified
     assert record.note == ("radius cap reached without full certification; "
-                           "last at radius 1600: path segment: split budget exhausted")
+                           "last at radius 50: path segment: sum-of-squares enclosure "
+                           "still reaches -1e-323 at depth 40")
 
 
 def test_pipeline_checks_no_segment_while_the_query_fiber_is_empty(monkeypatch):

@@ -6,10 +6,11 @@
         --workload fibers --seed 7 --pairs 3 --out BENCH_7.json
 
 The k-th --workload takes the k-th --seed and --pairs, or the last ones
-given.  Pair k runs ``python3 perfbench/run.py`` once in each tree, for
-the run_seconds of BENCHMARK.json (run.py's own default differs), the
-parent first when k is even and the change first when k is odd, so
-that a drift of the machine over time hits both sides alike.  After every
+given; without --pairs every workload gets 10 pairs.  Pair k runs
+``python3 perfbench/run.py`` once in each tree, for the run_seconds of
+BENCHMARK.json (run.py's own default differs), the parent first when k
+is even and the change first when k is odd, so that a drift of the
+machine over time hits both sides alike.  After every
 run the tree's ``.bench_build/perfbench/<workload>-<seed>/report-trace0.json``
 is read back.  Last, each tree makes one traced run (``--trace 1``) for the
 per-layer metrics.
@@ -39,6 +40,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SIDES = ("parent", "change")
+# fewer pairs have read "worse" on unchanged code
+DEFAULT_PAIRS = 10
 
 
 def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
@@ -141,9 +144,11 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True,
                         choices=[w["name"] for w in BENCHMARK["workloads"]])
     parser.add_argument("--seed", type=int, action="append", required=True)
-    parser.add_argument("--pairs", type=int, action="append", required=True)
+    parser.add_argument("--pairs", type=int, action="append",
+                        help=f"alternating pairs of runs (default {DEFAULT_PAIRS})")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
+    args.pairs = args.pairs or [DEFAULT_PAIRS]
     if min(args.pairs) < 1:
         parser.error("--pairs must be at least 1")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
