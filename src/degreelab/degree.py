@@ -1,4 +1,4 @@
-"""Topological degree of a polynomial map over a box, two ways.
+"""Topological degree of a polynomial map over a box, three ways.
 
 The signed-count method enumerates the certified fiber and adds the
 Jacobian signs; it is exact whenever the solver finishes.  The integral
@@ -6,7 +6,11 @@ method averages a compactly supported radial weight composed with the
 map, times the Jacobian determinant, over a low-discrepancy point set;
 it is a floating-point estimate that must land near an integer.  The two
 share no machinery beyond the boundary-clearance certificate, which is
-what makes their agreement a meaningful cross-check.
+what makes their agreement a meaningful cross-check.  For plane maps the
+winding method reads the degree off the box boundary alone, as the
+winding number of F - z along it (Kearfott, Numer. Math. 32 (1979);
+Aberth, Math. Comp. 62 (1994)); it is certified, needs no root to be
+simple or isolated, and says "undecided" rather than guess.
 
 Conventions the underlying theory does not fix — the weight profile and
 the quadrature scheme — are recorded in each result's diagnostics.
@@ -24,6 +28,8 @@ import numpy as np
 from .polycore import IntervalBox, Poly, _float_or_inf
 from .mapforms import PolyMap, jacobian_det
 from .fibersolve import (
+    _ROW_BLOCK,
+    _SPLIT_RATIO,
     ClearanceResult,
     FiberResult,
     SolverConfig,
@@ -32,6 +38,7 @@ from .fibersolve import (
     box_faces,
     certified_clearance,
     solve_fiber,
+    split_widest,
 )
 
 BUMP_PROFILE = "plateau of exp(-1/s) smoothsteps on [eps/8, 3*eps/4]"
@@ -129,6 +136,98 @@ def degree_signed_count(F: PolyMap, box: IntervalBox, z: Sequence[Fraction | int
             "boundary", f"no certified clearance ({clearance.failure})")
     fiber = solve_fiber(F, z, box, cfg)
     return signed_count_from_fiber(fiber, clearance)
+
+
+# ---------------------------------------------------------------------
+# Winding number (n = 2)
+# ---------------------------------------------------------------------
+
+# Quadrant of a nonzero plane vector by its sign pair, at index
+# 3 (s1 + 1) + (s2 + 1): q0 is v1 > 0, v2 >= 0, q1 v1 <= 0, v2 > 0, q2
+# v1 < 0, v2 <= 0, q3 v1 >= 0, v2 < 0.  The zero vector has none (-1).
+_QUADRANT = np.array([2, 2, 1, 3, -1, 1, 3, 0, 0])
+
+
+def _quadrants(gs: Sequence[Poly], pts: np.ndarray) -> np.ndarray:
+    """Quadrant of (g1, g2) at each row of pts.
+
+    Each sign comes from a point enclosure, and from exact evaluation at
+    the float point where that enclosure reaches zero.
+    """
+    pows: dict = {}
+    index = np.zeros(len(pts), dtype=np.int64)
+    for g, weight in zip(gs, (3, 1)):
+        lo, hi = g.eval_interval_batch(pts, pts, pows)
+        sign = (lo > 0.0).astype(np.int64) - (hi < 0.0)
+        for k in np.nonzero(~((lo > 0.0) | (hi < 0.0)))[0]:
+            value = g.eval(tuple(Fraction(float(x)) for x in pts[k]))
+            sign[k] = (value > 0) - (value < 0)
+        index += weight * (sign + 1)
+    return _QUADRANT[index]
+
+
+def winding_degree(F: PolyMap, z: Sequence[Fraction | int],
+                   box: IntervalBox) -> int | None:
+    """Degree of a plane map over the box as the winding number of F - z
+    along the box boundary, or None when undecided.
+
+    The four edges, counter-clockwise, are boxes with one degenerate side.
+    They are enclosed breadth first, one eval_interval_batch call per
+    component and level sharing one power table; a segment is decided
+    when the enclosure of g1 or of g2 excludes zero, and the others are
+    split by split_widest at _SPLIT_RATIO.  A decided segment's image lies
+    in an open half-plane, which covers exactly two adjacent quadrants, so
+    the quadrant step between its ends, in {-1, 0, 1}, is the signed count
+    of quadrant boundaries its image crosses.  The steps around the walk
+    sum to 4 times the degree.
+
+    A degenerate box side, a segment that cannot be split, or more than
+    _ROW_BLOCK segments in all give None: a target on F(boundary) is never
+    decided.  A step of 2, or a sum that is not a multiple of 4, raises
+    RuntimeError.
+    """
+    if F.n != 2 or box.dims != 2 or len(z) != 2:
+        raise ValueError("the winding degree needs a plane map, box and target")
+    (a1, a2), (b1, b2) = box.lo, box.hi
+    if a1 == b1 or a2 == b2:
+        return None
+    gs = [p - Poly.const(2, Fraction(t)) for p, t in zip(F.components, z)]
+    # bottom, right, top, left; the walk runs up the first two, down the others
+    los = np.array([[a1, a2], [b1, a2], [a1, b2], [a1, a2]])
+    his = np.array([[b1, a2], [b1, b2], [b1, b2], [a1, b2]])
+    edges = np.arange(4)
+    done: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    examined = 0
+    while len(los):
+        examined += len(los)
+        if examined > _ROW_BLOCK:
+            return None
+        pows: dict = {}
+        decided = np.zeros(len(los), dtype=bool)
+        for g in gs:
+            lo, hi = g.eval_interval_batch(los, his, pows)
+            decided |= (lo > 0.0) | (hi < 0.0)
+        done.append((edges[decided], los[decided], his[decided]))
+        los, his, inside = split_widest(los[~decided], his[~decided], _SPLIT_RATIO)
+        if not inside.all():
+            return None
+        edges = np.repeat(edges[~decided], 2)
+    edges, los, his = (np.concatenate(part) for part in zip(*done))
+    # each segment's first point along the walk, ordered by edge, then by
+    # the distance walked along its edge
+    up = edges < 2
+    starts = np.where(up[:, None], los, his)
+    along = starts[np.arange(len(edges)), edges % 2] * np.where(up, 1.0, -1.0)
+    quadrants = _quadrants(gs, starts[np.lexsort((along, edges))])
+    steps = (np.roll(quadrants, -1) - quadrants) % 4
+    if (quadrants < 0).any() or (steps == 2).any():
+        raise RuntimeError(
+            "a decided boundary segment left its half-plane; this is a soundness bug")
+    total = int(np.sum(np.where(steps == 3, -1, steps)))
+    if total % 4:
+        raise RuntimeError(
+            f"quadrant steps sum to {total}, not a multiple of 4; this is a soundness bug")
+    return total // 4
 
 
 # ---------------------------------------------------------------------
@@ -426,9 +525,11 @@ def homotopy_constancy_check(family: Sequence[Poly], box: IntervalBox,
     The family is given as n polynomials in n+1 variables, the last
     variable being the parameter.  First the target is certified to stay
     off the image of (box boundary) x [0,1]; if that fails the degrees
-    are not computed.  Then the degree is counted at each grid value.
-    The family certificate serves as each grid instance's boundary
-    certificate, as it covers the boundary at every t in [0, 1]; only its
+    are not computed.  Then the degree is found at each grid value: for
+    n = 2 as winding_degree, which needs no fiber solve, and otherwise, or
+    where the winding degree is undecided, as the signed count.  The
+    family certificate serves as each grid instance's boundary certificate
+    for the count, as it covers the boundary at every t in [0, 1]; only its
     ok and failure are read, so it is not sharpened.
     """
     n = _family_arity(family, box)
@@ -452,6 +553,10 @@ def homotopy_constancy_check(family: Sequence[Poly], box: IntervalBox,
     failures: list[str] = []
     for t in ts:
         instance = PolyMap([p.substitute(n + 1, t) for p in family])
+        wound = winding_degree(instance, target, box) if n == 2 else None
+        if wound is not None:
+            degrees.append(wound)
+            continue
         try:
             degrees.append(
                 degree_signed_count(instance, box, target, cfg, clearance).value)

@@ -18,11 +18,13 @@ A collision witness is two points _WITNESS_SEPARATION apart or more whose
 images differ by _WITNESS_RESIDUAL or less, both checked exactly.  The
 pipeline doubles its box radius from _INITIAL_RADIUS up to _MAX_RADIUS.
 For each query it first finds the smallest radius whose box holds a root
-of the query (boundary clearance, then a complete, nonempty fiber); from
-there it checks the bounded certificates first at each radius: the
-query's boundary clearance and the base-to-query path segment, both under
-a split budget, then the query's and the base's fiber solves, whose cost
-grows with the box.
+of the query (boundary clearance, then a nonzero degree); from there it
+checks the bounded certificates first at each radius: the query's
+boundary clearance and the base-to-query path segment, both under a split
+budget, then the query's degree and the base's fiber solve, whose cost
+grows with the box.  For a plane map the query's degree is the winding
+number of F - z along the box boundary, and the query's fiber is solved
+only when that is undecided or a collision witness needs the roots.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .fibersolve import (
     solve_fiber,
     split_widest,
 )
-from .degree import path_segment_clearance, signed_count_from_fiber
+from .degree import path_segment_clearance, signed_count_from_fiber, winding_degree
 
 Point = tuple[Fraction, ...]
 Evidence = tuple[Point, Fraction]
@@ -597,9 +599,11 @@ class _GrowNeeded(Exception):
 
 
 def _certificates(F: PolyMap, z: Point, solver: SolverConfig | None):
-    """The certified clearance and the complete fiber of z over the cube of
-    a radius about the origin, as two functions of the radius that compute
-    each once; one that fails raises _GrowNeeded, and is not kept."""
+    """The certified clearance, the complete fiber and the winding degree of
+    z over the cube of a radius about the origin, as three functions of the
+    radius that compute each once.  A clearance or fiber that fails raises
+    _GrowNeeded, and is not kept; the winding degree is None when undecided,
+    and always for n != 2."""
     @functools.cache
     def cleared(radius: Fraction) -> ClearanceResult:
         # only ok and failure are read, so the bound is not sharpened
@@ -616,7 +620,13 @@ def _certificates(F: PolyMap, z: Point, solver: SolverConfig | None):
             raise _GrowNeeded(f"solver status {fiber.status}")
         return fiber
 
-    return cleared, solved
+    @functools.cache
+    def wound(radius: Fraction) -> int | None:
+        if F.n != 2:
+            return None
+        return winding_degree(F, z, IntervalBox.cube(F.n, radius))
+
+    return cleared, solved, wound
 
 
 def _first_radius(n: int, radius: Fraction, attempt):
@@ -644,26 +654,34 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
     origin for cubic/cube-linear forms, else a caller-supplied point
     defaulting to F(0).  Step 2 grows a centered box (radius doubling)
     per query until four certificates hold: the query's boundary
-    clearance, the base-to-query path segment, the query's fiber
-    (complete and nonempty), and the base's clearance and fiber.  Up to
-    the first radius whose box holds a root of the query, an empty fiber
-    turns a radius down, as a solve on a box holding no root is cheap
-    (the segment must fail there too, the degrees differing).  From then
-    on the order is clearance, segment, then the fiber solves: the first
-    two run under split budgets, so a radius they turn down costs no
-    solve.  The first radius at which all four hold does not depend on
-    the order.  When the radius cap is passed first, the note names the
-    last radius tried and the certificate that failed there.  Step 3
-    compares the degree at the query and at the base over the same box;
-    a failed path certificate downgrades the query to inconclusive rather
-    than being assumed away.
+    clearance, the base-to-query path segment, the query's degree
+    (nonzero), and the base's clearance and fiber.  Every root of a
+    Keller map has the sign of det JF, so the query's fiber holds
+    deg * sign(det JF) points.  For n = 2 the degree is winding_degree,
+    and the query's fiber is solved only where that is undecided, or
+    where |deg| >= 2 and the roots are needed for a collision witness;
+    otherwise, and for n != 2, it is the signed count of the solved
+    fiber, which must be complete.  Up to the first radius whose box
+    holds a root of the query, a zero degree turns a radius down, as it
+    is cheap on a box holding no root (the segment must fail there too,
+    the degrees differing).  From then on the order is clearance,
+    segment, then the degree and the base's fiber solve: the first two
+    run under split budgets, so a radius they turn down costs no solve.
+    The first radius at which all four hold does not depend on the
+    order.  When the radius cap is passed first, the note names the last
+    radius tried and the certificate that failed there.  Step 3 compares
+    the degree at the query and at the base over the same box, which the
+    certified segment forces to agree; a failed path certificate
+    downgrades the query to inconclusive rather than being assumed away.
 
     Any multi-point fiber met along the way is converted into an exact
     collision witness and reported as non-injectivity.  solver configures
     every fiber solve.
     """
-    if not keller_check(F).is_keller:
+    status = keller_check(F)
+    if not status.is_keller:
         raise ValueError("pipeline requires a nonzero constant Jacobian determinant")
+    det_sign = 1 if status.constant_value > 0 else -1
     n = F.n
     if base is None:
         if recognize_form(F).form != "neither":
@@ -674,7 +692,7 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
     else:
         base_point = _rational_point(base)
 
-    base_cleared, base_solved = _certificates(F, base_point, solver)
+    base_cleared, base_solved, _ = _certificates(F, base_point, solver)
 
     def base_at(radius: Fraction, box: IntervalBox):
         return base_cleared(radius), base_solved(radius)
@@ -706,24 +724,30 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
         q = _rational_point(raw_query)
         if len(q) != n:
             raise ValueError(f"query {q} has wrong dimension")
-        cleared, solved = _certificates(F, q, solver)
+        cleared, solved, wound = _certificates(F, q, solver)
 
         def holds_root(radius: Fraction, box: IntervalBox):
             # where the box holds no root of the query the path segment
             # fails too, the degree being 0 at the query and nonzero at
-            # the base, but only after spending its whole split budget
+            # the base, but only after spending its whole split budget.
+            # Every root has the sign of det JF, so the box holds one
+            # exactly when the degree is not 0.
             cleared(radius)
-            if not solved(radius).roots:
+            deg = wound(radius)
+            if not (solved(radius).roots if deg is None else deg):
                 raise _GrowNeeded("query fiber empty so far")
 
         def query_at(radius: Fraction, box: IntervalBox):
-            # a complete fiber here holds the roots found at a smaller
-            # radius, so it is not empty
+            # the fiber is solved only for a witness (|deg| >= 2) or when
+            # the winding degree is undecided; a complete fiber here holds
+            # the roots found at a smaller radius, so it is not empty
             clr_q = cleared(radius)
             seg = path_segment_clearance(F, box, base_point, q)
             if not seg.ok:
                 raise _GrowNeeded(f"path segment: {seg.failure}")
-            return clr_q, solved(radius), *base_at(radius, box)
+            deg = wound(radius)
+            fib_q = None if deg in (1, -1) else solved(radius)
+            return deg, clr_q, fib_q, *base_at(radius, box)
 
         rooted, _, last = _first_radius(
             n, max(base_radius, *(abs(v) * 2 for v in q), Fraction(1)), holds_root)
@@ -736,22 +760,28 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
                 degree_at_base=None, path_certified=False,
                 note="radius cap reached without full certification" + last))
             continue
-        clr_q, fib_q, clr_b, fib_b = pairs
-        deg_q = signed_count_from_fiber(fib_q, clr_q)
-        deg_b = signed_count_from_fiber(fib_b, clr_b)
+        deg_q, clr_q, fib_q, clr_b, fib_b = pairs
+        if deg_q is None:
+            deg_q = signed_count_from_fiber(fib_q, clr_q).value
+        deg_b = signed_count_from_fiber(fib_b, clr_b).value
         for fib in (fib_q, fib_b):
-            if len(fib.roots) > 1 and witness is None:
+            if fib is not None and len(fib.roots) > 1 and witness is None:
                 witness = witness_from_fiber(F, fib)
-        if (len(fib_q.roots) == 1 and len(fib_b.roots) == 1
-                and deg_q.value != deg_b.value):
+        # the certified segment keeps both points in one component of the
+        # complement of F(boundary), where the degree is constant
+        if deg_q != deg_b:
             raise RuntimeError(
-                "certified singleton fibers on a certified path disagree in "
-                "degree; this is a soundness bug")
+                "certified degrees at the query and the base disagree on a "
+                "certified path; this is a soundness bug")
+        fiber_size = deg_q * det_sign
+        if fiber_size < 0:
+            raise RuntimeError(
+                f"degree {deg_q} has the opposite sign of det JF; this is a soundness bug")
         records.append(QueryRecord(
             query=q, radius=radius,
-            fiber_size=len(fib_q.roots),
-            degree_at_query=deg_q.value,
-            degree_at_base=deg_b.value,
+            fiber_size=fiber_size,
+            degree_at_query=deg_q,
+            degree_at_base=deg_b,
             path_certified=True))
 
     if witness is not None:

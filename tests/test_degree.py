@@ -33,9 +33,10 @@ from degreelab.degree import (
     homotopy_constancy_check,
     path_segment_clearance,
     signed_count_from_fiber,
+    winding_degree,
 )
 
-from gen_maps import random_poly
+from gen_maps import random_map, random_poly
 
 
 def make_map(n, *exprs):
@@ -189,6 +190,99 @@ def test_assembly_rejects_incomplete_fiber():
     good = ClearanceResult(1.0, 5, 2, None)
     with pytest.raises(IncompleteSolveError):
         signed_count_from_fiber(fiber, good)
+
+
+# ---------------------------------------------------------------------
+# Winding number
+# ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("exprs, expected", [
+    (("x1", "x2"), 1),
+    (("x1", "-x2"), -1),
+    (("x1^2 - x2^2", "2*x1*x2"), 2),
+    (("x1^3 - 3*x1*x2^2", "3*x1^2*x2 - x2^3"), 3),
+    (("x2", "x1"), -1),
+])
+def test_winding_known_degrees(exprs, expected):
+    # z^2 and z^3 have a singular root at 0, where the signed count fails
+    assert winding_degree(make_map(2, *exprs), [0, 0], cube(2, 1)) == expected
+
+
+def test_winding_target_on_boundary_image_undecided():
+    # (1, 0) is the image of a point of the right edge
+    assert winding_degree(PolyMap.identity(2), [1, 0], cube(2, 1)) is None
+
+
+def test_winding_target_outside_the_image_is_zero():
+    assert winding_degree(PolyMap.identity(2), [3, 0], cube(2, 1)) == 0
+
+
+def test_winding_degenerate_box_undecided():
+    box = IntervalBox((-1.0, 0.0), (1.0, 0.0))
+    assert winding_degree(PolyMap.identity(2), [0, 0], box) is None
+
+
+def test_winding_rejects_other_dimensions():
+    with pytest.raises(ValueError):
+        winding_degree(PolyMap.identity(3), [0, 0, 0], cube(3, 1))
+    with pytest.raises(ValueError):
+        winding_degree(PolyMap.identity(2), [0], cube(2, 1))
+
+
+def test_winding_exact_sign_fallback(monkeypatch):
+    # x1^2 - x2^2 vanishes at the corners, where its point enclosure
+    # straddles 0; exact evaluation there gives the sign 0
+    exact = []
+    real = Poly.eval
+
+    def recording_eval(self, point):
+        value = real(self, point)
+        exact.append((tuple(point), value))
+        return value
+
+    monkeypatch.setattr(Poly, "eval", recording_eval)
+    F = make_map(2, "x1^2 - x2^2", "2*x1*x2")
+    assert winding_degree(F, [0, 0], cube(2, 1)) == 2
+    assert ((1, 1), 0) in exact and ((-1, -1), 0) in exact
+
+
+def test_winding_coefficient_near_float_max_undecided():
+    # near the corners each component's two large terms overflow to
+    # opposite infinities, so their enclosures are everything
+    big = "17" + "0" * 307
+    F = make_map(2, f"{big}*x1^2 - {big}*x2^2 + x1", f"{big}*x2^2 - {big}*x1^2 + x2")
+    assert winding_degree(F, [0, 0], cube(2, 2)) is None
+
+
+def test_winding_step_of_two_is_a_soundness_bug(monkeypatch):
+    # quadrants 0 and 2 at neighbouring breakpoints: a half turn in one step
+    monkeypatch.setattr(degree, "_quadrants", lambda gs, pts: 2 * (np.arange(len(pts)) % 2))
+    with pytest.raises(RuntimeError, match="soundness bug"):
+        winding_degree(PolyMap.identity(2), [0, 0], cube(2, 1))
+
+
+def test_winding_equals_signed_count_on_random_maps():
+    # half the targets are images of points of the box, so that nonzero
+    # degrees occur; wherever the signed count completes the two agree
+    rng = random.Random(1616)
+    compared, nonzero = 0, 0
+    for k in range(160):
+        F = random_map(rng, 2, max_deg=3)
+        box = cube(2, Fraction(rng.randint(1, 8), 4))
+        if k % 2:
+            z = [Fraction(rng.randint(-8, 8), 4) for _ in range(2)]
+        else:
+            x = tuple(Fraction(rng.randint(-8, 8), 8) * Fraction(box.hi[0]) for _ in range(2))
+            z = [c.eval(x) for c in F.components]
+        wound = winding_degree(F, z, box)
+        try:
+            count = degree_signed_count(F, box, z).value
+        except DegreeComputationError:
+            continue
+        assert wound == count, (F, box, z)
+        compared += 1
+        nonzero += count != 0
+    assert compared >= 100 and nonzero >= 20
 
 
 # ---------------------------------------------------------------------
@@ -439,6 +533,30 @@ def test_homotopy_family_certificate_serves_every_grid_instance(fixtures_dir, mo
             assert report.degrees == tuple(expected), family
     assert calls == []
     assert certified >= 4
+
+
+def test_homotopy_plane_instances_read_the_winding_degree(monkeypatch):
+    # no plane instance solves its fiber, and with the winding degree
+    # undecided every instance falls back to the signed count, with the
+    # same report
+    rng = random.Random(1616)
+    grid = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+    families = [[parse_poly("x1 + x3*x1^3", 3), parse_poly("x2", 3)]]
+    families += [_random_family(rng, 2) for _ in range(4)]
+    for family in families:
+        solves = []
+        with monkeypatch.context() as patch:
+            patch.setattr(degree, "solve_fiber",
+                          lambda *args: solves.append(args) or solve_fiber(*args))
+            report = homotopy_constancy_check(family, cube(2, 2), [0, 0], grid)
+        assert solves == []
+        with monkeypatch.context() as patch:
+            patch.setattr(degree, "winding_degree", lambda F, z, box: None)
+            patch.setattr(degree, "solve_fiber",
+                          lambda *args: solves.append(args) or solve_fiber(*args))
+            fallback = homotopy_constancy_check(family, cube(2, 2), [0, 0], grid)
+        assert fallback == report
+        assert len(solves) == (len(grid) if report.boundary_certified else 0)
 
 
 def test_homotopy_validates_arity():

@@ -656,12 +656,55 @@ def test_pipeline_caller_base():
     assert report.verdict == "consistent_with_injectivity"
 
 
+def test_pipeline_orientation_reversing_swap():
+    # det J = -1: the degree is -1 at every point, and the fiber size its
+    # product with the sign of det J
+    report = injectivity_pipeline(make_map(2, "x2", "x1"), [[3, -5], [0, 0]])
+    assert report.verdict == "consistent_with_injectivity"
+    for rec in report.records:
+        assert rec.fiber_size == 1
+        assert rec.degree_at_query == -1 and rec.degree_at_base == -1
+
+
+@pytest.mark.parametrize("wrong", [-1, 2])
+def test_pipeline_wrong_winding_degree_is_a_soundness_bug(monkeypatch, wrong):
+    # the certified segment forces the degree at the query to equal the
+    # base's signed count, 1 here
+    monkeypatch.setattr(injectlab, "winding_degree", lambda F, z, box: wrong)
+    with pytest.raises(RuntimeError, match="soundness bug"):
+        injectivity_pipeline(make_map(2, "x1 + x2^3", "x2"), [[1, 1]])
+
+
+def test_pipeline_undecided_winding_degree_solves_the_query_fiber(monkeypatch):
+    # with the winding degree undecided every query fiber is solved, as
+    # before the winding degree was read, and the report stays the same
+    rng = random.Random(515)
+    automorphism, _ = random_composed_automorphism(rng, 2, factors=2)
+    cases = [(make_map(2, "x1 + x2^3", "x2"), [[1, 1], [-2, 3], [0, 3]]),
+             (make_map(2, "x1 + x2^2 + 1", "x2 - 2"), [[1, -2], [5, 4]]),
+             (make_map(2, "x2", "x1"), [[3, -5]]),
+             (automorphism, [[1, -1], [0, 1], [-1, 2]])]
+    solve = injectlab.solve_fiber
+    for F, queries in cases:
+        report = injectivity_pipeline(F, queries)
+        solved = []
+        with monkeypatch.context() as patch:
+            patch.setattr(injectlab, "winding_degree", lambda F, z, box: None)
+            patch.setattr(injectlab, "solve_fiber",
+                          lambda F, z, box, cfg=None: solved.append(tuple(z))
+                          or solve(F, z, box, cfg))
+            fallback = injectivity_pipeline(F, queries)
+        assert fallback == report
+        assert {tuple(map(Fraction, q)) for q in queries} <= set(solved)
+
+
 def _record_pipeline_calls(monkeypatch, query):
-    """Wrap the query's fiber solves and the path segment checks; returns the
-    box radii of the query's solves, of the segments that held and of the
-    segments that failed."""
-    solved, held, failed = [], [], []
+    """Wrap the query's degree calls and fiber solves and the path segment
+    checks; returns the box radii of the query's degree calls, of its
+    solves, of the segments that held and of the segments that failed."""
+    wound, solved, held, failed = [], [], [], []
     segment, solve = injectlab.path_segment_clearance, injectlab.solve_fiber
+    winding = injectlab.winding_degree
 
     def recording_segment(F, box, a, b):
         result = segment(F, box, a, b)
@@ -673,36 +716,43 @@ def _record_pipeline_calls(monkeypatch, query):
             solved.append(box.hi[0])
         return solve(F, z, box, cfg)
 
+    def recording_winding(F, z, box):
+        if tuple(z) == query:
+            wound.append(box.hi[0])
+        return winding(F, z, box)
+
     monkeypatch.setattr(injectlab, "path_segment_clearance", recording_segment)
     monkeypatch.setattr(injectlab, "solve_fiber", recording_solve)
-    return solved, held, failed
+    monkeypatch.setattr(injectlab, "winding_degree", recording_winding)
+    return wound, solved, held, failed
 
 
 def test_pipeline_solves_no_query_fiber_where_the_segment_failed(monkeypatch):
     # the base-to-query segment crosses the image of the boundary of the
     # radius-50 box (its preimage reaches x2 = 74) and clears that of every
-    # larger box.  The query's fiber is solved at radius 50, whose box holds
+    # larger box.  The query's degree is read at radius 50, whose box holds
     # its root; the segment turns that radius down, and radius 100 is
-    # certified.  With the cap at 50 no further radius is tried, and the cap
+    # certified.  The degree is 1 at both, so the query's fiber is never
+    # solved.  With the cap at 50 no further radius is tried, and the cap
     # note names the segment
     F = make_map(2, "18*x1^4 - 12*x1^2*x2 + 6*x1^2 + 2*x2^2 + x1 - 2*x2",
                  "-3*x1^2 + x2")
     query = (Fraction(25), Fraction(-3))
     with monkeypatch.context() as patch:
         patch.setattr(injectlab, "_MAX_RADIUS", 1600)
-        solved, held, failed = _record_pipeline_calls(patch, query)
+        wound, solved, held, failed = _record_pipeline_calls(patch, query)
         report = injectivity_pipeline(F, [query])
     assert failed == [50.0] and held == [100.0]
-    assert solved == [50.0, 100.0]
+    assert wound == [50.0, 100.0] and solved == []
     assert report.verdict == "consistent_with_injectivity"
     (record,) = report.records
     assert record.radius == 100 and record.path_certified
 
     monkeypatch.setattr(injectlab, "_MAX_RADIUS", 50)
-    solved, held, failed = _record_pipeline_calls(monkeypatch, query)
+    wound, solved, held, failed = _record_pipeline_calls(monkeypatch, query)
     report = injectivity_pipeline(F, [query])
     assert failed == [50.0] and not held
-    assert solved == [50.0]
+    assert wound == [50.0] and solved == []
     assert report.verdict == "inconclusive"
     (record,) = report.records
     assert record.radius is None and not record.path_certified
@@ -713,14 +763,14 @@ def test_pipeline_solves_no_query_fiber_where_the_segment_failed(monkeypatch):
 
 def test_pipeline_checks_no_segment_while_the_query_fiber_is_empty(monkeypatch):
     # the root (-27, 3) of the query lies outside the boxes of radius 6, 12
-    # and 24; the segment must fail there, but an empty fiber turns those
+    # and 24; the segment must fail there, but a zero degree turns those
     # radii down first, and the segment is checked only at radius 48
     query = (Fraction(0), Fraction(3))
-    solved, held, failed = _record_pipeline_calls(monkeypatch, query)
+    wound, solved, held, failed = _record_pipeline_calls(monkeypatch, query)
     report = injectivity_pipeline(make_map(2, "x1 + x2^3", "x2"), [query])
     assert report.verdict == "consistent_with_injectivity"
     assert report.records[0].radius == 48
-    assert solved == [6.0, 12.0, 24.0, 48.0]
+    assert wound == [6.0, 12.0, 24.0, 48.0] and solved == []
     assert held == [48.0] and not failed
 
 
