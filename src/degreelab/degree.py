@@ -33,12 +33,14 @@ from .fibersolve import (
     ClearanceResult,
     FiberResult,
     SolverConfig,
+    _reaches_zero,
+    _residuals,
     _row_blocks,
     boundary_clearance,
     box_faces,
     certified_clearance,
     solve_fiber,
-    split_widest,
+    subdivide,
 )
 
 BUMP_PROFILE = "plateau of exp(-1/s) smoothsteps on [eps/8, 3*eps/4]"
@@ -171,48 +173,41 @@ def winding_degree(F: PolyMap, z: Sequence[Fraction | int],
     """Degree of a plane map over the box as the winding number of F - z
     along the box boundary, or None when undecided.
 
-    The four edges, counter-clockwise, are boxes with one degenerate side.
-    They are enclosed breadth first, one eval_interval_batch call per
-    component and level sharing one power table; a segment is decided
-    when the enclosure of g1 or of g2 excludes zero, and the others are
-    split by split_widest at _SPLIT_RATIO.  A decided segment's image lies
-    in an open half-plane, which covers exactly two adjacent quadrants, so
-    the quadrant step between its ends, in {-1, 0, 1}, is the signed count
-    of quadrant boundaries its image crosses.  The steps around the walk
-    sum to 4 times the degree.
+    The four edges, counter-clockwise, are boxes with one degenerate side,
+    and a subdivide walk at _SPLIT_RATIO splits them into segments until
+    the enclosure of g1 or of g2 over each excludes zero.  A decided
+    segment's image lies in an open half-plane, which covers exactly two
+    adjacent quadrants, so the quadrant step between its ends, in
+    {-1, 0, 1}, is the signed count of quadrant boundaries its image
+    crosses.  The steps around the walk sum to 4 times the degree.
 
-    A degenerate box side, a segment that cannot be split, or more than
-    _ROW_BLOCK segments in all give None: a target on F(boundary) is never
+    A degenerate box side, or a walk that leaves segments undecided within
+    _ROW_BLOCK segments, gives None: a target on F(boundary) is never
     decided.  A step of 2, or a sum that is not a multiple of 4, raises
     RuntimeError.
     """
     if F.n != 2 or box.dims != 2 or len(z) != 2:
         raise ValueError("the winding degree needs a plane map, box and target")
+    gs = _residuals(F, z, box)
     (a1, a2), (b1, b2) = box.lo, box.hi
     if a1 == b1 or a2 == b2:
         return None
-    gs = [p - Poly.const(2, Fraction(t)) for p, t in zip(F.components, z)]
+    done: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def decide(los, his):
+        split = _reaches_zero(gs, los, his)
+        done.append((los[~split], his[~split]))
+        return split
+
     # bottom, right, top, left; the walk runs up the first two, down the others
-    los = np.array([[a1, a2], [b1, a2], [a1, b2], [a1, a2]])
-    his = np.array([[b1, a2], [b1, b2], [b1, b2], [a1, b2]])
-    edges = np.arange(4)
-    done: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    examined = 0
-    while len(los):
-        examined += len(los)
-        if examined > _ROW_BLOCK:
-            return None
-        pows: dict = {}
-        decided = np.zeros(len(los), dtype=bool)
-        for g in gs:
-            lo, hi = g.eval_interval_batch(los, his, pows)
-            decided |= (lo > 0.0) | (hi < 0.0)
-        done.append((edges[decided], los[decided], his[decided]))
-        los, his, inside = split_widest(los[~decided], his[~decided], _SPLIT_RATIO)
-        if not inside.all():
-            return None
-        edges = np.repeat(edges[~decided], 2)
-    edges, los, his = (np.concatenate(part) for part in zip(*done))
+    if subdivide(np.array([[a1, a2], [b1, a2], [a1, b2], [a1, a2]]),
+                 np.array([[b1, a2], [b1, b2], [b1, b2], [a1, b2]]),
+                 decide, _ROW_BLOCK, _SPLIT_RATIO):
+        return None
+    los, his = (np.concatenate(part) for part in zip(*done))
+    # a segment's edge by its flat side: x2 = a2 bottom, b2 top; x1 = b1 right, else left
+    edges = np.where(los[:, 1] == his[:, 1], np.where(los[:, 1] == a2, 0, 2),
+                     np.where(los[:, 0] == b1, 1, 3))
     # each segment's first point along the walk, ordered by edge, then by
     # the distance walked along its edge
     up = edges < 2

@@ -10,7 +10,7 @@ interval Newton, _krawczyk_batch), whose contraction into the strict
 interior certifies existence and uniqueness of a root; certified boxes
 are refined by at most _NEWTON_MAX_ITERS further Krawczyk steps, down to
 _TARGET_WIDTH, and undecided boxes wider than that are split
-(split_widest, which injectlab's breadth-first searches share), their
+(split_widest, under subdivide's breadth-first walk too), their
 children pushed on a stack in chunks of at most _ROW_BLOCK rows.  Taking
 the deepest chunk first bounds the working set, where whole breadth-first
 levels grow to tens of thousands of rows on large boxes.  The input box's
@@ -229,8 +229,7 @@ def _stuck_kinds(los, his, outer_lo, outer_hi, det: Poly) -> set[str]:
     boundary = gap <= _BOUNDARY_MARGIN
     kinds = {"boundary_contact"} if boundary.any() else set()
     if not boundary.all():
-        det_lo, det_hi = det.eval_interval_batch(los[~boundary], his[~boundary])
-        singular = (det_lo <= 0.0) & (0.0 <= det_hi)
+        singular = _reaches_zero([det], los[~boundary], his[~boundary])
         if singular.any():
             kinds.add("singular_suspect")
         if not singular.all():
@@ -259,6 +258,28 @@ def split_widest(los: np.ndarray, his: np.ndarray, ratio: float):
     return kids_lo, kids_hi, (side_lo < at) & (at < side_hi)
 
 
+def subdivide(los: np.ndarray, his: np.ndarray, decide, budget: int, ratio: float) -> bool:
+    """Breadth-first walk from the boxes in the rows of los and his.
+
+    Each level is cut to its first budget - used rows, decide(los, his)
+    returns the mask of those to split, or None to stop, and split_widest
+    splits them at ratio into the next level.  True when boxes were left
+    undecided: cut off by the budget, stopped, or children not yet seen.
+    """
+    used = 0
+    while len(los):
+        if used >= budget:
+            return True
+        cut = used + len(los) > budget
+        los, his = los[:budget - used], his[:budget - used]
+        used += len(los)
+        split = decide(los, his)
+        if split is None or cut:
+            return True
+        los, his, _ = split_widest(los[split], his[split], ratio)
+    return False
+
+
 def _excluded_or_singular(gs, outer_lo: np.ndarray, outer_hi: np.ndarray,
                           cfg: SolverConfig) -> FiberResult:
     """The fiber of a map whose det JF vanishes identically, none of whose
@@ -283,6 +304,15 @@ def _excluded_or_singular(gs, outer_lo: np.ndarray, outer_hi: np.ndarray,
         depth += 1
 
 
+def _residuals(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox) -> list[Poly]:
+    """The components of F - z, once box and z are checked to have F's dimension."""
+    if box.dims != F.n:
+        raise ValueError(f"box has {box.dims} dims, expected {F.n}")
+    if len(z) != F.n:
+        raise ValueError(f"target has length {len(z)}, expected {F.n}")
+    return [p - Fraction(t) for p, t in zip(F.components, z)]
+
+
 def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
                 cfg: SolverConfig | None = None, workers: int = 1) -> FiberResult:
     """Certified solution set of F(x) = z in the closed box.
@@ -296,12 +326,7 @@ def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
     changes the result, only the wall time.
     """
     cfg = cfg or SolverConfig()
-    if box.dims != F.n:
-        raise ValueError(f"box has {box.dims} dims, expected {F.n}")
-    if len(z) != F.n:
-        raise ValueError(f"target has length {len(z)}, expected {F.n}")
-    target = [Fraction(v) for v in z]
-    gs = [p - Poly.const(F.n, t) for p, t in zip(F.components, target)]
+    gs = _residuals(F, z, box)
     jac = jacobian_matrix(F)
     det = jacobian_det(F)
 
@@ -668,10 +693,4 @@ def boundary_clearance(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox
     improve_splits is certified_clearance's: 0 when only ok and failure
     are read.
     """
-    if box.dims != F.n:
-        raise ValueError(f"box has {box.dims} dims, expected {F.n}")
-    if len(z) != F.n:
-        raise ValueError(f"target has length {len(z)}, expected {F.n}")
-    target = [Fraction(v) for v in z]
-    gs = [p - Poly.const(F.n, t) for p, t in zip(F.components, target)]
-    return certified_clearance(gs, box_faces(box), improve_splits)
+    return certified_clearance(_residuals(F, z, box), box_faces(box), improve_splits)

@@ -7,12 +7,11 @@ of it proves injectivity over the whole plane — reports carry the box
 they were computed on, and absence of a collision witness is never
 treated as proof that no collision exists.
 
-The sign survey's subdivision and the collision branch-and-prune run
-breadth first on (N, n) bound arrays: one eval_interval_batch call per
-polynomial and level, cells decided in FIFO order, fibersolve.split_widest
-at the midpoint.  The sampled pair search finds neighbouring image cells
-by searchsorted on integer cell keys.  Collision seeds are polished by one
-stacked float Newton.
+The sign survey's subdivision and the collision branch-and-prune are
+fibersolve.subdivide walks at the midpoint, which decide a level with one
+eval_interval_batch call per polynomial.  The sampled pair search finds
+neighbouring image cells by searchsorted on integer cell keys.  Collision
+seeds are polished by one stacked float Newton.
 
 A collision witness is two points _WITNESS_SEPARATION apart or more whose
 images differ by _WITNESS_RESIDUAL or less, both checked exactly.  The
@@ -44,10 +43,11 @@ from .fibersolve import (
     ClearanceResult,
     FiberResult,
     SolverConfig,
+    _reaches_zero,
     _row_blocks,
     boundary_clearance,
     solve_fiber,
-    split_widest,
+    subdivide,
 )
 from .degree import path_segment_clearance, signed_count_from_fiber, winding_degree
 
@@ -127,16 +127,8 @@ def jacobian_sign_survey(F: PolyMap, box: IntervalBox,
         exact = det.eval(point)
         found.setdefault((exact > 0) - (exact < 0), (point, exact))
 
-    def settled(boxes_used: int) -> SignSurvey | None:
-        if 0 in found:
-            classification, evidence = "vanishing_found", (found[0],)
-        elif 1 in found and -1 in found:
-            classification, evidence = "mixed", (found[1], found[-1])
-        else:
-            return None
-        return SignSurvey(classification=classification, evidence=evidence,
-                          certified=True, partial=False,
-                          samples_used=budget.samples, boxes_used=boxes_used)
+    def settled() -> bool:
+        return 0 in found or len(found) == 2
 
     # sampling pass: exact re-evaluation turns float hints into proof-grade
     # evidence; all of them are read before either verdict is drawn
@@ -147,46 +139,45 @@ def jacobian_sign_survey(F: PolyMap, box: IntervalBox,
     for idx in itertools.chain(np.nonzero(vals > 0)[0][:4], np.nonzero(vals < 0)[0][:4],
                                np.nonzero(vals == 0)[0][:4]):
         record(_rational_point(pts[int(idx)]))
-    survey = settled(0)
-    if survey is not None:
-        return survey
 
-    # subdivision pass, breadth first: certify one uniform sign, or catch a
-    # zero at the midpoint of a straddling cell.  Each level is enclosed in
-    # one batched call, then its cells are decided one by one in FIFO order.
-    los, his = lo[None, :], hi[None, :]
+    # subdivision pass, unless sampling settled: certify one uniform sign,
+    # or catch a zero at the midpoint of a straddling cell.  Each level is
+    # enclosed in one batched call, then its cells are decided in FIFO order.
     boxes_used = 0
-    level_done = True
-    while len(los) and boxes_used < budget.max_boxes:
-        take = min(len(los), budget.max_boxes - boxes_used)
-        level_done = take == len(los)
-        los, his = los[:take], his[:take]
+
+    def decide(los, his):
+        nonlocal boxes_used
+        if settled():
+            return None
         enc_lo, enc_hi = det.eval_interval_batch(los, his)
         straddle = (enc_lo <= 0.0) & (enc_hi >= 0.0)
-        for k in range(take):
+        for k in range(len(los)):
             boxes_used += 1
             # exact midpoint values: on a straddling cell always, on a
             # signed cell only while that sign still lacks evidence
             if (straddle[k] or (1 not in found and enc_lo[k] > 0.0)
                     or (-1 not in found and enc_hi[k] < 0.0)):
                 record(_midpoint_exact(los[k].tolist(), his[k].tolist()))
-                survey = settled(boxes_used)
-                if survey is not None:
-                    return survey
-        los, his, _ = split_widest(los[straddle], his[straddle], 0.5)
-    # found holds one sign at most here, or none when the determinant hugs
-    # zero as far as this budget can see.  The sign is certified only if
-    # the last level was finished and left no children.
+                if settled():
+                    return None
+        return straddle
+
+    left = subdivide(lo[None, :], hi[None, :], decide, budget.max_boxes, 0.5)
+    # unless settled, found holds one sign at most, or none when the
+    # determinant hugs zero as far as this budget can see.  That sign is
+    # certified only if the walk left no cell undecided.
     sign = next(iter(found), 0)
-    certified_uniform = level_done and not len(los) and sign != 0
+    certified = settled() or (not left and sign != 0)
+    if 0 in found:
+        classification, evidence = "vanishing_found", (found[0],)
+    elif settled():
+        classification, evidence = "mixed", (found[1], found[-1])
+    else:
+        classification, evidence = _SIGN_CLASSES[sign], tuple(found.values())
     return SignSurvey(
-        classification=_SIGN_CLASSES[sign],
-        evidence=tuple(found.values()),
-        certified=certified_uniform,
-        partial=not certified_uniform,
-        samples_used=budget.samples,
-        boxes_used=boxes_used,
-        detail=None if certified_uniform else "box budget exhausted before certification")
+        classification=classification, evidence=evidence, certified=certified,
+        partial=not certified, samples_used=budget.samples, boxes_used=boxes_used,
+        detail=None if certified else "box budget exhausted before certification")
 
 
 # ---------------------------------------------------------------------
@@ -419,28 +410,24 @@ def _prune_candidates(F: PolyMap, box: IntervalBox, cfg: CollisionConfig) -> lis
     diffs = [comp.pad(n) - _shift_to_second_copy(comp) for comp in F.components]
     sep = _WITNESS_SEPARATION
     leaf_width = box.max_width() / 16.0
-    los = np.array([box.lo * 2])
-    his = np.array([box.hi * 2])
     candidates: list[Point] = []
-    processed = 0
-    while len(los) and processed < cfg.prune_boxes and len(candidates) < cfg.max_candidates:
-        los, his = los[:cfg.prune_boxes - processed], his[:cfg.prune_boxes - processed]
-        processed += len(los)
+
+    def decide(los, his):
+        room = cfg.max_candidates - len(candidates)
+        if room <= 0:
+            return None
         # outward-rounded x_i - y_i: a cell whose every gap stays within
         # the separation band lies near the diagonal
         gap_lo = np.nextafter(los[:, :n] - his[:, n:], -np.inf)
         gap_hi = np.nextafter(his[:, :n] - los[:, n:], np.inf)
-        keep = ((gap_lo <= -sep) | (gap_hi >= sep)).any(axis=1)
-        shared_pows: dict = {}
-        for d in diffs:
-            d_lo, d_hi = d.eval_interval_batch(los, his, shared_pows)
-            keep &= (d_lo <= 0.0) & (d_hi >= 0.0)
+        keep = (((gap_lo <= -sep) | (gap_hi >= sep)).any(axis=1)
+                & _reaches_zero(diffs, los, his))
         leaf = (his - los).max(axis=1) <= leaf_width
-        room = cfg.max_candidates - len(candidates)
         candidates.extend(_midpoint_exact(los[k].tolist(), his[k].tolist())
                           for k in np.nonzero(keep & leaf)[0][:room].tolist())
-        split = keep & ~leaf
-        los, his, _ = split_widest(los[split], his[split], 0.5)
+        return keep & ~leaf
+
+    subdivide(np.array([box.lo * 2]), np.array([box.hi * 2]), decide, cfg.prune_boxes, 0.5)
     return candidates
 
 
@@ -788,9 +775,8 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
         return InjectivityReport(
             verdict="non_injective_witness", base_point=base_point,
             base_fiber=base_fiber, records=tuple(records), witness=witness)
-    clean = all(
-        r.fiber_size == 1 and r.path_certified and r.degree_at_query == r.degree_at_base
-        for r in records)
+    # only certified records have a fiber size, and their degrees agree
+    clean = all(r.fiber_size == 1 for r in records)
     if clean:
         return InjectivityReport(
             verdict="consistent_with_injectivity", base_point=base_point,

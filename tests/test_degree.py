@@ -285,6 +285,49 @@ def test_winding_equals_signed_count_on_random_maps():
     assert compared >= 100 and nonzero >= 20
 
 
+@pytest.mark.parametrize("exprs, z, expected", [
+    (("x1", "x2"), [1, -1], 1),
+    (("x1", "x2"), [0, 0], 0),
+    (("x2", "x1"), [-1, 1], -1),
+    # z^2 maps p and -p to one point, and only p is in the box
+    (("x1^2 - x2^2", "2*x1*x2"), [0, -2], 1),
+])
+def test_winding_known_degrees_on_an_off_origin_box(exprs, z, expected):
+    # no edge of [1/2, 3] x [-2, -1/4] lies on an axis or has its opposite
+    # edge's length
+    box = IntervalBox((0.5, -2.0), (3.0, -0.25))
+    assert winding_degree(make_map(2, *exprs), z, box) == expected
+
+
+@pytest.mark.parametrize("lo, hi", [
+    ((0.5, -2.0), (3.0, -0.25)),
+    ((-3.0, 0.75), (-1.25, 1.5)),
+    ((-0.5, -4.0), (2.5, 1.0)),
+])
+def test_winding_equals_signed_count_on_lopsided_boxes(lo, hi):
+    # each edge's label is read off its segments' flat sides, so boxes
+    # whose sides differ in length and position exercise all four labels
+    rng = random.Random(1717)
+    box = IntervalBox(lo, hi)
+    compared, nonzero = 0, 0
+    for k in range(40):
+        F = random_map(rng, 2, max_deg=3)
+        x = tuple(Fraction(a) + (Fraction(b) - Fraction(a)) * Fraction(rng.randint(1, 15), 16)
+                  for a, b in zip(lo, hi))
+        z = [c.eval(x) for c in F.components]
+        if k % 2:
+            z = [v + Fraction(rng.randint(-8, 8), 4) for v in z]
+        wound = winding_degree(F, z, box)
+        try:
+            count = degree_signed_count(F, box, z).value
+        except DegreeComputationError:
+            continue
+        assert wound == count, (F, box, z)
+        compared += 1
+        nonzero += count != 0
+    assert compared >= 20 and nonzero >= 10
+
+
 # ---------------------------------------------------------------------
 # Integral method
 # ---------------------------------------------------------------------
@@ -618,6 +661,26 @@ def test_component_single_vertex():
     assert report.path_certified is True
     assert report.degrees == (1,)
     assert report.constant is True
+
+
+def test_component_path_identity_plane():
+    report = component_constancy_check(
+        PolyMap.identity(2), cube(2, 1), [[0, 0], [Fraction(1, 2), Fraction(1, 2)]])
+    assert report.path_certified is True
+    assert report.degrees == (1, 1)
+    assert report.constant is True
+    assert report.failures == ()
+
+
+def test_component_path_plane_segment_through_the_boundary_image():
+    # (2, 0) lies outside [-1, 1]^2, so the segment from (0, 0) crosses the
+    # identity's boundary image
+    report = component_constancy_check(PolyMap.identity(2), cube(2, 1), [[0, 0], [2, 0]])
+    assert report.path_certified is False
+    assert report.constant is False
+    assert report.degrees == (1, 0)
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith("segment ['0', '0'] -> ['2', '0']: ")
 
 
 def test_component_empty_path_rejected():

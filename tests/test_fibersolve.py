@@ -35,6 +35,8 @@ from degreelab.fibersolve import (
     box_faces,
     certified_min_sum_squares,
     solve_fiber,
+    split_widest,
+    subdivide,
 )
 
 from gen_maps import (
@@ -425,6 +427,54 @@ def test_fiber_input_validation():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_depth=0)
+
+
+# ------------------------------------------------- breadth-first walk
+
+def _walk(budget, decide_rule):
+    """subdivide from the unit square at the midpoint; returns what it
+    returned and the (los, his) of every level handed to decide."""
+    seen = []
+
+    def decide(los, his):
+        seen.append((los, his))
+        return decide_rule(len(seen), los)
+
+    left = subdivide(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]), decide, budget, 0.5)
+    return left, seen
+
+
+def _split_all(level, los):
+    return np.ones(len(los), dtype=bool)
+
+
+def test_subdivide_budget_ending_mid_level_hands_decide_the_fifo_prefix():
+    # levels of 1, 2 and 4 boxes; a budget of 5 leaves 2 of the third
+    left, seen = _walk(5, _split_all)
+    assert left is True
+    assert [len(los) for los, _ in seen] == [1, 2, 2]
+    kids_lo, kids_hi, _ = split_widest(*seen[1], 0.5)
+    assert np.array_equal(seen[2][0], kids_lo[:2])
+    assert np.array_equal(seen[2][1], kids_hi[:2])
+
+
+def test_subdivide_stops_at_once_when_decide_returns_none():
+    left, seen = _walk(100, lambda level, los: None)
+    assert left is True and len(seen) == 1
+
+
+def test_subdivide_budget_spent_at_a_level_that_splits_nothing():
+    # the third level, of 4 boxes, ends the budget of 7 and splits none
+    left, seen = _walk(7, lambda level, los: np.full(len(los), level < 3))
+    assert left is False
+    assert [len(los) for los, _ in seen] == [1, 2, 4]
+
+
+def test_subdivide_budget_spent_at_a_level_that_leaves_children():
+    # the children of the second level are never handed to decide
+    left, seen = _walk(3, _split_all)
+    assert left is True
+    assert [len(los) for los, _ in seen] == [1, 2]
 
 
 # -------------------------------------------------- boundary clearance

@@ -12,7 +12,8 @@ perfbench/run.py's run_op under its deadline, with degreelab imported from
 --src.  Prints one line per operation: workload, seed, index, exit code,
 then two SHA-256 digests of the JSON report, one of its results and one of
 the rest without the timings (command, tool version, inputs and config
-echo), or the text of the timeout or exception.  Two trees compute the
+echo), or the text of the timeout or exception, or "no report" when the
+operation exited without printing one.  Two trees compute the
 same results exactly when the first five columns agree; the last one also
 moves when only the config echo changed.
 """
@@ -25,6 +26,7 @@ import json
 import os
 import signal
 import sys
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,6 +38,26 @@ import workloads  # noqa: E402
 
 def _digest(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def line(cli, workload: str, seed: int, idx: int, op) -> str:
+    """The fingerprint line of one operation."""
+    exits = []
+
+    def main(argv):
+        exits.append(cli.main(argv))
+        return exits[-1]
+
+    try:
+        _, code, report, outcome = run.run_op(types.SimpleNamespace(main=main), op)
+    except json.JSONDecodeError:
+        # run_op parses the output of every operation that exits
+        return f"{workload} {seed} {idx} {exits[-1]} no report"
+    if outcome is None:
+        del report["timings"]
+        results = report.pop("results")
+        outcome = f"{_digest(results)} {_digest(report)}"
+    return f"{workload} {seed} {idx} {code} {outcome}"
 
 
 def main(argv=None) -> int:
@@ -52,12 +74,7 @@ def main(argv=None) -> int:
         for seed in args.seed:
             ops, _ = workloads.build(workload, seed, Path("."), run._workdir(workload, seed))
             for idx, op in enumerate(ops):
-                _, code, report, outcome = run.run_op(cli, op)
-                if outcome is None:
-                    del report["timings"]
-                    results = report.pop("results")
-                    outcome = f"{_digest(results)} {_digest(report)}"
-                print(workload, seed, idx, code, outcome, flush=True)
+                print(line(cli, workload, seed, idx, op), flush=True)
     return 0
 
 
