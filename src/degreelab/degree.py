@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .polycore import IntervalBox, Poly, _float_or_inf
+from .polycore import IntervalBox, IntervalStack, Poly, _float_or_inf
 from .mapforms import PolyMap, jacobian_det
 from .fibersolve import (
     _ROW_BLOCK,
@@ -150,16 +150,14 @@ def degree_signed_count(F: PolyMap, box: IntervalBox, z: Sequence[Fraction | int
 _QUADRANT = np.array([2, 2, 1, 3, -1, 1, 3, 0, 0])
 
 
-def _quadrants(gs: Sequence[Poly], pts: np.ndarray) -> np.ndarray:
+def _quadrants(gs: IntervalStack, pts: np.ndarray) -> np.ndarray:
     """Quadrant of (g1, g2) at each row of pts.
 
     Each sign comes from a point enclosure, and from exact evaluation at
     the float point where that enclosure reaches zero.
     """
-    pows: dict = {}
     index = np.zeros(len(pts), dtype=np.int64)
-    for g, weight in zip(gs, (3, 1)):
-        lo, hi = g.eval_interval_batch(pts, pts, pows)
+    for g, lo, hi, weight in zip(gs.polys, *gs.enclose(pts, pts), (3, 1)):
         sign = (lo > 0.0).astype(np.int64) - (hi < 0.0)
         for k in np.nonzero(~((lo > 0.0) | (hi < 0.0)))[0]:
             value = g.eval(tuple(Fraction(float(x)) for x in pts[k]))
@@ -188,7 +186,7 @@ def winding_degree(F: PolyMap, z: Sequence[Fraction | int],
     """
     if F.n != 2 or box.dims != 2 or len(z) != 2:
         raise ValueError("the winding degree needs a plane map, box and target")
-    gs = _residuals(F, z, box)
+    gs = IntervalStack(_residuals(F, z, box))
     (a1, a2), (b1, b2) = box.lo, box.hi
     if a1 == b1 or a2 == b2:
         return None
@@ -412,8 +410,11 @@ def degree_integral(F: PolyMap, box: IntervalBox, z: Sequence[Fraction | int],
     scale, so it should be boundary_clearance's sharpened one, which is
     computed here when none is given.  Each round draws as many Halton
     points as were drawn before (start_samples in the first) and
-    evaluates them in blocks of _ROW_BLOCK rows, the n components and
-    det JF sharing one power table per block; the round's per-point
+    evaluates them in blocks of _ROW_BLOCK rows, the n components sharing
+    one power table per block.  The weight and det JF are evaluated only
+    on the samples inside the weight's support, eps/8 < |F - z| < 3*eps/4,
+    and every other product is 0, so a det JF that is not finite where the
+    weight is 0 does not reach the estimate.  The round's per-point
     products are summed in one np.sum.
     """
     quad = quad or QuadratureConfig()
@@ -450,8 +451,12 @@ def degree_integral(F: PolyMap, box: IntervalBox, z: Sequence[Fraction | int],
             for i, comp in enumerate(F.components):
                 diff = comp.eval_array(pts, pows) - z_float[i]
                 residual_sq = residual_sq + diff * diff
-            weights = bump.value_array(np.sqrt(residual_sq))
-            block[:] = weights * det.eval_array(pts, pows)
+            r = np.sqrt(residual_sq)
+            # the weight and det JF only where the weight's support lies;
+            # elsewhere the product is 0, whatever det JF is
+            live = ~((r <= 0.5 * bump.inner_radius) | (r >= bump.outer_radius))
+            block[:] = 0.0
+            block[live] = bump.value_array(r[live]) * det.eval_array(pts[live])
         total += float(np.sum(products))
         drawn += batch
         estimates.append(volume * total / drawn)

@@ -23,7 +23,7 @@ and given-up boxes within _BOUNDARY_MARGIN of the box boundary mean
 boundary_contact.  SolverConfig holds the depth limit, which callers vary.
 
 The same sum-of-squares positivity kernel that backs boundary clearance,
-a best-first heap on the batched kernel eval_interval_batch, is exported
+a best-first heap on the compiled kernel IntervalStack, is exported
 with its conversion to a clearance (certified_clearance) for reuse by the
 degree module's boundary and path certifications.  Its look-ahead encloses
 whole subtrees below the boxes the heap is likely to pop next in one
@@ -48,8 +48,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .polycore import IntervalBox, Poly, _mul_arrays, _next_down, _next_up, _pow_arrays
-from .mapforms import PolyMap, jacobian_det, jacobian_matrix
+from .polycore import (IntervalBox, IntervalStack, Poly, _mul_arrays, _next_down, _next_up,
+                       _pow_arrays)
+from .mapforms import PolyMap, jacobian_det, jacobian_stack
 
 # Split point sits at 127/256 of the width rather than 1/2: an exact
 # bisection of the symmetric boxes used throughout the corpus would land
@@ -127,11 +128,13 @@ def _row_blocks(count: int) -> list[slice]:
     return [slice(b, b + _ROW_BLOCK) for b in range(0, max(count, 1), _ROW_BLOCK)]
 
 
-def _krawczyk_batch(gs, jac, los: np.ndarray, his: np.ndarray):
+def _krawczyk_batch(gs: IntervalStack, jac: IntervalStack, los: np.ndarray, his: np.ndarray):
     """Krawczyk images for a stack of boxes, one box per row.
 
-    Row k of (K_lo, K_hi) encloses m - Y g(m) + (I - Y J(X)) (X - m) for
-    box X = row k, its midpoint m and Y the inverse of the Jacobian at m.
+    gs is the stack of the residual components and jac that of the
+    Jacobian entries, row by row (jacobian_stack).  Row k of (K_lo, K_hi)
+    encloses m - Y g(m) + (I - Y J(X)) (X - m) for box X = row k, its
+    midpoint m and Y the inverse of the Jacobian at m.
     usable is False where that Jacobian is singular (slogdet sign 0, the
     zero-pivot case in which inv raises) or where Y or the image is not
     finite.  Every step works row by row, so a row's image does not depend
@@ -140,27 +143,18 @@ def _krawczyk_batch(gs, jac, los: np.ndarray, his: np.ndarray):
     count, n = los.shape
     mids = los + 0.5 * (his - los)
     with np.errstate(all="ignore"):
-        jm = np.empty((count, n, n))
+        jm = np.empty((count, n * n))
         cache_mid: dict = {}
-        for i in range(n):
-            for j in range(n):
-                jm[:, i, j] = jac[i][j].eval_array(mids, cache_mid)
+        for k, entry in enumerate(jac.polys):
+            jm[:, k] = entry.eval_array(mids, cache_mid)
+        jm = jm.reshape(count, n, n)
         usable = np.linalg.slogdet(jm)[0] != 0
         jm[~usable] = np.eye(n)
         Y = np.linalg.inv(jm)
         usable &= np.isfinite(Y).all(axis=(1, 2))
-        gml = np.empty((count, n))
-        gmh = np.empty((count, n))
-        cache_point: dict = {}
-        for j, g in enumerate(gs):
-            gml[:, j], gmh[:, j] = g.eval_interval_batch(mids, mids, cache_point)
-        jxl = np.empty((count, n, n))
-        jxh = np.empty((count, n, n))
-        cache_box: dict = {}
-        for i in range(n):
-            for j in range(n):
-                jxl[:, i, j], jxh[:, i, j] = jac[i][j].eval_interval_batch(
-                    los, his, cache_box)
+        # enclosures as [row, i] and [row, i, j]
+        gml, gmh = (e.T for e in gs.enclose(mids, mids))
+        jxl, jxh = (e.reshape(n, n, count).transpose(2, 0, 1) for e in jac.enclose(los, his))
         off_lo = _next_down(los - mids)
         off_hi = _next_up(his - mids)
         # Y g(m) and Y J(X), each sum rounded outward term by term in index
@@ -211,15 +205,11 @@ def _refine_rows(gs, jac, los: np.ndarray, his: np.ndarray):
     return los, his
 
 
-def _reaches_zero(gs, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+def _reaches_zero(gs: IntervalStack, los: np.ndarray, his: np.ndarray) -> np.ndarray:
     """Mask of the rows on which every residual component's enclosure
     reaches zero."""
-    alive = np.ones(len(los), dtype=bool)
-    pows: dict = {}
-    for g in gs:
-        glo, ghi = g.eval_interval_batch(los, his, pows)
-        alive &= (glo <= 0.0) & (ghi >= 0.0)
-    return alive
+    glo, ghi = gs.enclose(los, his)
+    return ((glo <= 0.0) & (ghi >= 0.0)).all(axis=0)
 
 
 def _stuck_kinds(los, his, outer_lo, outer_hi, det: Poly) -> set[str]:
@@ -229,7 +219,7 @@ def _stuck_kinds(los, his, outer_lo, outer_hi, det: Poly) -> set[str]:
     boundary = gap <= _BOUNDARY_MARGIN
     kinds = {"boundary_contact"} if boundary.any() else set()
     if not boundary.all():
-        singular = _reaches_zero([det], los[~boundary], his[~boundary])
+        singular = _reaches_zero(det.interval_stack(), los[~boundary], his[~boundary])
         if singular.any():
             kinds.add("singular_suspect")
         if not singular.all():
@@ -326,8 +316,8 @@ def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
     changes the result, only the wall time.
     """
     cfg = cfg or SolverConfig()
-    gs = _residuals(F, z, box)
-    jac = jacobian_matrix(F)
+    gs = IntervalStack(_residuals(F, z, box))
+    jac = jacobian_stack(F)
     det = jacobian_det(F)
 
     def refine(los, his):
@@ -454,7 +444,8 @@ def _squares_lower(encs, count: int) -> np.ndarray:
     return acc
 
 
-def _sum_squares_lower(polys, grads, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+def _sum_squares_lower(polys: IntervalStack, grads: IntervalStack,
+                       los: np.ndarray, his: np.ndarray) -> np.ndarray:
     """Lower bound of the sum of the squared polynomials over each row.
 
     Each polynomial's natural enclosure comes first.  On the rows whose
@@ -463,13 +454,14 @@ def _sum_squares_lower(polys, grads, los: np.ndarray, his: np.ndarray) -> np.nda
     float midpoint, the sum over the derivatives that are not identically
     zero and every product and sum rounded outward.  The bound of those
     rows is recomputed from the intersection of the two enclosures, in
-    which a NaN bound of the form leaves the natural one.  grads[k][i] is
-    the derivative of polys[k] by x_(i+1).
+    which a NaN bound of the form leaves the natural one.  Row k * n + i
+    of grads is the derivative of polynomial k by x_(i+1), n the number of
+    variables.
     """
-    pows: dict = {}
+    n = los.shape[1]
     with np.errstate(all="ignore"):
-        encs = [p.eval_interval_batch(los, his, pows) for p in polys]
-        bound = _squares_lower(encs, len(los))
+        enc_lo, enc_hi = polys.enclose(los, his)
+        bound = _squares_lower(zip(enc_lo, enc_hi), len(los))
         redo = np.nonzero(~(bound > 0.0))[0]
         if redo.size:
             xl, xh = los[redo], his[redo]
@@ -477,15 +469,14 @@ def _sum_squares_lower(polys, grads, los: np.ndarray, his: np.ndarray) -> np.nda
             # beyond the float range the midpoint may fall outside its side
             mid = np.where((xl <= mid) & (mid <= xh), mid, xl)
             off_lo, off_hi = _next_down(xl - mid), _next_up(xh - mid)
-            at_mid: dict = {}
-            at_box: dict = {}
+            at_mid = polys.enclose(mid, mid)
+            g_lo, g_hi = grads.enclose(xl, xh)
             tight = []
-            for p, grad, (lo, hi) in zip(polys, grads, encs):
-                mv_lo, mv_hi = p.eval_interval_batch(mid, mid, at_mid)
-                for i, g in enumerate(grad):
-                    if g.is_zero:
+            for k, (lo, hi, mv_lo, mv_hi) in enumerate(zip(enc_lo, enc_hi, *at_mid)):
+                for i in range(n):
+                    if grads.polys[k * n + i].is_zero:
                         continue
-                    t_lo, t_hi = _mul_arrays(*g.eval_interval_batch(xl, xh, at_box),
+                    t_lo, t_hi = _mul_arrays(g_lo[k * n + i], g_hi[k * n + i],
                                              off_lo[:, i], off_hi[:, i])
                     mv_lo = _next_down(mv_lo + t_lo)
                     mv_hi = _next_up(mv_hi + t_hi)
@@ -502,16 +493,16 @@ class _BoxTree:
     child is first[id] + 1), or -1 while its children are unknown, and
     inside[id] is 1 when its split point fell strictly inside the side.
     first and inside are compact arrays, since the 20,000-split calls of
-    the path clearance keep tens of thousands of boxes.  grads holds the
-    derivatives of the polynomials that _sum_squares_lower reads, formed
-    once per tree.
+    the path clearance keep tens of thousands of boxes.  polys and grads
+    are the stacks of the polynomials and of their derivatives that
+    _sum_squares_lower reads, compiled once per tree.
     """
 
     def __init__(self, polys, los: np.ndarray, his: np.ndarray):
-        self.polys = polys
-        self.grads = [[p.diff(i) for i in range(1, p.nvars + 1)] for p in polys]
+        self.polys = IntervalStack(polys)
+        self.grads = IntervalStack([p.diff(i) for p in polys for i in range(1, p.nvars + 1)])
         self.lo, self.hi = los, his
-        self.bound = _sum_squares_lower(polys, self.grads, los, his).tolist()
+        self.bound = _sum_squares_lower(self.polys, self.grads, los, his).tolist()
         self.first = array("q", [-1] * len(self.bound))
         self.inside = bytearray(len(self.bound))
 

@@ -9,9 +9,10 @@ treated as proof that no collision exists.
 
 The sign survey's subdivision and the collision branch-and-prune are
 fibersolve.subdivide walks at the midpoint, which decide a level with one
-eval_interval_batch call per polynomial.  The sampled pair search finds
-neighbouring image cells by searchsorted on integer cell keys.  Collision
-seeds are polished by one stacked float Newton.
+enclosure call: the determinant's own IntervalStack, or the stack of the
+differences.  The sampled pair search finds neighbouring image cells by
+searchsorted on integer cell keys.  Collision seeds are polished by one
+stacked float Newton.
 
 A collision witness is two points _WITNESS_SEPARATION apart or more whose
 images differ by _WITNESS_RESIDUAL or less, both checked exactly.  The
@@ -37,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polycore import IntervalBox, Poly
+from .polycore import IntervalBox, IntervalStack, Poly
 from .mapforms import PolyMap, jacobian_det, jacobian_matrix, keller_check, recognize_form
 from .fibersolve import (
     ClearanceResult,
@@ -407,7 +408,7 @@ def _prune_candidates(F: PolyMap, box: IntervalBox, cfg: CollisionConfig) -> lis
     band of the diagonal are discarded.
     """
     n = F.n
-    diffs = [comp.pad(n) - _shift_to_second_copy(comp) for comp in F.components]
+    diffs = IntervalStack([comp.pad(n) - _shift_to_second_copy(comp) for comp in F.components])
     sep = _WITNESS_SEPARATION
     leaf_width = box.max_width() / 16.0
     candidates: list[Point] = []

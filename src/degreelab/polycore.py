@@ -15,14 +15,17 @@ lexicographic, descending: higher total degree first, ties broken by the
 exponent tuple compared left to right.  Float evaluation walks terms in
 that order and sums left to right, so repeated runs are bit-identical.
 
-Interval enclosures come from one array kernel, eval_interval_batch,
-which encloses a polynomial over a stack of boxes held as (N, nvars)
-lower and upper bound arrays; Poly.eval_interval is its one-row case.  It
-uses outward rounding: after every primitive float operation the lower
-endpoint is nudged one ulp down and the upper one ulp up, which covers the
-rounding error of the correctly-rounded IEEE result.  Enclosures are
-therefore sound but not tight.  The powers of a variable that a
-polynomial uses are read off one run of rounded products.  An IntervalBox
+Interval enclosures come from one array kernel, IntervalStack, which is
+compiled once for a list of polynomials and encloses all of them over a
+stack of boxes held as (N, nvars) lower and upper bound arrays.
+Poly.eval_interval_batch is row 0 of the polynomial's own stack, and
+Poly.eval_interval its one-row case.  The kernel uses outward rounding:
+after every primitive float operation the lower endpoint is nudged one ulp
+down and the upper one ulp up, which covers the rounding error of the
+correctly-rounded IEEE result.  Enclosures are therefore sound but not
+tight.  Every power a stack uses is read off one run of rounded products,
+and each polynomial's enclosure is the same, bit for bit, as its terms
+enclosed and summed left to right one at a time.  An IntervalBox
 is a box's lower and upper bound vectors, one row of those arrays; an
 Interval is one enclosure value, the result of eval_interval or a
 coefficient's bounds.  Neither carries arithmetic.
@@ -30,9 +33,11 @@ coefficient's bounds.  Neither carries arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import sys
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Sequence
@@ -276,7 +281,7 @@ def _pow_arrays(xl: np.ndarray, xh: np.ndarray, e: int):
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("nvars", "terms", "_sorted", "_floats", "_iterms", "_ints", "_exps",
+    __slots__ = ("nvars", "terms", "_sorted", "_floats", "_stack", "_ints", "_exps",
                  "_hash")
 
     def __init__(self, nvars: int, terms: dict[Exponent, Fraction] | None = None):
@@ -296,7 +301,7 @@ class Poly:
         self.terms = clean
         self._sorted = None
         self._floats = None
-        self._iterms = None
+        self._stack = None
         self._ints = None
         self._exps = None
         self._hash = None
@@ -310,7 +315,7 @@ class Poly:
         p.terms = terms
         p._sorted = None
         p._floats = None
-        p._iterms = None
+        p._stack = None
         p._ints = None
         p._exps = None
         p._hash = None
@@ -566,10 +571,10 @@ class Poly:
         lo, hi = self.eval_interval_batch(np.array([box.lo]), np.array([box.hi]))
         return Interval(float(lo[0]), float(hi[0]))
 
-    def eval_interval_batch(self, los: np.ndarray, his: np.ndarray,
-                            pow_cache: dict | None = None
+    def eval_interval_batch(self, los: np.ndarray, his: np.ndarray
                             ) -> tuple[np.ndarray, np.ndarray]:
-        """Interval evaluation over many boxes at once.
+        """Interval evaluation over many boxes at once: row 0 of
+        interval_stack().enclose.
 
         los/his have shape (N, nvars): row k holds the side bounds of box
         k.  Returns (lo, hi) arrays of shape (N,), each row enclosing the
@@ -578,54 +583,15 @@ class Poly:
         and the terms are summed left to right, rounding outward after
         every operation.  Rows are independent, so a row's enclosure does
         not depend on the other rows.
-
-        pow_cache maps (i, e), i a 0-based variable index and e >= 1, to the
-        (lo, hi) enclosure arrays of x_i^e over the rows.  The first time a
-        power e >= 2 of x_i is missing, every power >= 2 of x_i that this
-        polynomial uses and the cache lacks is formed from one run of
-        products.  The dict may be shared by several calls evaluating
-        different polynomials over the same box arrays; an entry does not
-        depend on which polynomial made it.
         """
-        if los.shape != his.shape or los.ndim != 2 or los.shape[1] != self.nvars:
-            raise ValueError(f"expected (N, {self.nvars}) bound arrays")
-        count = los.shape[0]
-        if not self.terms:
-            return np.zeros(count), np.zeros(count)
-        if self._iterms is None:
-            terms = []
-            for exps, c in self.sorted_terms():
-                c = Interval.from_fraction(c)
-                terms.append((c.lo, c.hi, tuple((i, e) for i, e in enumerate(exps) if e)))
-            powers = [[e for e in exps if e >= 2] for exps in self._exponents()[1]]
-            self._iterms = (terms, powers)
-        terms, powers = self._iterms
-        if pow_cache is None:
-            pow_cache = {}
+        lo, hi = self.interval_stack().enclose(los, his)
+        return lo[0], hi[0]
 
-        with np.errstate(all="ignore"):
-            acc_lo = np.zeros(count)
-            acc_hi = np.zeros(count)
-            for tl, th, factors in terms:
-                for key in factors:
-                    got = pow_cache.get(key)
-                    if got is None:
-                        i, e = key
-                        if e == 1:
-                            got = pow_cache[key] = (los[:, i], his[:, i])
-                        else:
-                            # every power of x_i this polynomial still needs
-                            run = [k for k in powers[i] if (i, k) not in pow_cache]
-                            for k, pk in _power_run(los[:, i], his[:, i], run).items():
-                                pow_cache[i, k] = pk
-                            got = pow_cache[key]
-                    tl, th = _mul_arrays(tl, th, *got)
-                acc_lo = _next_down(acc_lo + tl)
-                acc_hi = _next_up(acc_hi + th)
-            # an overflow-induced NaN means "nothing is known": widen fully
-            acc_lo = np.where(np.isnan(acc_lo), -np.inf, acc_lo)
-            acc_hi = np.where(np.isnan(acc_hi), np.inf, acc_hi)
-        return acc_lo, acc_hi
+    def interval_stack(self) -> IntervalStack:
+        """The IntervalStack of this polynomial alone, compiled on first use."""
+        if self._stack is None:
+            self._stack = IntervalStack((self,))
+        return self._stack
 
     # -- substitution and reshaping -----------------------------------
 
@@ -720,6 +686,122 @@ def div_exact(a: Poly, b: Poly) -> Poly:
         quotient[diff] = quotient.get(diff, Fraction(0)) + c
         rem = rem - Poly(a.nvars, {diff: c}) * b
     return Poly(a.nvars, quotient)
+
+
+# Most term products one block of IntervalStack.enclose forms at once,
+# counted per row: term positions are taken in blocks of at most this many
+# (term, row) elements, one position at least, which bounds its
+# temporaries whatever the number of rows.
+_TERM_BLOCK = 1 << 15
+
+# The outward direction of each bound of a stacked (lo, hi) pair, which is
+# also what an overflow-induced NaN bound widens to.
+_OUTWARD = np.array([-np.inf, np.inf])[:, None, None]
+
+
+class IntervalStack:
+    """Compiled outward-rounded enclosure of a sequence of polynomials in
+    the same variables over a stack of boxes.
+
+    enclose(los, his) takes (N, nvars) bound arrays and returns (lo, hi)
+    arrays of shape (P, N), row p enclosing polys[p] over each box.  Every
+    row equals the sequential evaluation of its polynomial alone bit for
+    bit: a term is its coefficient's enclosure times the powers of the
+    sides in variable order, the terms are summed left to right in the
+    canonical order, rounding outward after every operation, and an
+    overflow-induced NaN widens to (-inf, inf) at the end.  Rows are
+    independent of each other and of the order of the polynomials.
+
+    Built once, a stack holds the coefficient enclosures and, per term, the
+    power table rows its factors read, the terms grouped by factor count.
+    A call forms one table of every power the polynomials use, from one
+    _power_run over all variables, then the products of every term of a
+    group at once, one factor slot at a time.  The polynomials are ranked
+    by term count, longest first, and the terms laid out by position in
+    their polynomial, then by rank: the polynomials that have a j-th term
+    are a prefix of the ranking, so step j of the sums is one add and one
+    rounding on that prefix.  Term positions are taken in blocks of at
+    most _TERM_BLOCK products.  A stack is never changed after it is
+    built, so threads may share one.
+    """
+
+    __slots__ = ("polys", "nvars", "_places", "_widths", "_starts", "_exps", "_groups")
+
+    def __init__(self, polys: Iterable[Poly]):
+        polys = tuple(polys)
+        if not polys:
+            raise ValueError("a stack needs at least one polynomial")
+        nvars = polys[0].nvars
+        if any(p.nvars != nvars for p in polys):
+            raise ValueError("the polynomials of a stack have mixed nvars")
+        order = sorted(range(len(polys)), key=lambda k: len(polys[k].terms), reverse=True)
+        ranked = [polys[k].sorted_terms() for k in order]
+        widths = [sum(len(terms) > j for terms in ranked) for j in range(len(ranked[0]))]
+        # term j of each polynomial that has one, position by position
+        terms = [ranked[r][j] for j, w in enumerate(widths) for r in range(w)]
+        # the exponents used: power table row k * nvars + i holds x_i to the k-th
+        used = [1, *sorted({e for exps, _ in terms for e in exps if e >= 2})]
+        level = {e: k * nvars for k, e in enumerate(used)}
+        groups: dict[int, tuple[list, list, list]] = {}
+        for t, (exps, c) in enumerate(terms):
+            c = Interval.from_fraction(c)
+            rows = [level[e] + i for i, e in enumerate(exps) if e]
+            places, coefs, factors = groups.setdefault(len(rows), ([], [], []))
+            places.append(t)
+            coefs.append((c.lo, c.hi))
+            factors.append(rows)
+        self.polys = polys
+        self.nvars = nvars
+        self._places = np.argsort(order)
+        self._widths = widths
+        self._starts = [0, *itertools.accumulate(widths)]
+        self._exps = tuple(used[1:])
+        # per factor count k: the terms' places in the layout, as a list and
+        # an array, their coefficient enclosures, shape (2, terms, 1), and
+        # the table rows of each factor slot, shape (k, terms)
+        self._groups = [
+            (places, np.array(places), np.array(coefs).T[:, :, None],
+             np.array(factors, dtype=np.intp).reshape(len(places), k).T.copy())
+            for k, (places, coefs, factors) in sorted(groups.items())]
+
+    def enclose(self, los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) of shape (P, N): row p encloses polys[p] over each box."""
+        if los.shape != his.shape or los.ndim != 2 or los.shape[1] != self.nvars:
+            raise ValueError(f"expected (N, {self.nvars}) bound arrays")
+        count = los.shape[0]
+        widths, starts = self._widths, self._starts
+        acc = np.zeros((2, len(self.polys), count))
+        with np.errstate(all="ignore"):
+            # power table row k * nvars + i: x_i to the k-th exponent used
+            xl, xh = los.T.ravel(), his.T.ravel()
+            table = np.empty((2, len(self._exps) + 1, len(xl)))
+            table[0, 0], table[1, 0] = xl, xh
+            if self._exps:
+                for k, (lo, hi) in enumerate(_power_run(xl, xh, self._exps).values(), 1):
+                    table[0, k], table[1, k] = lo, hi
+            table = table.reshape(2, (len(self._exps) + 1) * self.nvars, count)
+            per_block = _TERM_BLOCK // max(count, 1)
+            first = 0
+            while first < len(widths):
+                last = max(first + 1, bisect_right(starts, starts[first] + per_block) - 1)
+                t0, t1 = starts[first], starts[last]
+                prods = np.empty((2, t1 - t0, count))
+                for places, at, coefs, factors in self._groups:
+                    a, b = bisect_left(places, t0), bisect_left(places, t1)
+                    if a < b:
+                        lo, hi = coefs[:, a:b]
+                        for rows in factors:
+                            got = table[:, rows[a:b]]
+                            lo, hi = _mul_arrays(lo, hi, got[0], got[1])
+                        prods[:, at[a:b] - t0] = lo, hi
+                for j in range(first, last):
+                    part = acc[:, :widths[j]]
+                    np.add(part, prods[:, starts[j] - t0:starts[j + 1] - t0], out=part)
+                    np.nextafter(part, _OUTWARD, out=part)
+                first = last
+            out = acc[:, self._places]
+            np.copyto(out, _OUTWARD, where=np.isnan(out))
+        return out[0], out[1]
 
 
 # ---------------------------------------------------------------------

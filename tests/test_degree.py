@@ -501,6 +501,17 @@ def test_integral_budget_message_equals_one_array_reference():
     assert "32000 samples" in str(got.value)
 
 
+def test_integral_ignores_a_det_that_is_not_finite_where_the_weight_is_0():
+    # det JF = 301 x1^300 + 1 overflows to inf for |x1| above about 10.2,
+    # where |F - z| overflows too and the weight is 0: those samples add 0,
+    # not 0 * inf = NaN, and the estimate stays finite
+    F = make_map(1, "x1^301 + x1")
+    assert np.isinf(jacobian_det(F).eval_array(np.array([[10.5], [-10.5]]))).all()
+    with np.errstate(over="ignore"):  # |F - z|^2 overflows far from the root
+        res = degree_integral(F, cube(1, 11), [0], QuadratureConfig(max_samples=1 << 15))
+    assert res.value == 1 and math.isfinite(res.raw)
+
+
 # ---------------------------------------------------------------------
 # Homotopy constancy
 # ---------------------------------------------------------------------

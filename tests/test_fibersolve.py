@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from degreelab import fibersolve
-from degreelab.polycore import IntervalBox, Poly, parse_poly
-from degreelab.mapforms import PolyMap, jacobian_det, jacobian_matrix, keller_check
+from degreelab.polycore import IntervalBox, IntervalStack, Poly, parse_poly
+from degreelab.mapforms import PolyMap, jacobian_det, jacobian_stack, keller_check
 from degreelab.degree import _faces_times_unit
 from degreelab.fibersolve import (
     _BOUNDARY_MARGIN,
@@ -209,7 +209,7 @@ def test_fiber_determinism_across_workers():
 
 
 def _residuals(F, z):
-    return [p - Poly.const(F.n, t) for p, t in zip(F.components, z)]
+    return IntervalStack([p - Poly.const(F.n, t) for p, t in zip(F.components, z)])
 
 
 def test_krawczyk_batch_image_keeps_known_preimage():
@@ -233,7 +233,7 @@ def test_krawczyk_batch_image_keeps_known_preimage():
                 above = Fraction(rng.randint(0, 64), rng.choice([64, 256, 4096]))
                 los[k, i] = math.nextafter(float(x[i] - below), -math.inf)
                 his[k, i] = math.nextafter(float(x[i] + above), math.inf)
-        k_lo, k_hi, usable = _krawczyk_batch(_residuals(F, z), jacobian_matrix(F), los, his)
+        k_lo, k_hi, usable = _krawczyk_batch(_residuals(F, z), jacobian_stack(F), los, his)
         for k in np.nonzero(usable)[0]:
             usable_rows += 1
             for i in range(n):
@@ -247,7 +247,7 @@ def test_krawczyk_batch_marks_only_singular_row():
     # the stacked inverse must flag that row and leave the others intact
     F = make_map("x1^2", "x2")
     gs = _residuals(F, [1, 0])
-    jac = jacobian_matrix(F)
+    jac = jacobian_stack(F)
     los = np.array([[-1.0, -1.0], [0.5, -0.5], [-1.5, -0.25]])
     his = np.array([[1.0, 1.0], [1.5, 0.5], [-0.5, 0.25]])
     k_lo, k_hi, usable = _krawczyk_batch(gs, jac, los, his)
@@ -272,7 +272,7 @@ def _reference_solve_fiber(F, z, box, cfg=SolverConfig()):
     one pair of bound arrays, taken whole through exclusion, the Krawczyk
     step, certification and the split."""
     gs = _residuals(F, [Fraction(v) for v in z])
-    jac = jacobian_matrix(F)
+    jac = jacobian_stack(F)
     det = jacobian_det(F)
     outer_lo, outer_hi = np.array(box.lo), np.array(box.hi)
     if det.is_zero:
@@ -618,8 +618,8 @@ def _fallback_case(rng, scale):
 def _kernel_bounds(polys, rows):
     los = np.array([[lo for lo, _ in sides] for sides in rows])
     his = np.array([[hi for _, hi in sides] for sides in rows])
-    grads = [[p.diff(i) for i in range(1, p.nvars + 1)] for p in polys]
-    return fibersolve._sum_squares_lower(polys, grads, los, his).tolist()
+    grads = IntervalStack([p.diff(i) for p in polys for i in range(1, p.nvars + 1)])
+    return fibersolve._sum_squares_lower(IntervalStack(polys), grads, los, his).tolist()
 
 
 def test_sum_squares_fallback_is_sound_and_never_below_natural():

@@ -1,5 +1,6 @@
 """Tests for the exact polynomial core and interval arithmetic."""
 
+import itertools
 import json
 import math
 import random
@@ -13,6 +14,7 @@ from degreelab import polycore
 from degreelab.polycore import (
     Interval,
     IntervalBox,
+    IntervalStack,
     Poly,
     PolyParseError,
     _pow_arrays,
@@ -615,10 +617,8 @@ def _up(x: float) -> float:
 
 def _ref_mul(a, b):
     ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    total = ps[0] + ps[1] + ps[2] + ps[3]
-    if total != total:
-        # a 0 * inf corner (after overflow) means nothing is known; corners
-        # of inf and -inf give this too
+    if any(p != p for p in ps):
+        # a 0 * inf corner (after overflow) means nothing is known
         return -math.inf, math.inf
     return _down(min(ps)), _up(max(ps))
 
@@ -702,10 +702,27 @@ def _high_poly(rng, nvars, top):
     return Poly(nvars, terms)
 
 
-def test_eval_interval_batch_shared_pow_cache_equals_scalar():
-    # polynomials over the same box arrays sharing one pow_cache, as the
-    # clearance, the survey and the Krawczyk rows do: whichever polynomial
-    # forms a power first, every row equals the scalar reference bit for bit
+def _bound_arrays(boxes, nvars):
+    """(N, nvars) float lower and upper bound arrays of boxes given as sides."""
+    los = np.array([[float(lo) for lo, _ in b] for b in boxes]).reshape(len(boxes), nvars)
+    his = np.array([[float(hi) for _, hi in b] for b in boxes]).reshape(len(boxes), nvars)
+    return los, his
+
+
+def _assert_rows_equal_scalar(polys, boxes, lo, hi):
+    # row p of (lo, hi) equals the scalar reference of polys[p] on every box
+    assert lo.shape == hi.shape == (len(polys), len(boxes))
+    for p, row_lo, row_hi in zip(polys, lo, hi):
+        for k, sides in enumerate(boxes):
+            s_lo, s_hi = _scalar_enclosure(p, [(float(a), float(b)) for a, b in sides])
+            assert (_bits(row_lo[k]), _bits(row_hi[k])) == (_bits(s_lo), _bits(s_hi)), (
+                p, sides, s_lo, s_hi, row_lo[k], row_hi[k])
+
+
+def test_interval_stack_of_several_polynomials_equals_scalar():
+    # polynomials with many shared and unshared powers over one stack of
+    # boxes: every row of every polynomial equals the scalar reference bit
+    # for bit, in either order of the polynomials
     rng = random.Random(314159)
     for _ in range(40):
         nvars = rng.randint(1, 3)
@@ -714,21 +731,91 @@ def test_eval_interval_batch_shared_pow_cache_equals_scalar():
         for b in boxes[:2]:
             lo = Fraction(rng.randint(-8, 8), 8)
             b[0] = (lo, lo + Fraction(rng.randint(0, 4), 8))
-        los = np.array([[float(lo) for lo, _ in b] for b in boxes])
-        his = np.array([[float(hi) for _, hi in b] for b in boxes])
+        los, his = _bound_arrays(boxes, nvars)
         polys = [random_poly(rng, nvars, max_deg=3), _high_poly(rng, nvars, 12),
                  _high_poly(rng, nvars, 41), _high_poly(rng, nvars, rng.randint(42, 60)),
                  random_poly(rng, nvars, max_deg=5)]
         for order in (polys, polys[::-1]):
-            cache: dict = {}
-            for p in order:
-                b_lo, b_hi = p.eval_interval_batch(los, his, cache)
-                for k, sides in enumerate(boxes):
-                    s_lo, s_hi = _scalar_enclosure(p, [(float(lo), float(hi))
-                                                       for lo, hi in sides])
-                    assert (_bits(b_lo[k]), _bits(b_hi[k])) == (_bits(s_lo), _bits(s_hi)), (
-                        p, sides, s_lo, s_hi, b_lo[k], b_hi[k])
-            assert max(e for _, e in cache) >= 41
+            _assert_rows_equal_scalar(order, boxes, *IntervalStack(order).enclose(los, his))
+
+
+def _stack_polys(rng, nvars):
+    """Polynomials of mixed term counts for one stack: zero and constant
+    ones at times, and at times coefficients near the float maximum, whose
+    products and sums overflow to NaN bounds that widen to -inf and inf."""
+    polys = []
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.random()
+        if kind < 0.15:
+            polys.append(Poly.zero(nvars))
+        elif kind < 0.3:
+            polys.append(Poly.const(nvars, Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
+        else:
+            p = random_poly(rng, nvars, max_deg=3, max_terms=rng.choice([2, 6, 14]))
+            if rng.random() < 0.3:
+                p = p * (Fraction(sys.float_info.max) / rng.choice([1, 4, 16]))
+            polys.append(p)
+    return polys
+
+
+def test_interval_stack_property():
+    # enclosures of a stack equal the scalar reference, one polynomial at a
+    # time, bit for bit; they do not depend on the other rows or on the
+    # order of the polynomials; and they hold the exact values at the
+    # corners and at rational points of each box.  4,097 rows put a term
+    # block boundary inside the polynomials of more than 7 terms.
+    rng = random.Random(20261019)
+    big = polycore._TERM_BLOCK // 8 + 1
+    cases = [(rows, 40) for rows in (0, 1, 3, 17)] + [(big, 2)]
+    for rows, count in cases:
+        for _ in range(count):
+            nvars = rng.randint(2 if rows == big else 1, 3)
+            polys = _stack_polys(rng, nvars)
+            if rows == big:
+                # every monomial of degree 3 at most: 10 or 20 terms
+                polys.append(Poly(nvars, {e: Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                                          for e in itertools.product(range(4), repeat=nvars)
+                                          if sum(e) <= 3}))
+                assert polycore._TERM_BLOCK // rows < len(polys[-1].terms)
+            boxes = [[_random_side(rng) for _ in range(nvars)] for _ in range(rows)]
+            los, his = _bound_arrays(boxes, nvars)
+            stack = IntervalStack(polys)
+            lo, hi = stack.enclose(los, his)
+            _assert_rows_equal_scalar(polys, boxes, lo, hi)
+            # other rows and another order of the polynomials change nothing
+            perm = np.array(rng.sample(range(rows), rows), dtype=np.intp)
+            p_lo, p_hi = stack.enclose(los[perm], his[perm])
+            assert p_lo.tobytes() == lo[:, perm].tobytes()
+            assert p_hi.tobytes() == hi[:, perm].tobytes()
+            order = rng.sample(range(len(polys)), len(polys))
+            o_lo, o_hi = IntervalStack([polys[k] for k in order]).enclose(los, his)
+            assert o_lo.tobytes() == lo[order].tobytes()
+            assert o_hi.tobytes() == hi[order].tobytes()
+            for k in rng.sample(range(rows), min(rows, 6)):
+                one_lo, one_hi = stack.enclose(los[k:k + 1], his[k:k + 1])
+                assert one_lo[:, 0].tobytes() == lo[:, k].tobytes()
+                assert one_hi[:, 0].tobytes() == hi[:, k].tobytes()
+                sides = boxes[k]
+                points = [list(c) for c in itertools.product(*sides)]
+                points += [[a + Fraction(rng.randint(0, 8), 8) * (b - a) for a, b in sides]
+                           for _ in range(2)]
+                for p, p_lo, p_hi in zip(polys, lo[:, k], hi[:, k]):
+                    for pt in points:
+                        val = p.eval(pt)
+                        assert p_lo == -math.inf or Fraction(p_lo) <= val, (p, sides, pt)
+                        assert p_hi == math.inf or val <= Fraction(p_hi), (p, sides, pt)
+
+
+def test_interval_stack_checks_its_input():
+    with pytest.raises(ValueError):
+        IntervalStack([])
+    with pytest.raises(ValueError):
+        IntervalStack([parse_poly("x1", 1), parse_poly("x1*x2", 2)])
+    stack = IntervalStack([parse_poly("x1*x2", 2)])
+    with pytest.raises(ValueError):
+        stack.enclose(np.zeros((3, 1)), np.zeros((3, 1)))
+    with pytest.raises(ValueError):
+        stack.enclose(np.zeros((3, 2)), np.zeros((2, 2)))
 
 
 def _scalar_value(p: Poly, point) -> float:
