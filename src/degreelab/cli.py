@@ -399,7 +399,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args leaves it as
+    it was, and each call's namespace is new."""
     parser = _Parser(prog="degreelab",
                      description="Certified degree and injectivity analysis "
                                  "of polynomial maps.")

@@ -10,7 +10,10 @@ treated as proof that no collision exists.
 The sign survey's subdivision and the collision branch-and-prune are
 fibersolve.subdivide walks at the midpoint, which decide a level with one
 enclosure call: the determinant's own IntervalStack, or the stack of the
-differences.  The sampled pair search finds neighbouring image cells by
+differences.  The survey's call also encloses a float box about each
+cell's midpoint, and it evaluates det JF exactly at a midpoint only when
+that value could add evidence: its enclosure reaches zero, or proves a
+sign the survey has not yet seen.  The sampled pair search finds neighbouring image cells by
 searchsorted on integer cell keys.  Collision seeds are polished by one
 stacked float Newton.
 
@@ -64,6 +67,22 @@ def _midpoint_exact(lo: Sequence[float], hi: Sequence[float]) -> Point:
     return tuple(Fraction(a) + (Fraction(b) - Fraction(a)) / 2 for a, b in zip(lo, hi))
 
 
+def _midpoint_boxes(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float boxes, one per row, each holding the exact midpoint
+    (lo + hi) / 2 of that row's box.
+
+    0.5*lo + 0.5*hi is widened by two ulps on each side, which covers the
+    rounding of both halvings (subnormal sides included) and of the sum.
+    A row with a side that is not finite has no exact midpoint; it gets
+    NaN sides, which any enclosure that reads them widens to (-inf, inf).
+    """
+    with np.errstate(all="ignore"):
+        mid = 0.5 * los + 0.5 * his
+        mid = np.where(np.isfinite(mid).all(axis=1, keepdims=True), mid, np.nan)
+        return (np.nextafter(np.nextafter(mid, -np.inf), -np.inf),
+                np.nextafter(np.nextafter(mid, np.inf), np.inf))
+
+
 # ---------------------------------------------------------------------
 # Jacobian sign survey
 # ---------------------------------------------------------------------
@@ -105,6 +124,12 @@ def jacobian_sign_survey(F: PolyMap, box: IntervalBox,
     subdivision pass tries to certify a uniform sign by interval
     enclosure.  When the box budget runs out first, the classification
     reflects the evidence gathered so far and is flagged partial.
+
+    Exact values of det JF are taken at up to 4 samples of each float
+    sign, then at the midpoints of subdivision cells that straddle zero
+    or carry a sign that still lacks evidence, except where an enclosure
+    of det JF over a float box about the midpoint proves a sign the
+    survey already holds: such a value could change no evidence.
     """
     budget = budget or SurveyBudget()
     if box.dims != F.n:
@@ -142,20 +167,32 @@ def jacobian_sign_survey(F: PolyMap, box: IntervalBox,
         record(_rational_point(pts[int(idx)]))
 
     # subdivision pass, unless sampling settled: certify one uniform sign,
-    # or catch a zero at the midpoint of a straddling cell.  Each level is
-    # enclosed in one batched call, then its cells are decided in FIFO order.
+    # or catch a zero at the midpoint of a straddling cell.  Each level's
+    # cells and a float box about each cell's midpoint are enclosed in one
+    # batched call, then the cells are decided in FIFO order.
     boxes_used = 0
 
     def decide(los, his):
         nonlocal boxes_used
         if settled():
             return None
-        enc_lo, enc_hi = det.eval_interval_batch(los, his)
+        count = len(los)
+        mid_lo, mid_hi = _midpoint_boxes(los, his)
+        lo, hi = det.eval_interval_batch(np.concatenate((los, mid_lo)),
+                                         np.concatenate((his, mid_hi)))
+        enc_lo, enc_hi = lo[:count], hi[:count]
         straddle = (enc_lo <= 0.0) & (enc_hi >= 0.0)
-        for k in range(len(los)):
+        # the sign of det JF at each cell's midpoint where its enclosure
+        # proves one, 0 where the enclosure reaches 0
+        proved = ((lo[count:] > 0.0).astype(int) - (hi[count:] < 0.0)).tolist()
+        for k in range(count):
             boxes_used += 1
             # exact midpoint values: on a straddling cell always, on a
-            # signed cell only while that sign still lacks evidence
+            # signed cell only while that sign still lacks evidence; but
+            # never where the midpoint's sign is proved and already held,
+            # as that value could not change found
+            if proved[k] and proved[k] in found:
+                continue
             if (straddle[k] or (1 not in found and enc_lo[k] > 0.0)
                     or (-1 not in found and enc_hi[k] < 0.0)):
                 record(_midpoint_exact(los[k].tolist(), his[k].tolist()))

@@ -498,6 +498,29 @@ def test_usage_error_exit_code(fixtures_dir):
     assert info.value.code == 1
 
 
+def test_parser_is_built_once(fixtures_dir, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    mapfile = str(fixtures_dir / "triangular.map")
+    code, first, _ = run_cli(capsys, "inject", "--map", mapfile, "--z", "1,1", "--z", "0,2")
+    assert code == 0
+    assert first["inputs"]["queries"] == [["1", "1"], ["0", "2"]]
+    # the --z list of one call is not the default of the next
+    code, second, _ = run_cli(capsys, "inject", "--map", mapfile, "--z", "0,2")
+    assert code == 0
+    assert second["inputs"]["queries"] == [["0", "2"]]
+    assert [r["query"] for r in second["results"]["records"]] == [["0", "2"]]
+
+
+def test_usage_error_leaves_the_parser_working(fixtures_dir, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["fibers", "--map", str(fixtures_dir / "cubic_line.map"), "--box=-2:2"])
+    assert info.value.code == 1  # --z missing
+    code, payload, _ = run_cli(capsys, "fibers", "--map", str(fixtures_dir / "cubic_line.map"),
+                               "--z", "0", "--box=-2:2")
+    assert code == 0
+    assert payload["inputs"]["z"] == ["0"] and payload["results"]["status"] == "complete"
+
+
 def test_report_determinism(fixtures_dir, capsys):
     args = ("degree", "--map", str(fixtures_dir / "triangular.map"),
             "--z", "0,0", "--box=-2:2,-2:2", "--method", "both")

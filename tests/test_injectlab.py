@@ -1,11 +1,14 @@
 import itertools
+import json
+import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from degreelab.polycore import IntervalBox, parse_poly
+from degreelab.polycore import IntervalBox, Poly, parse_poly
 from degreelab.mapforms import PolyMap, jacobian_det, jacobian_matrix, keller_check, realify
 from degreelab import fibersolve, injectlab
 from degreelab.fibersolve import solve_fiber, split_widest
@@ -23,6 +26,7 @@ from degreelab.injectlab import (
 from degreelab.injectlab import (
     _BUCKET_CELLS,
     _WITNESS_SEPARATION,
+    _midpoint_boxes,
     _midpoint_exact,
     _newton_float,
     _prune_candidates,
@@ -153,7 +157,9 @@ def test_survey_dimension_mismatch():
 def _reference_sign_survey(F, box, budget=None):
     # reference: the survey written out plainly, with separate positive and
     # negative evidence, the exact-evidence check repeated in both passes
-    # and a SignSurvey built at each of its seven exits
+    # and a SignSurvey built at each of its seven exits.  It has no
+    # midpoint filter: it evaluates exactly at every cell the rule names,
+    # even where the value can only repeat a sign already held
     budget = budget or SurveyBudget()
     if box.dims != F.n:
         raise ValueError(f"box has {box.dims} dims, expected {F.n}")
@@ -329,6 +335,167 @@ def test_survey_equals_reference_on_random_maps():
         seen.add((got.classification, got.certified))
     assert {c for c, _ in seen} == {"positive", "negative", "mixed", "vanishing_found"}
     assert {certified for _, certified in seen} == {True, False}
+
+
+def _counting_exact_evals(monkeypatch):
+    """Count every exact (rational) Poly.eval from here on."""
+    counts = [0]
+    real_eval = Poly.eval
+
+    def counted(self, point):
+        if not any(isinstance(x, float) for x in point):
+            counts[0] += 1
+        return real_eval(self, point)
+
+    monkeypatch.setattr(Poly, "eval", counted)
+    return counts
+
+
+def test_survey_midpoint_filter_changes_no_result(monkeypatch):
+    # varying determinants only, so that the subdivision pass runs: few
+    # samples, and budgets that mostly end mid-level
+    rng = random.Random(19)
+    counts = _counting_exact_evals(monkeypatch)
+    survey_evals = reference_evals = 0
+    seen = set()
+    cases = 0
+    while cases < 60:
+        n = rng.randint(1, 3)
+        F = _random_survey_map(rng, n)
+        if keller_check(F).kind != "nonconstant":
+            continue
+        cases += 1
+        # half the boxes off-centre, where midpoints rarely meet a zero
+        box = _random_survey_box(rng, n) if cases % 2 else IntervalBox.from_bounds(
+            (a, a + rng.uniform(0.25, 3.0)) for a in (rng.uniform(-2.0, 1.0) for _ in range(n)))
+        budget = SurveyBudget(samples=rng.choice([1, 2, 8]),
+                              max_boxes=rng.choice([3, 7, 50, 300, 1000]),
+                              seed=rng.randint(0, 5))
+        with np.errstate(all="ignore"):
+            got = jacobian_sign_survey(F, box, budget)
+            survey_evals, counts[0] = survey_evals + counts[0], 0
+            ref = _reference_sign_survey(F, box, budget)
+            reference_evals, counts[0] = reference_evals + counts[0], 0
+        assert got == ref, (F.components, box.lo, box.hi, budget)
+        seen.add((got.classification, got.boxes_used > 0, got.boxes_used == budget.max_boxes))
+    assert {c for c, _, _ in seen} == {"positive", "negative", "mixed", "vanishing_found"}
+    # found by the subdivision pass
+    assert {("vanishing_found", True, False), ("mixed", True, False)} <= seen
+    assert {c for c, _, cut in seen if cut} >= {"positive", "negative"}  # budget ran out
+    assert survey_evals < reference_evals / 2
+
+
+def test_survey_finds_a_zero_at_a_dyadic_midpoint(monkeypatch):
+    # det JF = (2*x1 - 1)^2: no sample hits its zero x1 = 1/2, the first
+    # cell's midpoint (1, 0) is proved positive, and the second level's
+    # cell [0, 1] x [-1, 1] has the zero at its midpoint
+    F = make_map(2, "4/3*x1^3 - 2*x1^2 + x1", "x2")
+    box = IntervalBox.from_bounds([(0.0, 2.0), (-1.0, 1.0)])
+    budget = SurveyBudget(samples=8, max_boxes=100)
+    counts = _counting_exact_evals(monkeypatch)
+    s = jacobian_sign_survey(F, box, budget)
+    survey_evals, counts[0] = counts[0], 0
+    assert s == _reference_sign_survey(F, box, budget)
+    assert s.classification == "vanishing_found" and s.certified
+    assert s.evidence == (((Fraction(1, 2), Fraction(0)), Fraction(0)),)
+    assert s.boxes_used == 2
+    # the reference's evaluations: 4 positive samples, (1, 0) and (1/2, 0);
+    # the survey skips (1, 0), whose sign the samples already showed
+    assert (survey_evals, counts[0]) == (5, 6)
+
+
+def _contains(lo: float, x: Fraction, hi: float) -> bool:
+    return (lo == -math.inf or Fraction(lo) <= x) and (hi == math.inf or x <= Fraction(hi))
+
+
+def test_midpoint_boxes_contain_the_exact_midpoint():
+    rng = random.Random(5)
+    big = sys.float_info.max
+    special = [0.0, -0.0, 5e-324, -5e-324, 1.5e-323, 2.2250738585072014e-308,
+               -2.2250738585072009e-308, 1.0, -1.0, 2.0 ** -1022, 2.0 ** 1023, -2.0 ** 1023,
+               0.5, 3.0, big, -big, math.nextafter(big, 0.0), -math.nextafter(big, 0.0)]
+
+    def draw():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.choice(special)
+        if kind == 1:  # a power of two, or a neighbour of one
+            x = math.ldexp(1.0, rng.randint(-1074, 1023)) * rng.choice([-1, 1])
+            return rng.choice([x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)])
+        if kind == 2:  # subnormal
+            return rng.randint(-2 ** 52, 2 ** 52) * 5e-324
+        return rng.uniform(-1.0, 1.0) * math.ldexp(1.0, rng.randint(-1074, 1023))
+
+    pairs = []
+    for _ in range(4000):
+        a = draw()
+        b = rng.choice([a, -a, draw(), math.nextafter(a, math.inf) if a < big else a])
+        pairs.append((min(a, b), max(a, b)))
+    los = np.array([[lo] for lo, _ in pairs])
+    his = np.array([[hi] for _, hi in pairs])
+    box_lo, box_hi = _midpoint_boxes(los, his)
+    for (lo, hi), blo, bhi in zip(pairs, box_lo[:, 0].tolist(), box_hi[:, 0].tolist()):
+        assert _contains(blo, (Fraction(lo) + Fraction(hi)) / 2, bhi), (lo, hi, blo, bhi)
+    # two dimensions at once, and a row with a side that is not finite
+    box_lo, box_hi = _midpoint_boxes(np.array([[0.0, -1.0], [1.0, -math.inf]]),
+                                     np.array([[1.0, 3.0], [2.0, 0.0]]))
+    assert box_lo[0, 0] < 0.5 < box_hi[0, 0] and box_lo[0, 1] < 1.0 < box_hi[0, 1]
+    assert np.isnan(box_lo[1]).all() and np.isnan(box_hi[1]).all()
+
+
+def _subdivision_exact_evals(monkeypatch, F, box, budget):
+    """Run the survey; return its result and, for each exact value of
+    det JF taken in the subdivision pass, the signs of det JF known
+    before it and the sign its cell's midpoint enclosure proves (0 where
+    the enclosure reaches 0)."""
+    det = jacobian_det(F)
+    real_eval, real_batch = Poly.eval, Poly.eval_interval_batch
+    signs, level, out = set(), [], []
+
+    def evaluate(self, point):
+        value = real_eval(self, point)
+        if self is det:
+            if level:
+                los, his, lo, hi = level[-1]
+                count = len(los) // 2
+                (k,) = [k for k in range(count)
+                        if _midpoint_exact(los[k].tolist(), his[k].tolist()) == point]
+                # row count + k of the batch is a box about that midpoint
+                assert all(Fraction(a) <= x <= Fraction(b) for a, x, b
+                           in zip(los[count + k].tolist(), point, his[count + k].tolist()))
+                out.append((frozenset(signs), int(lo[count + k] > 0) - int(hi[count + k] < 0)))
+            signs.add((value > 0) - (value < 0))
+        return value
+
+    def batch(self, los, his):
+        lo, hi = real_batch(self, los, his)
+        if self is det:
+            level.append((los, his, lo, hi))
+        return lo, hi
+
+    monkeypatch.setattr(Poly, "eval", evaluate)
+    monkeypatch.setattr(Poly, "eval_interval_batch", batch)
+    return jacobian_sign_survey(F, box, budget), out
+
+
+@pytest.mark.parametrize("exprs, bounds, samples", [
+    (None, [(0.0, 2.0), (-1.0, 1.0)], 2048),  # the Pinchuk map
+    (("x1^2", "x2^2"), [(-1.0, 2.0), (-1.5, 1.0)], 1),
+    (("4/3*x1^3 - 2*x1^2 + x1", "x2"), [(0.0, 2.0), (-1.0, 1.0)], 8),
+])
+def test_survey_evaluates_exactly_only_where_evidence_can_change(
+        monkeypatch, fixtures_dir, exprs, bounds, samples):
+    if exprs is None:
+        doc = json.loads((fixtures_dir / "pinchuk.map").read_text())
+        F = make_map(doc["n"], *doc["components"])
+    else:
+        F = make_map(2, *exprs)
+    box = IntervalBox.from_bounds(bounds)
+    budget = SurveyBudget(samples=samples, max_boxes=64)
+    s, evals = _subdivision_exact_evals(monkeypatch, F, box, budget)
+    assert s.boxes_used > len(evals)
+    for known, proved in evals:
+        assert proved == 0 or proved not in known
 
 
 # ---------------------------------------------------------------------
