@@ -234,12 +234,18 @@ def split_widest(los: np.ndarray, his: np.ndarray, ratio: float):
     parent's left child first, and a mask of the parents whose split point
     fell strictly inside the side (elsewhere one child is degenerate).  At
     ratio 0.5 the split point equals IntervalBox.midpoint on that side bit
-    for bit.
+    for bit.  Where the width overflows, the point is formed as
+    (1 - ratio) * lo + ratio * hi instead, which lies in the side.
     """
-    axis = (his - los).argmax(axis=1)
+    with np.errstate(over="ignore"):
+        widths = his - los
+    axis = widths.argmax(axis=1)
     rows = np.arange(len(los))
-    side_lo, side_hi = los[rows, axis], his[rows, axis]
-    at = side_lo + ratio * (side_hi - side_lo)
+    side_lo, side_hi, width = los[rows, axis], his[rows, axis], widths[rows, axis]
+    at = side_lo + ratio * width
+    wide = ~np.isfinite(width)
+    if wide.any():
+        at[wide] = (1 - ratio) * side_lo[wide] + ratio * side_hi[wide]
     left = 2 * rows
     kids_lo = np.repeat(los, 2, axis=0)
     kids_hi = np.repeat(his, 2, axis=0)

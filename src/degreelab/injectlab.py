@@ -160,8 +160,11 @@ def jacobian_sign_survey(F: PolyMap, box: IntervalBox,
     # evidence; all of them are read before either verdict is drawn
     rng = np.random.default_rng(budget.seed)
     lo, hi = np.array(box.lo), np.array(box.hi)
-    pts = lo[None, :] + rng.random((budget.samples, F.n)) * (hi - lo)[None, :]
-    vals = det.eval_array(pts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = lo[None, :] + rng.random((budget.samples, F.n)) * (hi - lo)[None, :]
+        vals = det.eval_array(pts)
+    # a side whose width overflows puts samples off the float range: unread
+    vals[~np.isfinite(pts).all(axis=1)] = np.nan
     for idx in itertools.chain(np.nonzero(vals > 0)[0][:4], np.nonzero(vals < 0)[0][:4],
                                np.nonzero(vals == 0)[0][:4]):
         record(_rational_point(pts[int(idx)]))
@@ -677,27 +680,30 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
 
     Step 1 fixes a base point with a certified singleton fiber: the
     origin for cubic/cube-linear forms, else a caller-supplied point
-    defaulting to F(0).  Step 2 grows a centered box (radius doubling)
-    per query until four certificates hold: the query's boundary
-    clearance, the base-to-query path segment, the query's degree
-    (nonzero), and the base's clearance and fiber.  Every root of a
+    defaulting to F(0).  For n = 2 the base's winding degree over that
+    box must equal the fiber's signed count.  Step 2 grows a centered box
+    (radius doubling) per query until four certificates hold: the
+    query's boundary clearance, the base-to-query path segment, the
+    query's degree (nonzero), and the base's degree.  Every root of a
     Keller map has the sign of det JF, so the query's fiber holds
-    deg * sign(det JF) points.  For n = 2 the degree is winding_degree,
-    and the query's fiber is solved only where that is undecided, or
-    where |deg| >= 2 and the roots are needed for a collision witness;
-    otherwise, and for n != 2, it is the signed count of the solved
-    fiber, which must be complete.  Up to the first radius whose box
-    holds a root of the query, a zero degree turns a radius down, as it
-    is cheap on a box holding no root (the segment must fail there too,
-    the degrees differing).  From then on the order is clearance,
-    segment, then the degree and the base's fiber solve: the first two
-    run under split budgets, so a radius they turn down costs no solve.
-    The first radius at which all four hold does not depend on the
-    order.  When the radius cap is passed first, the note names the last
-    radius tried and the certificate that failed there.  Step 3 compares
-    the degree at the query and at the base over the same box, which the
-    certified segment forces to agree; a failed path certificate
-    downgrades the query to inconclusive rather than being assumed away.
+    deg * sign(det JF) points.  For n = 2 each degree is winding_degree.
+    The query's fiber is solved only where that is undecided, or where
+    |deg| >= 2 and the roots are needed for a collision witness; a base
+    degree of +-1 counts the Step 1 root alone, and the base's clearance
+    and fiber are computed again only where it is anything else.  Otherwise,
+    and for n != 2, a degree is the signed count of the solved fiber,
+    which must be complete.  Up to the first radius whose box holds a
+    root of the query, a zero degree turns a radius down, as it is cheap
+    on a box holding no root (the segment must fail there too, the
+    degrees differing).  From then on the order is clearance, segment,
+    then the query's degree and the base's: the first two run under
+    split budgets, so a radius they turn down costs no solve.  The first
+    radius at which all four hold does not depend on the order.  When the
+    radius cap is passed first, the note names the last radius tried and
+    the certificate that failed there.  Step 3 compares the degree at the
+    query and at the base over the same box, which the certified segment
+    forces to agree; a failed path certificate downgrades the query to
+    inconclusive rather than being assumed away.
 
     Any multi-point fiber met along the way is converted into an exact
     collision witness and reported as non-injectivity.  solver configures
@@ -717,7 +723,7 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
     else:
         base_point = _rational_point(base)
 
-    base_cleared, base_solved, _ = _certificates(F, base_point, solver)
+    base_cleared, base_solved, base_wound = _certificates(F, base_point, solver)
 
     def base_at(radius: Fraction, box: IntervalBox):
         return base_cleared(radius), base_solved(radius)
@@ -741,6 +747,13 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
             if base_fiber is None
             else "base point has an empty certified fiber" if not base_fiber.roots
             else "base fiber has several roots but none pass the witness thresholds")
+    # from here on the base's winding degree stands in for its fiber, so
+    # the two certified counts are checked against each other once
+    base_count = signed_count_from_fiber(base_fiber, base_pair[0]).value
+    if base_wound(base_radius) not in (None, base_count):
+        raise RuntimeError(
+            "the base's winding degree and the signed count of its certified "
+            "fiber disagree; this is a soundness bug")
 
     # Steps 2 and 3, per query
     records: list[QueryRecord] = []
@@ -772,7 +785,13 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
                 raise _GrowNeeded(f"path segment: {seg.failure}")
             deg = wound(radius)
             fib_q = None if deg in (1, -1) else solved(radius)
-            return deg, clr_q, fib_q, *base_at(radius, box)
+            # a base degree of +-1 counts one root, all roots having the
+            # sign of det JF, and this box holds the Step 1 root
+            deg_b = base_wound(radius)
+            if deg_b in (1, -1):
+                return deg, clr_q, fib_q, deg_b, None
+            clr_b, fib_b = base_at(radius, box)
+            return deg, clr_q, fib_q, signed_count_from_fiber(fib_b, clr_b).value, fib_b
 
         rooted, _, last = _first_radius(
             n, max(base_radius, *(abs(v) * 2 for v in q), Fraction(1)), holds_root)
@@ -785,10 +804,9 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
                 degree_at_base=None, path_certified=False,
                 note="radius cap reached without full certification" + last))
             continue
-        deg_q, clr_q, fib_q, clr_b, fib_b = pairs
+        deg_q, clr_q, fib_q, deg_b, fib_b = pairs
         if deg_q is None:
             deg_q = signed_count_from_fiber(fib_q, clr_q).value
-        deg_b = signed_count_from_fiber(fib_b, clr_b).value
         for fib in (fib_q, fib_b):
             if fib is not None and len(fib.roots) > 1 and witness is None:
                 witness = witness_from_fiber(F, fib)

@@ -194,6 +194,17 @@ def test_analyze_survives_overflowing_samples(tmp_path, capsys):
     assert "Warning" not in captured.err
 
 
+def test_analyze_reports_on_a_box_wider_than_the_float_range(fixtures_dir, capsys):
+    # the width of the first side overflows to inf; the survey's cells and
+    # samples must still have finite sides and exact midpoints
+    code, payload, captured = run_cli(
+        capsys, "analyze", "--map", str(fixtures_dir / "pinchuk.map"),
+        "--box=-1.7e308:1.7e308,-1:1", "--max-boxes", "64")
+    assert code in (0, 2)
+    assert payload["results"]["sign_survey"]["classification"] == "positive"
+    assert "Error" not in captured.err
+
+
 def test_analyze_zero_component_has_no_bezout_bound(tmp_path, capsys):
     # a zero component has no total degree: the bound is null, not a crash
     mapfile = tmp_path / "zero.map"

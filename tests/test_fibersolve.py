@@ -477,6 +477,63 @@ def test_subdivide_budget_spent_at_a_level_that_leaves_children():
     assert [len(los) for los, _ in seen] == [1, 2]
 
 
+def _split_at_width(los, his, ratio):
+    """split_widest as formed from the width, lo + ratio * (hi - lo)."""
+    axis = (his - los).argmax(axis=1)
+    rows = np.arange(len(los))
+    side_lo, side_hi = los[rows, axis], his[rows, axis]
+    at = side_lo + ratio * (side_hi - side_lo)
+    kids_lo, kids_hi = np.repeat(los, 2, axis=0), np.repeat(his, 2, axis=0)
+    kids_hi[2 * rows, axis] = at
+    kids_lo[2 * rows + 1, axis] = at
+    return kids_lo, kids_hi, (side_lo < at) & (at < side_hi)
+
+
+def _random_boxes(rng, count, n, overflow):
+    """count boxes in n dims, sides of random scale; with overflow, each
+    box gets one side whose width passes the float range."""
+    scale = 10.0 ** rng.integers(-320, 307, size=(count, n))
+    a, b = rng.standard_normal((2, count, n)) * scale
+    los, his = np.minimum(a, b), np.maximum(a, b)
+    if overflow:
+        rows, axis = np.arange(count), rng.integers(0, n, size=count)
+        los[rows, axis] = -np.finfo(float).max * rng.uniform(0.5, 1.0, size=count)
+        his[rows, axis] = np.finfo(float).max * rng.uniform(0.5, 1.0, size=count)
+    return los, his
+
+
+@pytest.mark.parametrize("ratio", [0.5, _SPLIT_RATIO])
+def test_split_widest_forms_finite_splits_from_the_width(ratio):
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        los, his = _random_boxes(rng, 500, n, overflow=False)
+        assert np.isfinite(his - los).all()
+        got, want = split_widest(los, his, ratio), _split_at_width(los, his, ratio)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("ratio", [0.5, _SPLIT_RATIO])
+def test_split_widest_keeps_overflowing_widths_finite_and_inside(ratio):
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3):
+        finite = _random_boxes(rng, 200, n, overflow=False)
+        wide = _random_boxes(rng, 200, n, overflow=True)
+        los, his = (np.concatenate(pair) for pair in zip(finite, wide))
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(his[200:] - los[200:]).all(axis=1).any()
+        kids_lo, kids_hi, inside = split_widest(los, his, ratio)
+        # the rows of finite width split as before, whatever the other rows
+        for g, w in zip((kids_lo[:400], kids_hi[:400], inside[:200]),
+                        _split_at_width(*finite, ratio)):
+            assert np.array_equal(g, w)
+        assert np.isfinite(kids_lo).all() and np.isfinite(kids_hi).all()
+        parent_lo, parent_hi = np.repeat(los, 2, axis=0), np.repeat(his, 2, axis=0)
+        assert (parent_lo <= kids_lo).all() and (kids_lo <= kids_hi).all()
+        assert (kids_hi <= parent_hi).all()
+        assert inside[200:].all()
+
+
 # -------------------------------------------------- boundary clearance
 
 def test_clearance_identity():

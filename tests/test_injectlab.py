@@ -865,6 +865,74 @@ def test_pipeline_undecided_winding_degree_solves_the_query_fiber(monkeypatch):
         assert {tuple(map(Fraction, q)) for q in queries} <= set(solved)
 
 
+def _plane_keller_cases():
+    rng = random.Random(515)
+    automorphism, _ = random_composed_automorphism(rng, 2, factors=2)
+    return [(make_map(2, "x1 + x2^3", "x2"), [[1, 1], [-2, 3], [0, 3]]),
+            (make_map(2, "x1 + x2^2 + 1", "x2 - 2"), [[1, -2], [5, 4]]),
+            (make_map(2, "x2", "x1"), [[3, -5], [40, 1]]),
+            (automorphism, [[1, -1], [0, 1], [-1, 2]])]
+
+
+def _record_solves(monkeypatch):
+    """Wrap solve_fiber; returns the target and box radius of every solve."""
+    solves, solve = [], injectlab.solve_fiber
+
+    def recording(F, z, box, cfg=None):
+        solves.append((tuple(z), box.hi[0]))
+        return solve(F, z, box, cfg)
+
+    monkeypatch.setattr(injectlab, "solve_fiber", recording)
+    return solves
+
+
+def test_pipeline_reads_a_unit_base_degree_instead_of_solving_the_base(monkeypatch):
+    # the base's winding degree is +-1 at every query radius, so the base
+    # is solved only in Step 1, as with no queries at all
+    grew = False
+    for F, queries in _plane_keller_cases():
+        with monkeypatch.context() as patch:
+            solves = _record_solves(patch)
+            base = injectivity_pipeline(F, []).base_point
+            step1 = [radius for z, radius in solves if z == base]
+            solves.clear()
+            report = injectivity_pipeline(F, queries)
+        assert report.verdict == "consistent_with_injectivity"
+        assert [radius for z, radius in solves if z == base] == step1
+        for rec in report.records:
+            assert rec.degree_at_base in (1, -1) and rec.degree_at_base == rec.degree_at_query
+            grew |= rec.radius > max(step1)
+    assert grew
+
+
+def test_pipeline_undecided_base_degree_solves_the_base(monkeypatch):
+    # with the base's winding degree undecided the base is solved at every
+    # certified query radius, as before the degree was read, and the
+    # report stays the same
+    winding = injectlab.winding_degree
+    for F, queries in _plane_keller_cases():
+        report = injectivity_pipeline(F, queries)
+        base = report.base_point
+        with monkeypatch.context() as patch:
+            patch.setattr(injectlab, "winding_degree",
+                          lambda F, z, box: None if tuple(z) == base else winding(F, z, box))
+            solves = _record_solves(patch)
+            fallback = injectivity_pipeline(F, queries)
+        assert fallback == report
+        assert {(base, float(rec.radius)) for rec in report.records} <= set(solves)
+
+
+@pytest.mark.parametrize("wrong", [-1, 0, 2])
+def test_pipeline_base_degree_off_its_signed_count_is_a_soundness_bug(monkeypatch, wrong):
+    # Step 1's fiber is the singleton about the origin, signed count 1; with
+    # no queries only Step 1's cross-check can see the base's degree
+    winding = injectlab.winding_degree
+    monkeypatch.setattr(injectlab, "winding_degree",
+                        lambda F, z, box: wrong if tuple(z) == (0, 0) else winding(F, z, box))
+    with pytest.raises(RuntimeError, match="soundness bug"):
+        injectivity_pipeline(make_map(2, "x1 + x2^3", "x2"), [])
+
+
 def _record_pipeline_calls(monkeypatch, query):
     """Wrap the query's degree calls and fiber solves and the path segment
     checks; returns the box radii of the query's degree calls, of its
