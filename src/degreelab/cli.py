@@ -190,10 +190,31 @@ def _compile_component(mf: MapFile, i: int, nvars: int) -> Poly:
 # Serialization
 # ---------------------------------------------------------------------
 
+# str() converts an int of fewer than 640 digits under any limit the
+# interpreter sets on integer string conversion
+_CHUNK_DIGITS = 600
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _decimal(k: int) -> str:
+    """k in decimal, exactly, however many digits it has: converted in
+    chunks of _CHUNK_DIGITS digits, lowest first."""
+    if k < 0:
+        return "-" + _decimal(-k)
+    chunks = []
+    while k >= _CHUNK:
+        k, low = divmod(k, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    return str(k) + "".join(reversed(chunks))
+
+
 def _encode(obj):
     """json's fallback for the two non-JSON types reports hold."""
     if isinstance(obj, Fraction):
-        return str(obj)
+        # str(obj), without its limit on the number of digits
+        if obj.denominator == 1:
+            return _decimal(obj.numerator)
+        return f"{_decimal(obj.numerator)}/{_decimal(obj.denominator)}"
     if isinstance(obj, IntervalBox):
         return [[lo, hi] for lo, hi in zip(obj.lo, obj.hi)]
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")

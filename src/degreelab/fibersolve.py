@@ -141,8 +141,8 @@ def _krawczyk_batch(gs: IntervalStack, jac: IntervalStack, los: np.ndarray, his:
     on the other rows of the stack.
     """
     count, n = los.shape
-    mids = los + 0.5 * (his - los)
     with np.errstate(all="ignore"):
+        mids = los + 0.5 * (his - los)
         jm = np.empty((count, n * n))
         cache_mid: dict = {}
         for k, entry in enumerate(jac.polys):
@@ -346,53 +346,55 @@ def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
     # chunks (depth, lo, hi) of at most _ROW_BLOCK boxes, walked depth first
     stack = [(0, outer_lo[None, :], outer_hi[None, :])]
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    # a width that overflows is not below any bound the walk tests it with
     try:
-        while stack:
-            depth, los, his = stack.pop()
-            boxes_processed += len(los)
-            deepest = max(deepest, depth)
-            # exclusion: a box survives only if every residual component's
-            # enclosure can reach zero
-            alive = _reaches_zero(gs, los, his)
-            los, his = los[alive], his[alive]
-            certify = np.zeros(len(los), dtype=bool)
-            newton = ((his - los).max(axis=1) <= _KRAWCZYK_GATE) | (depth == 0)
-            if newton.any():
-                rows = np.nonzero(newton)[0]
-                k_lo, k_hi, usable = _krawczyk_batch(gs, jac, los[rows], his[rows])
-                rows, k_lo, k_hi = rows[usable], k_lo[usable], k_hi[usable]
-                xl, xh = los[rows], his[rows]
-                # an operator image that misses the box proves it holds no root
-                keep = np.ones(len(los), dtype=bool)
-                keep[rows] = ~((k_hi < xl).any(axis=1) | (k_lo > xh).any(axis=1))
-                certify[rows] = (xl < k_lo).all(axis=1) & (k_hi < xh).all(axis=1)
-                los[rows] = np.maximum(xl, k_lo)
-                his[rows] = np.minimum(xh, k_hi)
-                los, his, certify = los[keep], his[keep], certify[keep]
-            if certify.any():
-                iso_lo, iso_hi = refine(los[certify], his[certify])
-                det_lo, det_hi = det.eval_interval_batch(iso_lo, iso_hi)
-                signs = np.where(det_lo > 0.0, 1, np.where(det_hi < 0.0, -1, 0))
-                for lo, hi, sign in zip(iso_lo.tolist(), iso_hi.tolist(), signs.tolist()):
-                    if sign:
-                        isolator = IntervalBox(lo, hi)
-                        roots.append(CertifiedRoot(isolator, sign, isolator.max_width()))
-                stuck_lo.append(iso_lo[signs == 0])
-                stuck_hi.append(iso_hi[signs == 0])
-                los, his = los[~certify], his[~certify]
-            if len(los):
-                # boxes that cannot be split are given up: at the depth
-                # limit, no wider than the target width, or too narrow for
-                # the split point to fall strictly inside
-                kids_lo, kids_hi, inside = split_widest(los, his, _SPLIT_RATIO)
-                split = (inside & ((his - los).max(axis=1) > _TARGET_WIDTH)
-                         & (depth < cfg.max_depth))
-                stuck_lo.append(los[~split])
-                stuck_hi.append(his[~split])
-                pair = np.repeat(split, 2)
-                los, his = kids_lo[pair], kids_hi[pair]
-                stack.extend((depth + 1, los[b:b + _ROW_BLOCK], his[b:b + _ROW_BLOCK])
-                             for b in range(0, len(los), _ROW_BLOCK))
+        with np.errstate(over="ignore"):
+            while stack:
+                depth, los, his = stack.pop()
+                boxes_processed += len(los)
+                deepest = max(deepest, depth)
+                # exclusion: a box survives only if every residual component's
+                # enclosure can reach zero
+                alive = _reaches_zero(gs, los, his)
+                los, his = los[alive], his[alive]
+                certify = np.zeros(len(los), dtype=bool)
+                newton = ((his - los).max(axis=1) <= _KRAWCZYK_GATE) | (depth == 0)
+                if newton.any():
+                    rows = np.nonzero(newton)[0]
+                    k_lo, k_hi, usable = _krawczyk_batch(gs, jac, los[rows], his[rows])
+                    rows, k_lo, k_hi = rows[usable], k_lo[usable], k_hi[usable]
+                    xl, xh = los[rows], his[rows]
+                    # an operator image that misses the box proves it holds no root
+                    keep = np.ones(len(los), dtype=bool)
+                    keep[rows] = ~((k_hi < xl).any(axis=1) | (k_lo > xh).any(axis=1))
+                    certify[rows] = (xl < k_lo).all(axis=1) & (k_hi < xh).all(axis=1)
+                    los[rows] = np.maximum(xl, k_lo)
+                    his[rows] = np.minimum(xh, k_hi)
+                    los, his, certify = los[keep], his[keep], certify[keep]
+                if certify.any():
+                    iso_lo, iso_hi = refine(los[certify], his[certify])
+                    det_lo, det_hi = det.eval_interval_batch(iso_lo, iso_hi)
+                    signs = np.where(det_lo > 0.0, 1, np.where(det_hi < 0.0, -1, 0))
+                    for lo, hi, sign in zip(iso_lo.tolist(), iso_hi.tolist(), signs.tolist()):
+                        if sign:
+                            isolator = IntervalBox(lo, hi)
+                            roots.append(CertifiedRoot(isolator, sign, isolator.max_width()))
+                    stuck_lo.append(iso_lo[signs == 0])
+                    stuck_hi.append(iso_hi[signs == 0])
+                    los, his = los[~certify], his[~certify]
+                if len(los):
+                    # boxes that cannot be split are given up: at the depth
+                    # limit, no wider than the target width, or too narrow for
+                    # the split point to fall strictly inside
+                    kids_lo, kids_hi, inside = split_widest(los, his, _SPLIT_RATIO)
+                    split = (inside & ((his - los).max(axis=1) > _TARGET_WIDTH)
+                             & (depth < cfg.max_depth))
+                    stuck_lo.append(los[~split])
+                    stuck_hi.append(his[~split])
+                    pair = np.repeat(split, 2)
+                    los, his = kids_lo[pair], kids_hi[pair]
+                    stack.extend((depth + 1, los[b:b + _ROW_BLOCK], his[b:b + _ROW_BLOCK])
+                                 for b in range(0, len(los), _ROW_BLOCK))
     finally:
         if pool is not None:
             pool.shutdown(wait=False)

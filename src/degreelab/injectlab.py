@@ -13,9 +13,11 @@ enclosure call: the determinant's own IntervalStack, or the stack of the
 differences.  The survey's call also encloses a float box about each
 cell's midpoint, and it evaluates det JF exactly at a midpoint only when
 that value could add evidence: its enclosure reaches zero, or proves a
-sign the survey has not yet seen.  The sampled pair search finds neighbouring image cells by
-searchsorted on integer cell keys.  Collision seeds are polished by one
-stacked float Newton.
+sign the survey has not yet seen.  The prune is skipped where a walk over
+the cells that meet the diagonal, which encloses nothing, proves that its
+budget runs out before it reaches a leaf.  The sampled pair search finds
+neighbouring image cells by searchsorted on integer cell keys.  Collision
+seeds are polished by one stacked float Newton.
 
 A collision witness is two points _WITNESS_SEPARATION apart or more whose
 images differ by _WITNESS_RESIDUAL or less, both checked exactly.  The
@@ -51,6 +53,7 @@ from .fibersolve import (
     _row_blocks,
     boundary_clearance,
     solve_fiber,
+    split_widest,
     subdivide,
 )
 from .degree import path_segment_clearance, signed_count_from_fiber, winding_degree
@@ -439,31 +442,112 @@ def _shift_to_second_copy(p: Poly) -> Poly:
     return Poly(2 * n, terms)
 
 
+def _off_diagonal(los: np.ndarray, his: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the cells of the doubled box (x in the first n columns, y in
+    the last n) not within the _WITNESS_SEPARATION band of the diagonal:
+    some outward-rounded gap x_i - y_i reaches past the separation.  A gap
+    that overflows is unbounded on that side."""
+    sep = _WITNESS_SEPARATION
+    with np.errstate(over="ignore"):
+        gap_lo = np.nextafter(los[:, :n] - his[:, n:], -np.inf)
+        gap_hi = np.nextafter(his[:, :n] - los[:, n:], np.inf)
+    return ((gap_lo <= -sep) | (gap_hi >= sep)).any(axis=1)
+
+
+# most refinements of one side that _leaf_depth follows (2^8 pieces)
+_SIDE_REFINEMENTS = 8
+
+
+def _leaf_depth(los: Sequence[float], his: Sequence[float], leaf_width: float) -> int | None:
+    """The fewest splits by split_widest at 0.5 after which a cell of the
+    box with sides [los[s], his[s]] can have every side no wider than
+    leaf_width; None when a side is degenerate, wider than the float
+    range, or takes more than _SIDE_REFINEMENTS refinements.
+
+    Each split refines one side with a formula of that side's bounds
+    alone, so a side's pieces after k refinements are those of refining
+    it alone k times.  The least k that gives a piece no wider than
+    leaf_width is found for each side, and a cell is that narrow only
+    once every side has had its k: the sum is the depth.
+    """
+    if not math.isfinite(leaf_width):
+        return None
+    depth = 0
+    for lo, hi in zip(los, his):
+        if not 0.0 < hi - lo < math.inf:
+            return None
+        side_lo, side_hi = np.array([[lo]]), np.array([[hi]])
+        for k in range(_SIDE_REFINEMENTS + 1):
+            if (side_hi - side_lo <= leaf_width).any():
+                depth += k
+                break
+            side_lo, side_hi, _ = split_widest(side_lo, side_hi, 0.5)
+        else:
+            return None
+    return depth
+
+
+def _no_leaf_within(box: IntervalBox, n: int, leaf_width: float, budget: int) -> bool:
+    """True when the prune walk over the doubled box provably spends its
+    budget before it decides a cell no wider than leaf_width, and so
+    returns no candidate.
+
+    No cell shallower than _leaf_depth is that narrow, so down to that
+    depth the walk splits every cell it keeps.  It keeps every cell that
+    passes _off_diagonal and meets the diagonal (x_i and y_i meet for
+    every i): such a cell holds a point (x, x), where every
+    F_i(x) - F_i(y) is exactly 0, so a sound enclosure reaches 0.  The
+    children of those cells are therefore all in the walk's next level.
+    This walk follows only them, under the same budget; when it is cut off
+    above the leaf depth, the prune walk, each of whose levels holds the
+    matching level here, is cut off no deeper.
+    """
+    leaf_depth = _leaf_depth(box.lo * 2, box.hi * 2, leaf_width)
+    if leaf_depth is None:
+        return False
+    levels = 0  # levels decided, the one at the leaf depth included
+
+    def decide(los, his):
+        nonlocal levels
+        levels += 1
+        if levels > leaf_depth:
+            return None
+        diagonal = ((los[:, :n] <= his[:, n:]) & (los[:, n:] <= his[:, :n])).all(axis=1)
+        return diagonal & _off_diagonal(los, his, n)
+
+    return (subdivide(np.array([box.lo * 2]), np.array([box.hi * 2]), decide, budget, 0.5)
+            and levels <= leaf_depth)
+
+
 def _prune_candidates(F: PolyMap, box: IntervalBox, cfg: CollisionConfig) -> list[Point]:
     """Branch-and-prune on the doubled system F(x) - F(y) = 0.
 
     The solution set is never isolated (the diagonal always solves it),
     so this pass cannot certify; it only narrows down off-diagonal
     regions worth polishing.  Cells entirely within the _WITNESS_SEPARATION
-    band of the diagonal are discarded.
+    band of the diagonal are discarded, and only leaf cells, no wider than
+    1/16 of the box's widest side, become candidates.
+
+    The walk is skipped, and no candidate returned, where _no_leaf_within
+    proves that its cfg.prune_boxes budget runs out before it decides a
+    leaf: the walk would then return none either.  On boxes of two or
+    more dimensions the diagonal cells alone usually fill that budget
+    first.
     """
     n = F.n
-    diffs = IntervalStack([comp.pad(n) - _shift_to_second_copy(comp) for comp in F.components])
-    sep = _WITNESS_SEPARATION
     leaf_width = box.max_width() / 16.0
+    if _no_leaf_within(box, n, leaf_width, cfg.prune_boxes):
+        return []
+    diffs = IntervalStack([comp.pad(n) - _shift_to_second_copy(comp) for comp in F.components])
     candidates: list[Point] = []
 
     def decide(los, his):
         room = cfg.max_candidates - len(candidates)
         if room <= 0:
             return None
-        # outward-rounded x_i - y_i: a cell whose every gap stays within
-        # the separation band lies near the diagonal
-        gap_lo = np.nextafter(los[:, :n] - his[:, n:], -np.inf)
-        gap_hi = np.nextafter(his[:, :n] - los[:, n:], np.inf)
-        keep = (((gap_lo <= -sep) | (gap_hi >= sep)).any(axis=1)
-                & _reaches_zero(diffs, los, his))
-        leaf = (his - los).max(axis=1) <= leaf_width
+        keep = _off_diagonal(los, his, n) & _reaches_zero(diffs, los, his)
+        with np.errstate(over="ignore"):
+            leaf = (his - los).max(axis=1) <= leaf_width
         candidates.extend(_midpoint_exact(los[k].tolist(), his[k].tolist())
                           for k in np.nonzero(keep & leaf)[0][:room].tolist())
         return keep & ~leaf
@@ -491,8 +575,10 @@ def _sampled_pairs(F: PolyMap, box: IntervalBox,
     n = F.n
     rng = np.random.default_rng(cfg.seed)
     lo = np.array(box.lo)
-    span = np.array(box.hi) - lo
-    pts = lo[None, :] + rng.random((cfg.samples, n)) * span[None, :]
+    # a side whose width overflows puts samples off the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = np.array(box.hi) - lo
+        pts = lo[None, :] + rng.random((cfg.samples, n)) * span[None, :]
     pows: dict = {}
     images = np.stack([comp.eval_array(pts, pows) for comp in F.components], axis=1)
     finite = np.all(np.isfinite(images), axis=1)

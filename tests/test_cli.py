@@ -20,6 +20,7 @@ from degreelab.cli import (
     load_mapfile,
     main,
 )
+from degreelab.mapforms import jacobian_det
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +78,19 @@ def test_encode_fraction_and_box_only():
     assert cli._encode(_parse_box("-2:2,0:1/2", 2)) == [[-2.0, 2.0], [0.0, 0.5]]
     with pytest.raises(TypeError):
         cli._encode(1 + 2j)
+
+
+def test_encode_fraction_of_any_length_is_its_str():
+    # chunk boundaries, runs of zeros inside a chunk, and both signs
+    values = [Fraction(10 ** 600), Fraction(-(10 ** 1200) + 1, 7), Fraction(3, 10 ** 5000),
+              Fraction(-(7 ** 9000) - 10 ** 3000, 2 ** 20000 + 1), Fraction(0)]
+    limit = sys.get_int_max_str_digits()
+    texts = [cli._encode(v) for v in values]
+    sys.set_int_max_str_digits(0)
+    try:
+        assert texts == [str(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------
@@ -203,6 +217,40 @@ def test_analyze_reports_on_a_box_wider_than_the_float_range(fixtures_dir, capsy
     assert code in (0, 2)
     assert payload["results"]["sign_survey"]["classification"] == "positive"
     assert "Error" not in captured.err
+
+
+@pytest.mark.parametrize("name, command, expected", [
+    ("pinchuk.map", ["collide"], 0),
+    ("triangular.map", ["fibers", "--z", "0,0"], 2),
+    ("triangular.map", ["degree", "--method", "count", "--z", "0,0"], 2),
+], ids=["collide", "fibers", "degree"])
+def test_box_wider_than_the_float_range_warns_nowhere(fixtures_dir, capsys, name, command,
+                                                      expected):
+    # widths and midpoints of the first side overflow, which means nothing
+    # is known there; a RuntimeWarning would be an error under pytest
+    code, payload, captured = run_cli(
+        capsys, *command, "--map", str(fixtures_dir / name), "--box=-1.7e308:1.7e308,-1:1")
+    assert code == expected, captured.err
+    assert payload is not None and "results" in payload
+
+
+def test_analyze_prints_exact_values_past_the_digit_limit(fixtures_dir, capsys):
+    # det JF at samples near 1e250 has about 4,500 digits, more than str()
+    # converts under the interpreter's default limit of 4,300
+    path = str(fixtures_dir / "pinchuk.map")
+    code, payload, captured = run_cli(
+        capsys, "analyze", "--map", path, "--box=-1e250:1e250,-1:1", "--max-boxes", "64")
+    assert code == 0, captured.err
+    det = jacobian_det(cli._compile_map(load_mapfile(path)))
+    evidence = payload["results"]["sign_survey"]["evidence"]
+    assert max(len(item["value"]) for item in evidence) > 4300
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for item in evidence:
+            assert item["value"] == str(det.eval(tuple(Fraction(c) for c in item["point"])))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_analyze_zero_component_has_no_bezout_bound(tmp_path, capsys):

@@ -4,12 +4,14 @@ import math
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from degreelab.polycore import IntervalBox, Poly, parse_poly
-from degreelab.mapforms import PolyMap, jacobian_det, jacobian_matrix, keller_check, realify
+from degreelab.polycore import IntervalBox, IntervalStack, Poly, parse_poly
+from degreelab.mapforms import (PolyMap, jacobian_det, jacobian_matrix, keller_check,
+                                map_compose, realify)
 from degreelab import fibersolve, injectlab
 from degreelab.fibersolve import solve_fiber, split_widest
 from degreelab.injectlab import (
@@ -37,6 +39,7 @@ from gen_maps import (
     random_complex_map,
     random_composed_automorphism,
     random_druzkowski_map,
+    random_map,
 )
 
 
@@ -631,6 +634,116 @@ def test_prune_candidate_cap_mid_level_keeps_fifo_prefix():
     for cap in (1, 5, 87):
         capped = _prune_candidates(F, cube(1, 2), CollisionConfig(max_candidates=cap))
         assert capped == full[:cap]
+
+
+def _reference_prune_candidates(F, box, cfg):
+    # reference: the prune walk run whatever its budget, kept as it was
+    # before the walk could be skipped
+    n = F.n
+    diffs = IntervalStack([comp.pad(n) - injectlab._shift_to_second_copy(comp)
+                           for comp in F.components])
+    sep = _WITNESS_SEPARATION
+    leaf_width = box.max_width() / 16.0
+    candidates = []
+
+    def decide(los, his):
+        room = cfg.max_candidates - len(candidates)
+        if room <= 0:
+            return None
+        gap_lo = np.nextafter(los[:, :n] - his[:, n:], -np.inf)
+        gap_hi = np.nextafter(his[:, :n] - los[:, n:], np.inf)
+        keep = (((gap_lo <= -sep) | (gap_hi >= sep)).any(axis=1)
+                & fibersolve._reaches_zero(diffs, los, his))
+        leaf = (his - los).max(axis=1) <= leaf_width
+        candidates.extend(_midpoint_exact(los[k].tolist(), his[k].tolist())
+                          for k in np.nonzero(keep & leaf)[0][:room].tolist())
+        return keep & ~leaf
+
+    fibersolve.subdivide(np.array([box.lo * 2]), np.array([box.hi * 2]), decide,
+                         cfg.prune_boxes, 0.5)
+    return candidates
+
+
+def _random_prune_box(rng, n):
+    kind = rng.choice(["cube", "sides", "far", "narrow"])
+    if kind == "cube":
+        r = rng.choice([0.5, 1.0, 2.0, 3.0])
+        return IntervalBox.from_bounds([(-r, r)] * n)
+    if kind == "sides":
+        return IntervalBox.from_bounds(
+            [(a, a + rng.uniform(0.25, 4.0)) for a in (rng.uniform(-3.0, 1.0) for _ in range(n))])
+    if kind == "far":
+        # about 1e6 floats are 1.2e-10 apart, so midpoints of cells round
+        return IntervalBox.from_bounds(
+            [(c - 0.5, c + 0.5) for c in (rng.choice([-1, 1]) * rng.uniform(1e6, 2e6)
+                                          for _ in range(n))])
+    # narrower than 3 separations: the gap test drops diagonal cells
+    return IntervalBox.from_bounds(
+        [(a, a + rng.uniform(0.02, 0.3)) for a in (rng.uniform(-2.0, 2.0) for _ in range(n))])
+
+
+def _random_prune_map(rng, n):
+    F = random_map(rng, n)
+    if rng.random() < 0.5:  # after a fold in x1, (a, y) and (-a, y) collide
+        fold = PolyMap([Poly.var(n, 1) ** 2] + [Poly.var(n, i) for i in range(2, n + 1)])
+        return map_compose(F, fold)
+    return F
+
+
+def test_prune_candidates_equal_the_reference_walk(monkeypatch):
+    rng = random.Random(22)
+    held = []
+    real_no_leaf = injectlab._no_leaf_within
+
+    def recorded(*args):
+        held.append(real_no_leaf(*args))
+        return held[-1]
+
+    monkeypatch.setattr(injectlab, "_no_leaf_within", recorded)
+    with_candidates = proved = 0
+    for _ in range(600):
+        n = rng.choice((1, 2, 3))
+        F = _random_prune_map(rng, n)
+        box = _random_prune_box(rng, n)
+        cfg = CollisionConfig(prune_boxes=rng.choice((0, 1, 16, 256, 2048, 8192)),
+                              max_candidates=rng.choice((0, 1, 48)))
+        got = _prune_candidates(F, box, cfg)
+        assert got == _reference_prune_candidates(F, box, cfg), (F.components, box, cfg)
+        with_candidates += bool(got)
+        # proofs on budgets that let the walk reach some depth
+        proved += held[-1] and cfg.prune_boxes >= 256
+    assert with_candidates >= 30
+    assert proved >= 30
+
+
+def test_prune_walks_a_box_wider_than_the_float_range():
+    # the leaf width is not finite there, so no leaf depth is known
+    F = make_map(2, "x1^2", "x2")
+    box = IntervalBox.from_bounds([(-1.7e308, 1.7e308), (-1.0, 1.0)])
+    cfg = CollisionConfig()
+    assert not injectlab._no_leaf_within(box, 2, box.max_width() / 16.0, cfg.prune_boxes)
+    got = _prune_candidates(F, box, cfg)
+    with np.errstate(over="ignore"):
+        assert got == _reference_prune_candidates(F, box, cfg)
+
+
+@pytest.mark.parametrize("F, box", [
+    (PolyMap([parse_poly(c, 2) for c in json.loads(
+        (Path(__file__).parent.parent / "fixtures" / "pinchuk.map").read_text())["components"]]),
+     cube(2, 2)),
+    (random_composed_automorphism(random.Random(3), 3)[0], cube(3, 2)),
+], ids=["pinchuk", "aut3"])
+def test_prune_encloses_nothing_where_the_budget_cannot_reach_a_leaf(monkeypatch, F, box):
+    calls = [0]
+    real_enclose = IntervalStack.enclose
+
+    def counted(self, los, his):
+        calls[0] += 1
+        return real_enclose(self, los, his)
+
+    monkeypatch.setattr(IntervalStack, "enclose", counted)
+    assert _prune_candidates(F, box, CollisionConfig()) == []
+    assert calls[0] == 0
 
 
 def _reference_pairs(F, box, cfg):
