@@ -483,6 +483,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         mf = load_mapfile(args.map)
         inputs, results, code = _COMMANDS[args.command](args, mf)
+        report = {
+            "command": args.command,
+            "tool_version": __version__,
+            "inputs": {"map": mf.name, "path": mf.path, "sha256": mf.sha256, **inputs},
+            "config": _config_echo(args),
+            "results": results,
+            "timings": {"seconds": time.monotonic() - started},
+        }
+        # encoded in full before anything is printed, so that a failure
+        # here is an internal error with no partial report
+        text = _render_md(report) if args.out == "md" else _dumps(report) + "\n"
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -491,18 +502,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: internal error in {args.command}: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_INTERNAL
-    report = {
-        "command": args.command,
-        "tool_version": __version__,
-        "inputs": {"map": mf.name, "path": mf.path, "sha256": mf.sha256, **inputs},
-        "config": _config_echo(args),
-        "results": results,
-        "timings": {"seconds": time.monotonic() - started},
-    }
-    if args.out == "md":
-        print(_render_md(report), end="")
-    else:
-        print(_dumps(report))
+    print(text, end="")
     return code
 
 

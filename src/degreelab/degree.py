@@ -40,6 +40,7 @@ from .fibersolve import (
     box_faces,
     certified_clearance,
     solve_fiber,
+    split_widest,
     subdivide,
 )
 
@@ -179,10 +180,10 @@ def winding_degree(F: PolyMap, z: Sequence[Fraction | int],
     {-1, 0, 1}, is the signed count of quadrant boundaries its image
     crosses.  The steps around the walk sum to 4 times the degree.
 
-    A degenerate box side, or a walk that leaves segments undecided within
-    _ROW_BLOCK segments, gives None: a target on F(boundary) is never
-    decided.  A step of 2, or a sum that is not a multiple of 4, raises
-    RuntimeError.
+    A degenerate box side, an undecided segment that cannot be split, or
+    a walk that leaves segments undecided within _ROW_BLOCK segments, gives
+    None: a target on F(boundary) is never decided.  A step of 2, or a sum
+    that is not a multiple of 4, raises RuntimeError.
     """
     if F.n != 2 or box.dims != 2 or len(z) != 2:
         raise ValueError("the winding degree needs a plane map, box and target")
@@ -194,6 +195,10 @@ def winding_degree(F: PolyMap, z: Sequence[Fraction | int],
 
     def decide(los, his):
         split = _reaches_zero(gs, los, his)
+        # a segment with no split point strictly inside has a copy of itself
+        # for a child, undecided at every later level, so the walk stops
+        if not split_widest(los[split], his[split], _SPLIT_RATIO)[2].all():
+            return None
         done.append((los[~split], his[~split]))
         return split
 

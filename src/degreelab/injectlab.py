@@ -23,13 +23,16 @@ A collision witness is two points _WITNESS_SEPARATION apart or more whose
 images differ by _WITNESS_RESIDUAL or less, both checked exactly.  The
 pipeline doubles its box radius from _INITIAL_RADIUS up to _MAX_RADIUS.
 For each query it first finds the smallest radius whose box holds a root
-of the query (boundary clearance, then a nonzero degree); from there it
-checks the bounded certificates first at each radius: the query's
-boundary clearance and the base-to-query path segment, both under a split
-budget, then the query's degree and the base's fiber solve, whose cost
-grows with the box.  For a plane map the query's degree is the winding
-number of F - z along the box boundary, and the query's fiber is solved
-only when that is undecided or a collision witness needs the roots.
+of the query (the query off F(boundary), then a nonzero degree); from
+there it checks the bounded certificates first at each radius: the query
+off F(boundary) and the base-to-query path segment, both under a budget,
+then the query's degree and the base's, whose fiber solves cost more as
+the box grows.  For a plane map each degree is the winding number of
+F - z along the box boundary.  Where that is decided it also certifies
+that z is off F(boundary), so the sum-of-squares boundary clearance runs
+only where it is undecided, and for n != 2 before every solve.  A fiber is
+solved only when the winding number is undecided, when a collision
+witness needs the roots, or for the base's fiber in Step 1.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ import numpy as np
 from .polycore import IntervalBox, IntervalStack, Poly
 from .mapforms import PolyMap, jacobian_det, jacobian_matrix, keller_check, recognize_form
 from .fibersolve import (
-    ClearanceResult,
     FiberResult,
     SolverConfig,
     _reaches_zero,
@@ -56,7 +58,7 @@ from .fibersolve import (
     split_widest,
     subdivide,
 )
-from .degree import path_segment_clearance, signed_count_from_fiber, winding_degree
+from .degree import path_segment_clearance, winding_degree
 
 Point = tuple[Fraction, ...]
 Evidence = tuple[Point, Fraction]
@@ -713,19 +715,29 @@ class _GrowNeeded(Exception):
 
 
 def _certificates(F: PolyMap, z: Point, solver: SolverConfig | None):
-    """The certified clearance, the complete fiber and the winding degree of
-    z over the cube of a radius about the origin, as three functions of the
-    radius that compute each once.  A clearance or fiber that fails raises
-    _GrowNeeded, and is not kept; the winding degree is None when undecided,
-    and always for n != 2."""
+    """Two functions of the radius that compute their value over the cube
+    of that radius about the origin once.  off_boundary certifies that z
+    is off F(boundary) and returns the winding degree of z, None where that
+    is undecided and always for n != 2: a decided winding degree is itself
+    that certificate, and elsewhere the boundary clearance is.  solved
+    returns the complete fiber of z.  A clearance or fiber that fails
+    raises _GrowNeeded, and is not kept."""
     @functools.cache
-    def cleared(radius: Fraction) -> ClearanceResult:
-        # only ok and failure are read, so the bound is not sharpened
-        clearance = boundary_clearance(F, z, IntervalBox.cube(F.n, radius),
-                                       improve_splits=0)
-        if not clearance.ok:
-            raise _GrowNeeded(f"clearance failed: {clearance.failure}")
-        return clearance
+    def wound(radius: Fraction) -> int | None:
+        if F.n != 2:
+            return None
+        return winding_degree(F, z, IntervalBox.cube(F.n, radius))
+
+    @functools.cache
+    def off_boundary(radius: Fraction) -> int | None:
+        deg = wound(radius)
+        if deg is None:
+            # only ok and failure are read, so the bound is not sharpened
+            clearance = boundary_clearance(F, z, IntervalBox.cube(F.n, radius),
+                                           improve_splits=0)
+            if not clearance.ok:
+                raise _GrowNeeded(f"clearance failed: {clearance.failure}")
+        return deg
 
     @functools.cache
     def solved(radius: Fraction) -> FiberResult:
@@ -734,13 +746,13 @@ def _certificates(F: PolyMap, z: Point, solver: SolverConfig | None):
             raise _GrowNeeded(f"solver status {fiber.status}")
         return fiber
 
-    @functools.cache
-    def wound(radius: Fraction) -> int | None:
-        if F.n != 2:
-            return None
-        return winding_degree(F, z, IntervalBox.cube(F.n, radius))
+    return off_boundary, solved
 
-    return cleared, solved, wound
+
+def _signed_count(fiber: FiberResult) -> int:
+    """The degree from a complete fiber: its roots are simple and lie
+    strictly inside the box, so none is on the boundary."""
+    return sum(r.jac_sign for r in fiber.roots)
 
 
 def _first_radius(n: int, radius: Fraction, attempt):
@@ -766,30 +778,34 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
 
     Step 1 fixes a base point with a certified singleton fiber: the
     origin for cubic/cube-linear forms, else a caller-supplied point
-    defaulting to F(0).  For n = 2 the base's winding degree over that
-    box must equal the fiber's signed count.  Step 2 grows a centered box
-    (radius doubling) per query until four certificates hold: the
-    query's boundary clearance, the base-to-query path segment, the
-    query's degree (nonzero), and the base's degree.  Every root of a
-    Keller map has the sign of det JF, so the query's fiber holds
-    deg * sign(det JF) points.  For n = 2 each degree is winding_degree.
-    The query's fiber is solved only where that is undecided, or where
-    |deg| >= 2 and the roots are needed for a collision witness; a base
-    degree of +-1 counts the Step 1 root alone, and the base's clearance
-    and fiber are computed again only where it is anything else.  Otherwise,
-    and for n != 2, a degree is the signed count of the solved fiber,
-    which must be complete.  Up to the first radius whose box holds a
-    root of the query, a zero degree turns a radius down, as it is cheap
-    on a box holding no root (the segment must fail there too, the
-    degrees differing).  From then on the order is clearance, segment,
-    then the query's degree and the base's: the first two run under
-    split budgets, so a radius they turn down costs no solve.  The first
-    radius at which all four hold does not depend on the order.  When the
-    radius cap is passed first, the note names the last radius tried and
-    the certificate that failed there.  Step 3 compares the degree at the
-    query and at the base over the same box, which the certified segment
-    forces to agree; a failed path certificate downgrades the query to
-    inconclusive rather than being assumed away.
+    defaulting to F(0).  Wherever the base's fiber is solved, its signed
+    count must equal its winding degree where that is decided.  Step 2
+    grows a centered box (radius doubling) per query until four
+    certificates hold: the query is off F(boundary), the base-to-query
+    path segment, the query's degree (nonzero), and the base's degree.
+    Every root of a Keller map has the sign of det JF, so the query's fiber
+    holds deg * sign(det JF) points.  For n = 2 each degree is
+    winding_degree, and where that is decided it is also the certificate
+    that the point is off F(boundary).  The boundary clearance runs only
+    where it is undecided, and always for n != 2, since the solver it
+    then guards has no box budget.  The query's fiber is solved only where
+    the winding degree is undecided, or where |deg| >= 2 and the roots are
+    needed for a collision witness; a base degree of +-1 counts the Step 1
+    root alone, and the base's fiber is solved again only where it is
+    anything else.  Otherwise, and for n != 2, a degree is the signed count
+    of the solved fiber, which must be complete.  Up to the first radius
+    whose box holds a root of the query, a zero degree turns a radius
+    down, as it is cheap on a box holding no root (the segment must fail
+    there too, the degrees differing).  From then on the order is the
+    boundary certificate, the segment, then the query's degree and the
+    base's: the first two run under budgets, so a radius they turn down
+    costs no solve.  The first radius at which all four hold does not
+    depend on the order.  When the radius cap is passed first, the note
+    names the last radius tried and the certificate that failed there.
+    Step 3 compares the degree at the query and at the base over the same
+    box, which the certified segment forces to agree; a failed path
+    certificate downgrades the query to inconclusive rather than being
+    assumed away.
 
     Any multi-point fiber met along the way is converted into an exact
     collision witness and reported as non-injectivity.  solver configures
@@ -809,15 +825,24 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
     else:
         base_point = _rational_point(base)
 
-    base_cleared, base_solved, base_wound = _certificates(F, base_point, solver)
+    base_off_boundary, base_solved = _certificates(F, base_point, solver)
 
-    def base_at(radius: Fraction, box: IntervalBox):
-        return base_cleared(radius), base_solved(radius)
+    def base_at(radius: Fraction, box: IntervalBox) -> FiberResult:
+        # a complete fiber proves the base off F(boundary) too, all its
+        # roots lying strictly inside, and its signed count is the degree;
+        # the winding degree or the clearance comes first, since the
+        # solver has no box budget
+        deg = base_off_boundary(radius)
+        fiber = base_solved(radius)
+        if deg not in (None, _signed_count(fiber)):
+            raise RuntimeError(
+                "the base's winding degree and the signed count of its certified "
+                "fiber disagree; this is a soundness bug")
+        return fiber
 
     # Step 1: base fiber must be a certified singleton
-    base_radius, base_pair, base_last = _first_radius(
+    base_radius, base_fiber, base_last = _first_radius(
         n, Fraction(_INITIAL_RADIUS), base_at)
-    base_fiber = None if base_pair is None else base_pair[1]
     if base_fiber is not None and len(base_fiber.roots) > 1:
         witness = witness_from_fiber(F, base_fiber)
         if witness is not None:
@@ -833,13 +858,6 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
             if base_fiber is None
             else "base point has an empty certified fiber" if not base_fiber.roots
             else "base fiber has several roots but none pass the witness thresholds")
-    # from here on the base's winding degree stands in for its fiber, so
-    # the two certified counts are checked against each other once
-    base_count = signed_count_from_fiber(base_fiber, base_pair[0]).value
-    if base_wound(base_radius) not in (None, base_count):
-        raise RuntimeError(
-            "the base's winding degree and the signed count of its certified "
-            "fiber disagree; this is a soundness bug")
 
     # Steps 2 and 3, per query
     records: list[QueryRecord] = []
@@ -848,7 +866,7 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
         q = _rational_point(raw_query)
         if len(q) != n:
             raise ValueError(f"query {q} has wrong dimension")
-        cleared, solved, wound = _certificates(F, q, solver)
+        off_boundary, solved = _certificates(F, q, solver)
 
         def holds_root(radius: Fraction, box: IntervalBox):
             # where the box holds no root of the query the path segment
@@ -856,8 +874,7 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
             # the base, but only after spending its whole split budget.
             # Every root has the sign of det JF, so the box holds one
             # exactly when the degree is not 0.
-            cleared(radius)
-            deg = wound(radius)
+            deg = off_boundary(radius)
             if not (solved(radius).roots if deg is None else deg):
                 raise _GrowNeeded("query fiber empty so far")
 
@@ -865,19 +882,18 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
             # the fiber is solved only for a witness (|deg| >= 2) or when
             # the winding degree is undecided; a complete fiber here holds
             # the roots found at a smaller radius, so it is not empty
-            clr_q = cleared(radius)
+            deg = off_boundary(radius)
             seg = path_segment_clearance(F, box, base_point, q)
             if not seg.ok:
                 raise _GrowNeeded(f"path segment: {seg.failure}")
-            deg = wound(radius)
             fib_q = None if deg in (1, -1) else solved(radius)
             # a base degree of +-1 counts one root, all roots having the
             # sign of det JF, and this box holds the Step 1 root
-            deg_b = base_wound(radius)
+            deg_b = base_off_boundary(radius)
             if deg_b in (1, -1):
-                return deg, clr_q, fib_q, deg_b, None
-            clr_b, fib_b = base_at(radius, box)
-            return deg, clr_q, fib_q, signed_count_from_fiber(fib_b, clr_b).value, fib_b
+                return deg, fib_q, deg_b, None
+            fib_b = base_at(radius, box)
+            return deg, fib_q, _signed_count(fib_b), fib_b
 
         rooted, _, last = _first_radius(
             n, max(base_radius, *(abs(v) * 2 for v in q), Fraction(1)), holds_root)
@@ -890,9 +906,9 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
                 degree_at_base=None, path_certified=False,
                 note="radius cap reached without full certification" + last))
             continue
-        deg_q, clr_q, fib_q, deg_b, fib_b = pairs
+        deg_q, fib_q, deg_b, fib_b = pairs
         if deg_q is None:
-            deg_q = signed_count_from_fiber(fib_q, clr_q).value
+            deg_q = _signed_count(fib_q)
         for fib in (fib_q, fib_b):
             if fib is not None and len(fib.roots) > 1 and witness is None:
                 witness = witness_from_fiber(F, fib)

@@ -551,6 +551,21 @@ def test_unexpected_exception_is_internal_error(fixtures_dir, capsys, monkeypatc
         "error: internal error in collide: RuntimeError: soundness bug: test")
 
 
+@pytest.mark.parametrize("out", ["json", "md"])
+def test_report_encoding_failure_is_internal_error(fixtures_dir, capsys, monkeypatch, out):
+    def broken(*args, **kwargs):
+        raise ValueError("cannot encode")
+
+    monkeypatch.setattr(cli, "_dumps", broken)
+    code = main(["analyze", "--map", str(fixtures_dir / "triangular.map"),
+                 "--box=-2:2,-2:2", "--out", out])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL == 4
+    assert captured.out == ""
+    assert captured.err.rstrip().splitlines()[-1] == (
+        "error: internal error in analyze: ValueError: cannot encode")
+
+
 def test_usage_error_exit_code(fixtures_dir):
     with pytest.raises(SystemExit) as info:
         main(["degree", "--z", "0"])  # --map missing

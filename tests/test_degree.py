@@ -8,14 +8,19 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import qmc
 
-from degreelab.polycore import IntervalBox, Poly, parse_poly
+from degreelab.polycore import IntervalBox, IntervalStack, Poly, parse_poly
 from degreelab.mapforms import PolyMap, jacobian_det
 from degreelab.fibersolve import (
+    _ROW_BLOCK,
+    _SPLIT_RATIO,
     ClearanceResult,
     FiberResult,
     SolveStats,
+    _reaches_zero,
+    _residuals,
     boundary_clearance,
     solve_fiber,
+    subdivide,
 )
 from degreelab import degree
 from degreelab.degree import (
@@ -283,6 +288,75 @@ def test_winding_equals_signed_count_on_random_maps():
         compared += 1
         nonzero += count != 0
     assert compared >= 100 and nonzero >= 20
+
+
+def _reference_winding_degree(F, z, box):
+    """winding_degree as it was before an unsplittable undecided segment
+    stopped the walk: such a walk ran on until its segment budget was spent."""
+    gs = IntervalStack(_residuals(F, z, box))
+    (a1, a2), (b1, b2) = box.lo, box.hi
+    if a1 == b1 or a2 == b2:
+        return None
+    done = []
+
+    def decide(los, his):
+        split = _reaches_zero(gs, los, his)
+        done.append((los[~split], his[~split]))
+        return split
+
+    if subdivide(np.array([[a1, a2], [b1, a2], [a1, b2], [a1, a2]]),
+                 np.array([[b1, a2], [b1, b2], [b1, b2], [a1, b2]]),
+                 decide, _ROW_BLOCK, _SPLIT_RATIO):
+        return None
+    los, his = (np.concatenate(part) for part in zip(*done))
+    edges = np.where(los[:, 1] == his[:, 1], np.where(los[:, 1] == a2, 0, 2),
+                     np.where(los[:, 0] == b1, 1, 3))
+    up = edges < 2
+    starts = np.where(up[:, None], los, his)
+    along = starts[np.arange(len(edges)), edges % 2] * np.where(up, 1.0, -1.0)
+    quadrants = degree._quadrants(gs, starts[np.lexsort((along, edges))])
+    steps = (np.roll(quadrants, -1) - quadrants) % 4
+    total = int(np.sum(np.where(steps == 3, -1, steps)))
+    return total // 4
+
+
+def test_winding_equals_the_walk_without_the_early_stop_on_random_maps():
+    # a third of the targets are images of dyadic points of the box edges,
+    # on F(boundary), so undecided walks occur; every answer is the same
+    rng = random.Random(2323)
+    answers = []
+    for k in range(48):
+        F = random_map(rng, 2, max_deg=3)
+        radius = Fraction(rng.randint(1, 8), 4)
+        box = cube(2, radius)
+        t = Fraction(rng.randint(-8, 8), 8) * radius
+        if k % 3 == 0:
+            x = rng.choice([(t, -radius), (radius, t), (t, radius), (-radius, t)])
+            z = [c.eval(x) for c in F.components]
+        elif k % 3 == 1:
+            x = (t, Fraction(rng.randint(-7, 7), 8) * radius)
+            z = [c.eval(x) for c in F.components]
+        else:
+            z = [Fraction(rng.randint(-8, 8), 4) for _ in range(2)]
+        wound = winding_degree(F, z, box)
+        assert wound == _reference_winding_degree(F, z, box), (F, box, z)
+        answers.append(wound)
+    assert answers.count(None) >= 8 and sum(1 for w in answers if w) >= 8
+
+
+def test_winding_stops_at_an_unsplittable_undecided_segment(monkeypatch):
+    # (1/2, -1) is the image of a point of the bottom edge; the walk used
+    # to split the segment about it until 4,096 segments were spent
+    segments = []
+    reaches_zero = degree._reaches_zero
+
+    def counted(gs, los, his):
+        segments.append(len(los))
+        return reaches_zero(gs, los, his)
+
+    monkeypatch.setattr(degree, "_reaches_zero", counted)
+    assert winding_degree(PolyMap.identity(2), [Fraction(1, 2), -1], cube(2, 1)) is None
+    assert sum(segments) <= 128
 
 
 @pytest.mark.parametrize("exprs, z, expected", [

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -1130,3 +1131,90 @@ def test_pipeline_base_cap_names_the_failed_certificate(monkeypatch):
     assert report.verdict == "inconclusive" and report.base_fiber is None
     assert report.detail.startswith("no certified base fiber within the radius cap; "
                                     "last at radius 1: clearance failed: ")
+
+
+def _record_certificates(monkeypatch, winding=None):
+    """Wrap the boundary clearance, the fiber solve and the winding degree
+    (replaced by winding when given); returns one list of the calls in
+    order, each as (kind, target, box radius), plus the winding results."""
+    calls, wound = [], {}
+    clearance, solve = injectlab.boundary_clearance, injectlab.solve_fiber
+    winding = winding or injectlab.winding_degree
+
+    def recording_clearance(F, z, box, improve_splits=300):
+        calls.append(("clearance", tuple(z), box.hi[0]))
+        return clearance(F, z, box, improve_splits=improve_splits)
+
+    def recording_solve(F, z, box, cfg=None):
+        calls.append(("solve", tuple(z), box.hi[0]))
+        return solve(F, z, box, cfg)
+
+    def recording_winding(F, z, box):
+        calls.append(("winding", tuple(z), box.hi[0]))
+        wound[tuple(z), box.hi[0]] = winding(F, z, box)
+        return wound[tuple(z), box.hi[0]]
+
+    monkeypatch.setattr(injectlab, "boundary_clearance", recording_clearance)
+    monkeypatch.setattr(injectlab, "solve_fiber", recording_solve)
+    monkeypatch.setattr(injectlab, "winding_degree", recording_winding)
+    return calls, wound
+
+
+def test_pipeline_runs_no_clearance_where_the_winding_degree_is_decided(monkeypatch):
+    # a decided winding degree proves the target off F(boundary), which is
+    # all the clearance certified; every winding degree is decided here
+    for F, queries in _plane_keller_cases():
+        report = injectivity_pipeline(F, queries)
+        with monkeypatch.context() as patch:
+            calls, wound = _record_certificates(patch)
+            wrapped = injectivity_pipeline(F, queries)
+        assert wrapped == report
+        assert wound and None not in wound.values()
+        assert not [call for call in calls if call[0] == "clearance"]
+
+
+def test_pipeline_clears_every_radius_where_the_winding_degree_is_undecided(monkeypatch):
+    # with every winding degree undecided, each radius the query or the
+    # base tries is cleared before anything is solved there, and the
+    # report stays the same
+    for F, queries in _plane_keller_cases():
+        report = injectivity_pipeline(F, queries)
+        with monkeypatch.context() as patch:
+            calls, _ = _record_certificates(patch, lambda F, z, box: None)
+            fallback = injectivity_pipeline(F, queries)
+        assert fallback == report
+        tried = collections.Counter(call[1:] for call in calls if call[0] == "winding")
+        assert collections.Counter(call[1:] for call in calls if call[0] == "clearance") == tried
+        for k, (kind, z, radius) in enumerate(calls):
+            if kind == "solve":
+                assert ("clearance", z, radius) in calls[:k]
+
+
+def test_pipeline_certifies_a_decided_query_whose_clearance_fails(monkeypatch):
+    # the clearance is not asked where the winding degree is decided, so
+    # a clearance that cannot certify anything changes no report
+    failed = fibersolve.ClearanceResult(0.0, 1, 0, "forced to fail")
+    for F, queries in _plane_keller_cases():
+        report = injectivity_pipeline(F, queries)
+        with monkeypatch.context() as patch:
+            patch.setattr(injectlab, "boundary_clearance", lambda *args, **kwargs: failed)
+            forced = injectivity_pipeline(F, queries)
+        assert forced == report
+        assert forced.verdict == "consistent_with_injectivity"
+        assert all(rec.path_certified for rec in forced.records)
+
+
+def test_pipeline_clears_before_every_solve_in_three_dimensions(monkeypatch):
+    # n = 3 has no winding degree, and the solver no box budget, so the
+    # clearance still guards every query and base solve
+    F, _ = random_druzkowski_map(random.Random(23), 3)
+    queries = [[1, -1, 2], [0, 2, -1]]
+    calls, wound = _record_certificates(monkeypatch)
+    report = injectivity_pipeline(F, queries)
+    assert report.verdict == "consistent_with_injectivity"
+    assert not wound
+    solves = [(k, call[1:]) for k, call in enumerate(calls) if call[0] == "solve"]
+    assert {z for k, (z, radius) in solves} == {(0, 0, 0), (1, -1, 2), (0, 2, -1)}
+    assert len({radius for k, (z, radius) in solves}) >= 3
+    for k, (z, radius) in solves:
+        assert ("clearance", z, radius) in calls[:k]
