@@ -106,9 +106,8 @@ def signed_count_from_fiber(fiber: FiberResult, clearance: ClearanceResult) -> D
             "singular", "a root region with vanishing Jacobian enclosure was found")
     if fiber.status != "complete":
         raise IncompleteSolveError(f"solver status {fiber.status}")
-    value = sum(r.jac_sign for r in fiber.roots)
     return DegreeResult(
-        value=value,
+        value=fiber.signed_count,
         raw=None,
         method="signed_count",
         certified=True,

@@ -112,6 +112,13 @@ class FiberResult:
     status: str
     stats: SolveStats
 
+    @property
+    def signed_count(self) -> int:
+        """The sum of the roots' Jacobian signs: the degree, when the fiber
+        is complete, as its roots are then simple and strictly inside the
+        box."""
+        return sum(r.jac_sign for r in self.roots)
+
 
 def bezout_bound(F: PolyMap) -> int:
     """Product of the component total degrees."""

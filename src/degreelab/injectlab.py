@@ -22,17 +22,19 @@ seeds are polished by one stacked float Newton.
 A collision witness is two points _WITNESS_SEPARATION apart or more whose
 images differ by _WITNESS_RESIDUAL or less, both checked exactly.  The
 pipeline doubles its box radius from _INITIAL_RADIUS up to _MAX_RADIUS.
-For each query it first finds the smallest radius whose box holds a root
-of the query (the query off F(boundary), then a nonzero degree); from
-there it checks the bounded certificates first at each radius: the query
-off F(boundary) and the base-to-query path segment, both under a budget,
-then the query's degree and the base's, whose fiber solves cost more as
-the box grows.  For a plane map each degree is the winding number of
-F - z along the box boundary.  Where that is decided it also certifies
-that z is off F(boundary), so the sum-of-squares boundary clearance runs
-only where it is undecided, and for n != 2 before every solve.  A fiber is
-solved only when the winding number is undecided, when a collision
-witness needs the roots, or for the base's fiber in Step 1.
+The base and every query read their degree by one rule: for a plane map
+the winding number of F - z along the box boundary, which where decided
+also certifies that z is off F(boundary).  Where it is undecided, and for
+n != 2, the sum-of-squares boundary clearance certifies that instead, and
+the degree is the signed count of the solved fiber.  A decided winding
+number of 0 or +-1 needs no solve; any other is checked against the
+signed count of the solved fiber, whose roots a collision witness needs.
+Step 1 solves the base's fiber whatever its degree, as the report carries
+it.  For each query the pipeline first finds the smallest radius whose box
+holds a root of the query (a nonzero degree); from there it checks the
+bounded certificates first at each radius: the query off F(boundary) and
+the base-to-query path segment, both under a budget, then the query's
+degree and the base's, whose fiber solves cost more as the box grows.
 """
 
 from __future__ import annotations
@@ -715,26 +717,27 @@ class _GrowNeeded(Exception):
 
 
 def _certificates(F: PolyMap, z: Point, solver: SolverConfig | None):
-    """Two functions of the radius that compute their value over the cube
-    of that radius about the origin once.  off_boundary certifies that z
-    is off F(boundary) and returns the winding degree of z, None where that
-    is undecided and always for n != 2: a decided winding degree is itself
-    that certificate, and elsewhere the boundary clearance is.  solved
-    returns the complete fiber of z.  A clearance or fiber that fails
-    raises _GrowNeeded, and is not kept."""
-    @functools.cache
-    def wound(radius: Fraction) -> int | None:
-        if F.n != 2:
-            return None
-        return winding_degree(F, z, IntervalBox.cube(F.n, radius))
+    """The one degree rule of a point, as two functions of the radius,
+    each over the cube of that radius about the origin.
 
+    off_boundary certifies that z is off F(boundary) and returns the
+    winding degree of z, None where that is undecided and always for
+    n != 2: a decided winding degree is itself that certificate, and
+    elsewhere the boundary clearance is.  degree(radius, solve) returns
+    the degree of z and its fiber, or None for the fiber where none was
+    solved.  A decided winding degree of 0 or +-1 is the answer unless
+    solve asks for the fiber; otherwise the fiber is solved, after
+    off_boundary since the solver has no box budget, and must be
+    complete.  Its signed count is the degree, which a decided winding
+    degree must equal.  A clearance or fiber that fails raises
+    _GrowNeeded, and is not kept."""
     @functools.cache
     def off_boundary(radius: Fraction) -> int | None:
-        deg = wound(radius)
+        box = IntervalBox.cube(F.n, radius)
+        deg = winding_degree(F, z, box) if F.n == 2 else None
         if deg is None:
             # only ok and failure are read, so the bound is not sharpened
-            clearance = boundary_clearance(F, z, IntervalBox.cube(F.n, radius),
-                                           improve_splits=0)
+            clearance = boundary_clearance(F, z, box, improve_splits=0)
             if not clearance.ok:
                 raise _GrowNeeded(f"clearance failed: {clearance.failure}")
         return deg
@@ -746,25 +749,30 @@ def _certificates(F: PolyMap, z: Point, solver: SolverConfig | None):
             raise _GrowNeeded(f"solver status {fiber.status}")
         return fiber
 
-    return off_boundary, solved
+    def degree(radius: Fraction, solve: bool = False) -> tuple[int, FiberResult | None]:
+        deg = off_boundary(radius)
+        if deg in (-1, 0, 1) and not solve:
+            return deg, None
+        fiber = solved(radius)
+        if deg not in (None, fiber.signed_count):
+            raise RuntimeError(
+                "a winding degree and the signed count of its certified fiber "
+                "disagree; this is a soundness bug")
+        return fiber.signed_count, fiber
+
+    return off_boundary, degree
 
 
-def _signed_count(fiber: FiberResult) -> int:
-    """The degree from a complete fiber: its roots are simple and lie
-    strictly inside the box, so none is on the boundary."""
-    return sum(r.jac_sign for r in fiber.roots)
-
-
-def _first_radius(n: int, radius: Fraction, attempt):
+def _first_radius(radius: Fraction, attempt):
     """The first radius, doubling from radius up to _MAX_RADIUS, at which
-    attempt(radius, box) returns instead of raising _GrowNeeded, as
-    (radius, value, ""); box is the cube of that radius about the origin.
-    When the cap is passed first, (None, None, last), where last names the
-    largest radius tried and why it was turned down ("" if none was)."""
-    last = ""
+    attempt(radius) returns instead of raising _GrowNeeded, as
+    (radius, value, "").  When the cap is passed first, (None, None, last),
+    where last names the largest radius tried and why it was turned down,
+    or the first radius and the cap when that radius is above the cap."""
+    last = f"; first radius {radius} is above the cap {_MAX_RADIUS}"
     while radius <= _MAX_RADIUS:
         try:
-            return radius, attempt(radius, IntervalBox.cube(n, radius)), ""
+            return radius, attempt(radius), ""
         except _GrowNeeded as why:
             last = f"; last at radius {radius}: {why}"
             radius *= 2
@@ -776,36 +784,35 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
                          base: Sequence[Fraction | int] | None = None) -> InjectivityReport:
     """Three-step injectivity evidence for a constant-Jacobian map.
 
+    Every root of a Keller map has the sign of det JF, so a point's fiber
+    holds deg * sign(det JF) points.  The base and each query read their
+    degree by one rule (_certificates): for n = 2 the winding degree,
+    which where decided also certifies the point off F(boundary); where
+    it is undecided, and for n != 2, the boundary clearance certifies
+    that, and the degree is the signed count of the solved fiber.  A
+    decided degree of 0 or +-1 needs no solve; any other is checked
+    against the signed count of the solved fiber, whose roots a collision
+    witness needs.
+
     Step 1 fixes a base point with a certified singleton fiber: the
     origin for cubic/cube-linear forms, else a caller-supplied point
-    defaulting to F(0).  Wherever the base's fiber is solved, its signed
-    count must equal its winding degree where that is decided.  Step 2
-    grows a centered box (radius doubling) per query until four
-    certificates hold: the query is off F(boundary), the base-to-query
-    path segment, the query's degree (nonzero), and the base's degree.
-    Every root of a Keller map has the sign of det JF, so the query's fiber
-    holds deg * sign(det JF) points.  For n = 2 each degree is
-    winding_degree, and where that is decided it is also the certificate
-    that the point is off F(boundary).  The boundary clearance runs only
-    where it is undecided, and always for n != 2, since the solver it
-    then guards has no box budget.  The query's fiber is solved only where
-    the winding degree is undecided, or where |deg| >= 2 and the roots are
-    needed for a collision witness; a base degree of +-1 counts the Step 1
-    root alone, and the base's fiber is solved again only where it is
-    anything else.  Otherwise, and for n != 2, a degree is the signed count
-    of the solved fiber, which must be complete.  Up to the first radius
-    whose box holds a root of the query, a zero degree turns a radius
-    down, as it is cheap on a box holding no root (the segment must fail
-    there too, the degrees differing).  From then on the order is the
-    boundary certificate, the segment, then the query's degree and the
-    base's: the first two run under budgets, so a radius they turn down
-    costs no solve.  The first radius at which all four hold does not
-    depend on the order.  When the radius cap is passed first, the note
-    names the last radius tried and the certificate that failed there.
-    Step 3 compares the degree at the query and at the base over the same
-    box, which the certified segment forces to agree; a failed path
-    certificate downgrades the query to inconclusive rather than being
-    assumed away.
+    defaulting to F(0).  Its fiber is solved at every radius tried, as
+    the report carries it.  Step 2 grows a centered box (radius doubling)
+    per query until four certificates hold: the query is off
+    F(boundary), the base-to-query path segment, the query's degree
+    (nonzero), and the base's degree.  Up to the first radius whose box
+    holds a root of the query, a zero degree turns a radius down, as it
+    is cheap on a box holding no root (the segment must fail there too,
+    the degrees differing).  From then on the order is the boundary
+    certificate, the segment, then the query's degree and the base's:
+    the first two run under budgets, so a radius they turn down costs no
+    solve.  The first radius at which all four hold does not depend on
+    the order.  When the radius cap is passed first, the note names the
+    last radius tried and the certificate that failed there, or the
+    first radius when it is already above the cap.  Step 3 compares the
+    degree at the query and at the base over the same box, which the
+    certified segment forces to agree; a failed path certificate
+    downgrades the query to inconclusive rather than being assumed away.
 
     Any multi-point fiber met along the way is converted into an exact
     collision witness and reported as non-injectivity.  solver configures
@@ -825,24 +832,11 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
     else:
         base_point = _rational_point(base)
 
-    base_off_boundary, base_solved = _certificates(F, base_point, solver)
-
-    def base_at(radius: Fraction, box: IntervalBox) -> FiberResult:
-        # a complete fiber proves the base off F(boundary) too, all its
-        # roots lying strictly inside, and its signed count is the degree;
-        # the winding degree or the clearance comes first, since the
-        # solver has no box budget
-        deg = base_off_boundary(radius)
-        fiber = base_solved(radius)
-        if deg not in (None, _signed_count(fiber)):
-            raise RuntimeError(
-                "the base's winding degree and the signed count of its certified "
-                "fiber disagree; this is a soundness bug")
-        return fiber
+    _, base_degree = _certificates(F, base_point, solver)
 
     # Step 1: base fiber must be a certified singleton
     base_radius, base_fiber, base_last = _first_radius(
-        n, Fraction(_INITIAL_RADIUS), base_at)
+        Fraction(_INITIAL_RADIUS), lambda radius: base_degree(radius, solve=True)[1])
     if base_fiber is not None and len(base_fiber.roots) > 1:
         witness = witness_from_fiber(F, base_fiber)
         if witness is not None:
@@ -866,49 +860,38 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
         q = _rational_point(raw_query)
         if len(q) != n:
             raise ValueError(f"query {q} has wrong dimension")
-        off_boundary, solved = _certificates(F, q, solver)
+        off_boundary, degree = _certificates(F, q, solver)
 
-        def holds_root(radius: Fraction, box: IntervalBox):
+        def holds_root(radius: Fraction):
             # where the box holds no root of the query the path segment
             # fails too, the degree being 0 at the query and nonzero at
             # the base, but only after spending its whole split budget.
             # Every root has the sign of det JF, so the box holds one
             # exactly when the degree is not 0.
-            deg = off_boundary(radius)
-            if not (solved(radius).roots if deg is None else deg):
+            if not degree(radius)[0]:
                 raise _GrowNeeded("query fiber empty so far")
 
-        def query_at(radius: Fraction, box: IntervalBox):
-            # the fiber is solved only for a witness (|deg| >= 2) or when
-            # the winding degree is undecided; a complete fiber here holds
-            # the roots found at a smaller radius, so it is not empty
-            deg = off_boundary(radius)
-            seg = path_segment_clearance(F, box, base_point, q)
+        def query_at(radius: Fraction):
+            # the two certificates under a budget come first, so a radius
+            # they turn down costs no solve
+            off_boundary(radius)
+            seg = path_segment_clearance(F, IntervalBox.cube(n, radius), base_point, q)
             if not seg.ok:
                 raise _GrowNeeded(f"path segment: {seg.failure}")
-            fib_q = None if deg in (1, -1) else solved(radius)
-            # a base degree of +-1 counts one root, all roots having the
-            # sign of det JF, and this box holds the Step 1 root
-            deg_b = base_off_boundary(radius)
-            if deg_b in (1, -1):
-                return deg, fib_q, deg_b, None
-            fib_b = base_at(radius, box)
-            return deg, fib_q, _signed_count(fib_b), fib_b
+            return degree(radius), base_degree(radius)
 
         rooted, _, last = _first_radius(
-            n, max(base_radius, *(abs(v) * 2 for v in q), Fraction(1)), holds_root)
+            max(base_radius, *(abs(v) * 2 for v in q), Fraction(1)), holds_root)
         radius = pairs = None
         if rooted is not None:
-            radius, pairs, last = _first_radius(n, rooted, query_at)
+            radius, pairs, last = _first_radius(rooted, query_at)
         if pairs is None:
             records.append(QueryRecord(
                 query=q, radius=None, fiber_size=None, degree_at_query=None,
                 degree_at_base=None, path_certified=False,
                 note="radius cap reached without full certification" + last))
             continue
-        deg_q, fib_q, deg_b, fib_b = pairs
-        if deg_q is None:
-            deg_q = _signed_count(fib_q)
+        (deg_q, fib_q), (deg_b, fib_b) = pairs
         for fib in (fib_q, fib_b):
             if fib is not None and len(fib.roots) > 1 and witness is None:
                 witness = witness_from_fiber(F, fib)

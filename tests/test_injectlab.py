@@ -1047,6 +1047,47 @@ def test_pipeline_base_degree_off_its_signed_count_is_a_soundness_bug(monkeypatc
         injectivity_pipeline(make_map(2, "x1 + x2^3", "x2"), [])
 
 
+def test_pipeline_query_degree_off_its_signed_count_is_a_soundness_bug(monkeypatch):
+    # a winding degree of 2 is checked against the query's solved fiber,
+    # the singleton (-2, 1) with signed count 1, before the query's degree
+    # is compared with the base's
+    winding = injectlab.winding_degree
+    monkeypatch.setattr(injectlab, "winding_degree",
+                        lambda F, z, box: 2 if tuple(z) == (-1, 1) else winding(F, z, box))
+    with pytest.raises(RuntimeError, match="a winding degree and the signed count of "
+                                           "its certified fiber disagree"):
+        injectivity_pipeline(make_map(2, "x1 + x2^3", "x2"), [[-1, 1]])
+
+
+@pytest.mark.parametrize("forced, message", [
+    # the query's winding degree alone is -1, so the degrees differ
+    (lambda z, box: z == (1, 1), "certified degrees at the query and the base disagree"),
+    # from radius 2 on, the query's and the base's: they agree on -1, while
+    # det JF = 1; Step 1 certifies the base at radius 1
+    (lambda z, box: box.hi[0] >= 2, "degree -1 has the opposite sign of det JF"),
+])
+def test_pipeline_degree_cross_checks_are_soundness_bugs(monkeypatch, forced, message):
+    # a winding degree of -1 needs no solve, so only the cross-checks
+    # between the degrees can see it
+    winding = injectlab.winding_degree
+    monkeypatch.setattr(injectlab, "winding_degree",
+                        lambda F, z, box: -1 if forced(tuple(z), box) else winding(F, z, box))
+    with pytest.raises(RuntimeError, match=message + ".*soundness bug"):
+        injectivity_pipeline(make_map(2, "x1 + x2^3", "x2"), [[1, 1]])
+
+
+def test_pipeline_names_a_first_radius_above_the_cap():
+    # the first radius of the query (10^7, 0) is 2 * 10^7, above the cap of
+    # 2^20, so no radius is tried; the other query still certifies
+    report = injectivity_pipeline(make_map(2, "x1 + x2^3", "x2"), [[10**7, 0], [1, 1]])
+    assert report.verdict == "inconclusive"
+    far, near = report.records
+    assert far.radius is None and not far.path_certified
+    assert far.note == ("radius cap reached without full certification; "
+                        "first radius 20000000 is above the cap 1048576")
+    assert near.fiber_size == 1 and near.path_certified
+
+
 def _record_pipeline_calls(monkeypatch, query):
     """Wrap the query's degree calls and fiber solves and the path segment
     checks; returns the box radii of the query's degree calls, of its
