@@ -3,24 +3,32 @@
 The solver is a branch-and-prune over a tree of boxes, walked depth first
 in chunks.  A chunk is a pair of (N, n) float arrays holding the lower
 and upper side bounds of at most _ROW_BLOCK boxes of one depth, one box
-per row, and every stage works on a whole chunk: boxes whose interval
-image of some residual component excludes zero are discarded; surviving
-boxes are tested with one Krawczyk operator (midpoint-preconditioned
-interval Newton, _krawczyk_batch), whose contraction into the strict
-interior certifies existence and uniqueness of a root; certified boxes
-are refined by at most _NEWTON_MAX_ITERS further Krawczyk steps, down to
-_TARGET_WIDTH, and undecided boxes wider than that are split
-(split_widest, under subdivide's breadth-first walk too), their
-children pushed on a stack in chunks of at most _ROW_BLOCK rows.  Taking
-the deepest chunk first bounds the working set, where whole breadth-first
+per row, and every stage works on a whole chunk.  Each chunk makes one
+interval enclosure, of one IntervalStack per solve over 2n variables (x
+for a box, y for its midpoint m) that holds the residuals F(x) - z, the
+Jacobian entries over x and the residuals F(y) - z, taken over the rows
+[lo | m], [hi | m]: boxes whose enclosure of some residual component
+excludes zero are discarded; surviving boxes are tested with one Krawczyk
+operator (midpoint-preconditioned interval Newton, _krawczyk_batch) that
+reads the Jacobian and midpoint rows of that enclosure, and whose
+contraction into the strict interior certifies existence and uniqueness
+of a root; undecided boxes wider than _TARGET_WIDTH are split
+(split_widest, under subdivide's breadth-first walk too), their children
+pushed on a stack in chunks of at most _ROW_BLOCK rows.  Taking the
+deepest chunk first bounds the working set, where whole breadth-first
 levels grow to tens of thousands of rows on large boxes.  The input box's
-lo/hi bound vectors are the first chunk's one row, and each certified
-root's isolator is an IntervalBox of a refined row.  With workers > 1 a
-thread pool refines a chunk's certified boxes in contiguous pieces.
-Every kernel works row by row, so the output equals that of a
-breadth-first walk over whole levels, for any number of workers.  Roots
-and given-up boxes within _BOUNDARY_MARGIN of the box boundary mean
-boundary_contact.  SolverConfig holds the depth limit, which callers vary.
+lo/hi bound vectors are the first chunk's one row.  The certified boxes of
+the whole walk are refined in one batch, by at most _NEWTON_MAX_ITERS
+further Krawczyk steps down to _TARGET_WIDTH, each step one enclosure of
+the same stack, and their Jacobian signs read in one enclosure of det JF;
+each certified root's isolator is an IntervalBox of a refined row.  With
+workers > 1 a thread pool refines that batch in contiguous pieces.  Every
+kernel works row by row, and each row of the stack equals the enclosure
+of its polynomial alone in n variables bit for bit, so the output equals
+that of a breadth-first walk over whole levels with separate enclosures,
+for any number of workers.  Roots and given-up boxes within
+_BOUNDARY_MARGIN of the box boundary mean boundary_contact.  SolverConfig
+holds the depth limit, which callers vary.
 
 The same sum-of-squares positivity kernel that backs boundary clearance,
 a best-first heap on the compiled kernel IntervalStack, is exported
@@ -50,7 +58,7 @@ import numpy as np
 
 from .polycore import (IntervalBox, IntervalStack, Poly, _mul_arrays, _next_down, _next_up,
                        _pow_arrays)
-from .mapforms import PolyMap, jacobian_det, jacobian_stack
+from .mapforms import PolyMap, jacobian_det, jacobian_matrix
 
 # Split point sits at 127/256 of the width rather than 1/2: an exact
 # bisection of the symmetric boxes used throughout the corpus would land
@@ -135,13 +143,46 @@ def _row_blocks(count: int) -> list[slice]:
     return [slice(b, b + _ROW_BLOCK) for b in range(0, max(count, 1), _ROW_BLOCK)]
 
 
-def _krawczyk_batch(gs: IntervalStack, jac: IntervalStack, los: np.ndarray, his: np.ndarray):
+def _fiber_stack(residuals: Sequence[Poly], jac: Sequence[Poly]) -> IntervalStack:
+    """The one stack a solve encloses, over 2n variables: x, the first n,
+    stands for a box and y, the last n, for its midpoint.  Rows 0 to n - 1
+    are the residuals F_i(x) - z_i, row n + i * n + j is the Jacobian entry
+    dF_i/dx_j(x), entry (i, j) of jac, and the last n rows are the
+    residuals F_i(y) - z_i."""
+    n = len(residuals)
+    return IntervalStack([p.pad(n) for p in (*residuals, *jac)] + [p.shift(n) for p in residuals])
+
+
+def _enclose_fiber(stack: IntervalStack, los: np.ndarray, his: np.ndarray):
+    """(mids, g, jx, gm) for a stack of boxes, one box per row.
+
+    mids are the boxes' float midpoints m, and g, jx and gm the (lo, hi)
+    enclosures of _fiber_stack over the boxes [lo | m], [hi | m], one
+    column per box: of the residuals over the box (n rows), of the
+    Jacobian entries over it (n * n rows) and of the residuals at its
+    midpoint (n rows).  Each row equals the enclosure of its polynomial
+    alone, in n variables, over the box or the degenerate box [m, m], bit
+    for bit, as padding or shifting the variables keeps a polynomial's
+    term order and the power runs of its variables.
+    """
+    n = los.shape[1]
+    with np.errstate(all="ignore"):
+        mids = los + 0.5 * (his - los)
+    lo, hi = stack.enclose(np.hstack((los, mids)), np.hstack((his, mids)))
+    cuts = (n, n + n * n)
+    return (mids, *zip(np.split(lo, cuts), np.split(hi, cuts)))
+
+
+def _krawczyk_batch(jac: Sequence[Poly], los: np.ndarray, his: np.ndarray, mids: np.ndarray,
+                    jx, gm):
     """Krawczyk images for a stack of boxes, one box per row.
 
-    gs is the stack of the residual components and jac that of the
-    Jacobian entries, row by row (jacobian_stack).  Row k of (K_lo, K_hi)
-    encloses m - Y g(m) + (I - Y J(X)) (X - m) for box X = row k, its
-    midpoint m and Y the inverse of the Jacobian at m.
+    jac holds the Jacobian entries, entry (i, j) at index i * n + j, and
+    mids the boxes' float midpoints; jx and gm are the (lo, hi) enclosures,
+    one column per box, of those entries over each box and of the residual
+    components at its midpoint, as _enclose_fiber makes them.  Row k of
+    (K_lo, K_hi) encloses m - Y g(m) + (I - Y J(X)) (X - m) for box X =
+    row k, its midpoint m and Y the inverse of the float Jacobian at m.
     usable is False where that Jacobian is singular (slogdet sign 0, the
     zero-pivot case in which inv raises) or where Y or the image is not
     finite.  Every step works row by row, so a row's image does not depend
@@ -149,10 +190,9 @@ def _krawczyk_batch(gs: IntervalStack, jac: IntervalStack, los: np.ndarray, his:
     """
     count, n = los.shape
     with np.errstate(all="ignore"):
-        mids = los + 0.5 * (his - los)
         jm = np.empty((count, n * n))
         cache_mid: dict = {}
-        for k, entry in enumerate(jac.polys):
+        for k, entry in enumerate(jac):
             jm[:, k] = entry.eval_array(mids, cache_mid)
         jm = jm.reshape(count, n, n)
         usable = np.linalg.slogdet(jm)[0] != 0
@@ -160,8 +200,8 @@ def _krawczyk_batch(gs: IntervalStack, jac: IntervalStack, los: np.ndarray, his:
         Y = np.linalg.inv(jm)
         usable &= np.isfinite(Y).all(axis=(1, 2))
         # enclosures as [row, i] and [row, i, j]
-        gml, gmh = (e.T for e in gs.enclose(mids, mids))
-        jxl, jxh = (e.reshape(n, n, count).transpose(2, 0, 1) for e in jac.enclose(los, his))
+        gml, gmh = (e.T for e in gm)
+        jxl, jxh = (e.reshape(n, n, count).transpose(2, 0, 1) for e in jx)
         off_lo = _next_down(los - mids)
         off_hi = _next_up(his - mids)
         # Y g(m) and Y J(X), each sum rounded outward term by term in index
@@ -189,8 +229,9 @@ def _krawczyk_batch(gs: IntervalStack, jac: IntervalStack, los: np.ndarray, his:
     return k_lo, k_hi, usable
 
 
-def _refine_rows(gs, jac, los: np.ndarray, his: np.ndarray):
-    """Contract each row by repeated Krawczyk steps.
+def _refine_rows(stack: IntervalStack, jac: Sequence[Poly], los: np.ndarray, his: np.ndarray):
+    """Contract each row by repeated Krawczyk steps, each step one
+    enclosure of the solve's _fiber_stack over the rows still active.
 
     A row stops once it is no wider than _TARGET_WIDTH, or when a step is
     unusable, leaves nothing of the row, or changes nothing; all stop
@@ -203,7 +244,8 @@ def _refine_rows(gs, jac, los: np.ndarray, his: np.ndarray):
         if not active.size:
             break
         xl, xh = los[active], his[active]
-        k_lo, k_hi, usable = _krawczyk_batch(gs, jac, xl, xh)
+        mids, _, jx, gm = _enclose_fiber(stack, xl, xh)
+        k_lo, k_hi, usable = _krawczyk_batch(jac, xl, xh, mids, jx, gm)
         new_lo, new_hi = np.maximum(xl, k_lo), np.minimum(xh, k_hi)
         moved = (usable & (new_lo <= new_hi).all(axis=1)
                  & ((new_lo != xl) | (new_hi != xh)).any(axis=1))
@@ -212,11 +254,16 @@ def _refine_rows(gs, jac, los: np.ndarray, his: np.ndarray):
     return los, his
 
 
+def _all_reach_zero(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Mask of the columns in which every row of the enclosure (lo, hi)
+    reaches zero."""
+    return ((lo <= 0.0) & (hi >= 0.0)).all(axis=0)
+
+
 def _reaches_zero(gs: IntervalStack, los: np.ndarray, his: np.ndarray) -> np.ndarray:
     """Mask of the rows on which every residual component's enclosure
     reaches zero."""
-    glo, ghi = gs.enclose(los, his)
-    return ((glo <= 0.0) & (ghi >= 0.0)).all(axis=0)
+    return _all_reach_zero(*gs.enclose(los, his))
 
 
 def _stuck_kinds(los, his, outer_lo, outer_hi, det: Poly) -> set[str]:
@@ -329,82 +376,88 @@ def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
     changes the result, only the wall time.
     """
     cfg = cfg or SolverConfig()
-    gs = IntervalStack(_residuals(F, z, box))
-    jac = jacobian_stack(F)
+    residuals = _residuals(F, z, box)
     det = jacobian_det(F)
-
-    def refine(los, his):
-        # rows are independent, so contiguous chunks give the serial result
-        if pool is None:
-            return _refine_rows(gs, jac, los, his)
-        chunks = [c for c in np.array_split(np.arange(len(los)), workers) if c.size]
-        parts = list(pool.map(
-            lambda c: _refine_rows(gs, jac, los[c], his[c]), chunks))
-        return (np.concatenate([p[0] for p in parts]),
-                np.concatenate([p[1] for p in parts]))
-
     outer_lo, outer_hi = np.array(box.lo), np.array(box.hi)
     if det.is_zero:
-        return _excluded_or_singular(gs, outer_lo, outer_hi, cfg)
+        return _excluded_or_singular(IntervalStack(residuals), outer_lo, outer_hi, cfg)
+    jac = [p for row in jacobian_matrix(F) for p in row]
+    fiber = _fiber_stack(residuals, jac)
     roots: list[CertifiedRoot] = []
+    cert_lo: list[np.ndarray] = []
+    cert_hi: list[np.ndarray] = []
     stuck_lo: list[np.ndarray] = []
     stuck_hi: list[np.ndarray] = []
     boxes_processed = deepest = 0
     # chunks (depth, lo, hi) of at most _ROW_BLOCK boxes, walked depth first
     stack = [(0, outer_lo[None, :], outer_hi[None, :])]
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     # a width that overflows is not below any bound the walk tests it with
-    try:
-        with np.errstate(over="ignore"):
-            while stack:
-                depth, los, his = stack.pop()
-                boxes_processed += len(los)
-                deepest = max(deepest, depth)
-                # exclusion: a box survives only if every residual component's
-                # enclosure can reach zero
-                alive = _reaches_zero(gs, los, his)
-                los, his = los[alive], his[alive]
-                certify = np.zeros(len(los), dtype=bool)
-                newton = ((his - los).max(axis=1) <= _KRAWCZYK_GATE) | (depth == 0)
-                if newton.any():
-                    rows = np.nonzero(newton)[0]
-                    k_lo, k_hi, usable = _krawczyk_batch(gs, jac, los[rows], his[rows])
-                    rows, k_lo, k_hi = rows[usable], k_lo[usable], k_hi[usable]
-                    xl, xh = los[rows], his[rows]
-                    # an operator image that misses the box proves it holds no root
-                    keep = np.ones(len(los), dtype=bool)
-                    keep[rows] = ~((k_hi < xl).any(axis=1) | (k_lo > xh).any(axis=1))
-                    certify[rows] = (xl < k_lo).all(axis=1) & (k_hi < xh).all(axis=1)
-                    los[rows] = np.maximum(xl, k_lo)
-                    his[rows] = np.minimum(xh, k_hi)
-                    los, his, certify = los[keep], his[keep], certify[keep]
-                if certify.any():
-                    iso_lo, iso_hi = refine(los[certify], his[certify])
-                    det_lo, det_hi = det.eval_interval_batch(iso_lo, iso_hi)
-                    signs = np.where(det_lo > 0.0, 1, np.where(det_hi < 0.0, -1, 0))
-                    for lo, hi, sign in zip(iso_lo.tolist(), iso_hi.tolist(), signs.tolist()):
-                        if sign:
-                            isolator = IntervalBox(lo, hi)
-                            roots.append(CertifiedRoot(isolator, sign, isolator.max_width()))
-                    stuck_lo.append(iso_lo[signs == 0])
-                    stuck_hi.append(iso_hi[signs == 0])
-                    los, his = los[~certify], his[~certify]
-                if len(los):
-                    # boxes that cannot be split are given up: at the depth
-                    # limit, no wider than the target width, or too narrow for
-                    # the split point to fall strictly inside
-                    kids_lo, kids_hi, inside = split_widest(los, his, _SPLIT_RATIO)
-                    split = (inside & ((his - los).max(axis=1) > _TARGET_WIDTH)
-                             & (depth < cfg.max_depth))
-                    stuck_lo.append(los[~split])
-                    stuck_hi.append(his[~split])
-                    pair = np.repeat(split, 2)
-                    los, his = kids_lo[pair], kids_hi[pair]
-                    stack.extend((depth + 1, los[b:b + _ROW_BLOCK], his[b:b + _ROW_BLOCK])
-                                 for b in range(0, len(los), _ROW_BLOCK))
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    with np.errstate(over="ignore"):
+        while stack:
+            depth, los, his = stack.pop()
+            boxes_processed += len(los)
+            deepest = max(deepest, depth)
+            # one enclosure per chunk.  Exclusion: a box survives only if
+            # every residual component's enclosure can reach zero
+            mids, g, jx, gm = _enclose_fiber(fiber, los, his)
+            alive = np.nonzero(_all_reach_zero(*g))[0]
+            los, his = los[alive], his[alive]
+            certify = np.zeros(len(los), dtype=bool)
+            newton = ((his - los).max(axis=1) <= _KRAWCZYK_GATE) | (depth == 0)
+            if newton.any():
+                rows = np.nonzero(newton)[0]
+                at = alive[rows]
+                k_lo, k_hi, usable = _krawczyk_batch(
+                    jac, los[rows], his[rows], mids[at],
+                    (jx[0][:, at], jx[1][:, at]), (gm[0][:, at], gm[1][:, at]))
+                rows, k_lo, k_hi = rows[usable], k_lo[usable], k_hi[usable]
+                xl, xh = los[rows], his[rows]
+                # an operator image that misses the box proves it holds no root
+                keep = np.ones(len(los), dtype=bool)
+                keep[rows] = ~((k_hi < xl).any(axis=1) | (k_lo > xh).any(axis=1))
+                certify[rows] = (xl < k_lo).all(axis=1) & (k_hi < xh).all(axis=1)
+                los[rows] = np.maximum(xl, k_lo)
+                his[rows] = np.minimum(xh, k_hi)
+                los, his, certify = los[keep], his[keep], certify[keep]
+            if certify.any():
+                cert_lo.append(los[certify])
+                cert_hi.append(his[certify])
+                los, his = los[~certify], his[~certify]
+            if len(los):
+                # boxes that cannot be split are given up: at the depth
+                # limit, no wider than the target width, or too narrow for
+                # the split point to fall strictly inside
+                kids_lo, kids_hi, inside = split_widest(los, his, _SPLIT_RATIO)
+                split = (inside & ((his - los).max(axis=1) > _TARGET_WIDTH)
+                         & (depth < cfg.max_depth))
+                stuck_lo.append(los[~split])
+                stuck_hi.append(his[~split])
+                pair = np.repeat(split, 2)
+                los, his = kids_lo[pair], kids_hi[pair]
+                stack.extend((depth + 1, los[b:b + _ROW_BLOCK], his[b:b + _ROW_BLOCK])
+                             for b in range(0, len(los), _ROW_BLOCK))
+        if cert_lo:
+            # every certified box of the walk is refined in one batch, and
+            # its determinant sign read in one enclosure
+            iso_lo, iso_hi = np.concatenate(cert_lo), np.concatenate(cert_hi)
+            if workers > 1:
+                # rows are independent, so contiguous pieces give the serial result
+                pieces = [c for c in np.array_split(np.arange(len(iso_lo)), workers) if c.size]
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    parts = list(pool.map(
+                        lambda c: _refine_rows(fiber, jac, iso_lo[c], iso_hi[c]), pieces))
+                iso_lo = np.concatenate([p[0] for p in parts])
+                iso_hi = np.concatenate([p[1] for p in parts])
+            else:
+                iso_lo, iso_hi = _refine_rows(fiber, jac, iso_lo, iso_hi)
+            det_lo, det_hi = det.eval_interval_batch(iso_lo, iso_hi)
+            signs = np.where(det_lo > 0.0, 1, np.where(det_hi < 0.0, -1, 0))
+            for lo, hi, sign in zip(iso_lo.tolist(), iso_hi.tolist(), signs.tolist()):
+                if sign:
+                    isolator = IntervalBox(lo, hi)
+                    roots.append(CertifiedRoot(isolator, sign, isolator.max_width()))
+            stuck_lo.append(iso_lo[signs == 0])
+            stuck_hi.append(iso_hi[signs == 0])
 
     stuck_kinds: set[str] = set()
     if sum(len(s) for s in stuck_lo):

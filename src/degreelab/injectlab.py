@@ -11,13 +11,14 @@ The sign survey's subdivision and the collision branch-and-prune are
 fibersolve.subdivide walks at the midpoint, which decide a level with one
 enclosure call: the determinant's own IntervalStack, or the stack of the
 differences.  The survey's call also encloses a float box about each
-cell's midpoint, and it evaluates det JF exactly at a midpoint only when
-that value could add evidence: its enclosure reaches zero, or proves a
-sign the survey has not yet seen.  The prune is skipped where a walk over
-the cells that meet the diagonal, which encloses nothing, proves that its
-budget runs out before it reaches a leaf.  The sampled pair search finds
-neighbouring image cells by searchsorted on integer cell keys.  Collision
-seeds are polished by one stacked float Newton.
+cell's midpoint, and it evaluates det JF exactly at a midpoint, or at a
+sample of its sampling pass, only when that value could add evidence: its
+enclosure reaches zero, or proves a sign the survey has not yet seen.
+The prune is skipped where a walk over the cells that meet the diagonal,
+which encloses nothing, proves that its budget runs out before it reaches
+a leaf.  The sampled pair search finds neighbouring image cells by
+searchsorted on integer cell keys.  Collision seeds are polished by one
+stacked float Newton.
 
 A collision witness is two points _WITNESS_SEPARATION apart or more whose
 images differ by _WITNESS_RESIDUAL or less, both checked exactly.  The
@@ -48,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polycore import IntervalBox, IntervalStack, Poly
+from .polycore import IntervalBox, IntervalStack
 from .mapforms import PolyMap, jacobian_det, jacobian_matrix, keller_check, recognize_form
 from .fibersolve import (
     FiberResult,
@@ -135,8 +136,9 @@ def jacobian_sign_survey(F: PolyMap, box: IntervalBox,
     Exact values of det JF are taken at up to 4 samples of each float
     sign, then at the midpoints of subdivision cells that straddle zero
     or carry a sign that still lacks evidence, except where an enclosure
-    of det JF over a float box about the midpoint proves a sign the
-    survey already holds: such a value could change no evidence.
+    of det JF over the sample's degenerate box, or over a float box about
+    the midpoint, proves a sign the survey already holds: such a value
+    could change no evidence.
     """
     budget = budget or SurveyBudget()
     if box.dims != F.n:
@@ -172,9 +174,16 @@ def jacobian_sign_survey(F: PolyMap, box: IntervalBox,
         vals = det.eval_array(pts)
     # a side whose width overflows puts samples off the float range: unread
     vals[~np.isfinite(pts).all(axis=1)] = np.nan
-    for idx in itertools.chain(np.nonzero(vals > 0)[0][:4], np.nonzero(vals < 0)[0][:4],
-                               np.nonzero(vals == 0)[0][:4]):
-        record(_rational_point(pts[int(idx)]))
+    chosen = np.concatenate((np.nonzero(vals > 0)[0][:4], np.nonzero(vals < 0)[0][:4],
+                             np.nonzero(vals == 0)[0][:4]))
+    # a sample is a float point, so the enclosure over its degenerate box
+    # holds its exact value: where that proves a sign already held, the
+    # value could not change found
+    enc_lo, enc_hi = det.eval_interval_batch(pts[chosen], pts[chosen])
+    proved = ((enc_lo > 0.0).astype(int) - (enc_hi < 0.0)).tolist()
+    for idx, sign in zip(chosen.tolist(), proved):
+        if not (sign and sign in found):
+            record(_rational_point(pts[idx]))
 
     # subdivision pass, unless sampling settled: certify one uniform sign,
     # or catch a zero at the midpoint of a straddling cell.  Each level's
@@ -437,15 +446,6 @@ class CollisionConfig:
             raise ValueError("collision seed must be non-negative")
 
 
-def _shift_to_second_copy(p: Poly) -> Poly:
-    # re-index an n-variable polynomial to act on variables n+1..2n
-    n = p.nvars
-    terms = {}
-    for exps, coeff in p.terms.items():
-        terms[(0,) * n + exps] = coeff
-    return Poly(2 * n, terms)
-
-
 def _off_diagonal(los: np.ndarray, his: np.ndarray, n: int) -> np.ndarray:
     """Mask of the cells of the doubled box (x in the first n columns, y in
     the last n) not within the _WITNESS_SEPARATION band of the diagonal:
@@ -542,7 +542,7 @@ def _prune_candidates(F: PolyMap, box: IntervalBox, cfg: CollisionConfig) -> lis
     leaf_width = box.max_width() / 16.0
     if _no_leaf_within(box, n, leaf_width, cfg.prune_boxes):
         return []
-    diffs = IntervalStack([comp.pad(n) - _shift_to_second_copy(comp) for comp in F.components])
+    diffs = IntervalStack([comp.pad(n) - comp.shift(n) for comp in F.components])
     candidates: list[Point] = []
 
     def decide(los, his):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .polycore import IntervalStack, Poly, div_exact
+from .polycore import Poly, div_exact
 
 
 class FormViolationError(ValueError):
@@ -23,12 +23,11 @@ class FormViolationError(ValueError):
 class PolyMap:
     """A square polynomial mapping: n components, each in n variables.
 
-    The Jacobian matrix, its determinant and the matrix's IntervalStack
-    are computed once on demand and kept (write-once; recomputation would
-    give the same values).
+    The Jacobian matrix and its determinant are computed once on demand and
+    kept (write-once; recomputation would give the same values).
     """
 
-    __slots__ = ("n", "components", "_jacobian", "_jac_det", "_jac_stack")
+    __slots__ = ("n", "components", "_jacobian", "_jac_det")
 
     def __init__(self, components: Sequence[Poly]):
         components = tuple(components)
@@ -45,7 +44,6 @@ class PolyMap:
         self.components = components
         self._jacobian = None
         self._jac_det = None
-        self._jac_stack = None
 
     @classmethod
     def identity(cls, n: int) -> PolyMap:
@@ -72,14 +70,6 @@ def jacobian_matrix(F: PolyMap) -> tuple[tuple[Poly, ...], ...]:
         F._jacobian = tuple(
             tuple(p.diff(j + 1) for j in range(F.n)) for p in F.components)
     return F._jacobian
-
-
-def jacobian_stack(F: PolyMap) -> IntervalStack:
-    """The Jacobian entries compiled for enclosure, row by row: entry (i, j)
-    is row i * n + j of the stack."""
-    if F._jac_stack is None:
-        F._jac_stack = IntervalStack([p for row in jacobian_matrix(F) for p in row])
-    return F._jac_stack
 
 
 def _det_cofactor(rows: list[list[Poly]], nvars: int) -> Poly:

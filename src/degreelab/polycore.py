@@ -621,6 +621,18 @@ class Poly:
         zeros = (0,) * extra
         return Poly._trusted(self.nvars + extra, {e + zeros: c for e, c in self.terms.items()})
 
+    def shift(self, extra: int) -> Poly:
+        """Embed into a ring with `extra` leading variables, so that x_i
+        becomes x_(i + extra); p.shift(p.nvars) acts on the second copy of
+        the variables of a doubled ring, where p.pad(p.nvars) acts on the
+        first."""
+        if extra < 0:
+            raise ValueError("extra must be non-negative")
+        if extra == 0:
+            return self
+        zeros = (0,) * extra
+        return Poly._trusted(self.nvars + extra, {zeros + e: c for e, c in self.terms.items()})
+
     def compose(self, gs: Sequence[Poly]) -> Poly:
         """Substitute polynomial gs[i] for x_{i+1}; all gs share one arity."""
         if len(gs) != self.nvars:

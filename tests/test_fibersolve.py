@@ -12,7 +12,7 @@ import pytest
 
 from degreelab import fibersolve
 from degreelab.polycore import IntervalBox, IntervalStack, Poly, parse_poly
-from degreelab.mapforms import PolyMap, jacobian_det, jacobian_stack, keller_check
+from degreelab.mapforms import PolyMap, jacobian_det, jacobian_matrix, keller_check
 from degreelab.degree import _faces_times_unit
 from degreelab.fibersolve import (
     _BOUNDARY_MARGIN,
@@ -28,7 +28,6 @@ from degreelab.fibersolve import (
     SolveStats,
     _krawczyk_batch,
     _reaches_zero,
-    _refine_rows,
     _stuck_kinds,
     bezout_bound,
     boundary_clearance,
@@ -212,6 +211,21 @@ def _residuals(F, z):
     return IntervalStack([p - Poly.const(F.n, t) for p, t in zip(F.components, z)])
 
 
+def _unfused(F, z):
+    """The residual stack, the Jacobian entries and their own stack, each
+    compiled apart in n variables."""
+    jac = [p for row in jacobian_matrix(F) for p in row]
+    return _residuals(F, z), jac, IntervalStack(jac)
+
+
+def _krawczyk_unfused(gs, jac, jac_stack, los, his):
+    """_krawczyk_batch on enclosures from the separate stacks of _unfused:
+    the Jacobian entries over the boxes and the residuals at the midpoints."""
+    with np.errstate(all="ignore"):
+        mids = los + 0.5 * (his - los)
+    return _krawczyk_batch(jac, los, his, mids, jac_stack.enclose(los, his), gs.enclose(mids, mids))
+
+
 def test_krawczyk_batch_image_keeps_known_preimage():
     # upper-triangular maps have exact inverses, so the preimage x of z is
     # known; every usable row of a stack of boxes around x must map onto a
@@ -233,7 +247,7 @@ def test_krawczyk_batch_image_keeps_known_preimage():
                 above = Fraction(rng.randint(0, 64), rng.choice([64, 256, 4096]))
                 los[k, i] = math.nextafter(float(x[i] - below), -math.inf)
                 his[k, i] = math.nextafter(float(x[i] + above), math.inf)
-        k_lo, k_hi, usable = _krawczyk_batch(_residuals(F, z), jacobian_stack(F), los, his)
+        k_lo, k_hi, usable = _krawczyk_unfused(*_unfused(F, z), los, his)
         for k in np.nonzero(usable)[0]:
             usable_rows += 1
             for i in range(n):
@@ -246,33 +260,132 @@ def test_krawczyk_batch_marks_only_singular_row():
     # the Jacobian of (x1^2, x2) at the centre of the first box is singular;
     # the stacked inverse must flag that row and leave the others intact
     F = make_map("x1^2", "x2")
-    gs = _residuals(F, [1, 0])
-    jac = jacobian_stack(F)
+    stacks = _unfused(F, [1, 0])
     los = np.array([[-1.0, -1.0], [0.5, -0.5], [-1.5, -0.25]])
     his = np.array([[1.0, 1.0], [1.5, 0.5], [-0.5, 0.25]])
-    k_lo, k_hi, usable = _krawczyk_batch(gs, jac, los, his)
+    k_lo, k_hi, usable = _krawczyk_unfused(*stacks, los, his)
     assert usable.tolist() == [False, True, True]
-    alone_lo, alone_hi, alone_ok = _krawczyk_batch(gs, jac, los[1:], his[1:])
+    alone_lo, alone_hi, alone_ok = _krawczyk_unfused(*stacks, los[1:], his[1:])
     assert alone_ok.all()
     assert np.array_equal(alone_lo, k_lo[1:]) and np.array_equal(alone_hi, k_hi[1:])
     for k, root in ((1, 1.0), (2, -1.0)):
         assert k_lo[k, 0] <= root <= k_hi[k, 0] and k_lo[k, 1] <= 0.0 <= k_hi[k, 1]
     # a long stack: every copy keeps its row's image
     reps = _ROW_BLOCK // len(los) + 2
-    big_lo, big_hi, big_ok = _krawczyk_batch(
-        gs, jac, np.tile(los, (reps, 1)), np.tile(his, (reps, 1)))
+    big_lo, big_hi, big_ok = _krawczyk_unfused(
+        *stacks, np.tile(los, (reps, 1)), np.tile(his, (reps, 1)))
     assert len(big_lo) > _ROW_BLOCK
     assert np.array_equal(big_ok, np.tile(usable, reps))
     assert np.array_equal(big_lo, np.tile(k_lo, (reps, 1)), equal_nan=True)
     assert np.array_equal(big_hi, np.tile(k_hi, (reps, 1)), equal_nan=True)
 
 
+def test_fiber_stack_rows_equal_separate_enclosures():
+    # the solver's one stack over 2n variables: every row equals, bit for
+    # bit, the enclosure of its polynomial alone in n variables, over the
+    # box or over the degenerate box at its midpoint; rows whose powers
+    # overflow widen to (-inf, inf) alike
+    rng = random.Random(2525)
+    widened = 0
+    for _ in range(80):
+        n = rng.choice([1, 2, 3])
+        F = PolyMap([random_poly(rng, n, max_deg=rng.choice([2, 4, 7])) for _ in range(n)])
+        z = [Fraction(rng.randint(-9, 9), rng.choice([1, 3])) for _ in range(n)]
+        residuals = [p - t for p, t in zip(F.components, z)]
+        jac = [p for row in jacobian_matrix(F) for p in row]
+        rows = rng.randint(1, 9)
+        scale = rng.choice([1.0, 1e3, 1e60, 1e155, 1e300])
+        centres = np.array([[rng.uniform(-1.0, 1.0) * scale for _ in range(n)]
+                            for _ in range(rows)])
+        radii = np.array([[rng.choice([0.0, 1e-3, 1.0]) * scale for _ in range(n)]
+                          for _ in range(rows)])
+        los, his = centres - radii, centres + radii
+        mids, *got = fibersolve._enclose_fiber(fibersolve._fiber_stack(residuals, jac), los, his)
+        with np.errstate(all="ignore"):
+            assert mids.tobytes() == (los + 0.5 * (his - los)).tobytes()
+        alone = IntervalStack(residuals)
+        want = (alone.enclose(los, his), IntervalStack(jac).enclose(los, his),
+                alone.enclose(mids, mids))
+        for pair, expected in zip(got, want):
+            for a, b in zip(pair, expected):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (F, los, his)
+        widened += int(((got[0][0] == -math.inf) & (got[0][1] == math.inf)).sum())
+    assert widened > 0
+
+
+def test_solve_fiber_encloses_once_per_chunk_and_once_per_refinement_step(monkeypatch):
+    # roots certified at two depths: the walk makes one enclosure per
+    # chunk, of the one 2n-variable stack, and the one refinement batch one
+    # per step, of the same stack; then the determinant signs are read in
+    # one enclosure of det JF
+    F = make_map("x1^2 - 2", "x2^2 - 3")
+    det = jacobian_det(F)
+    phase, calls, refined, certified = ["walk"], [], [], []
+    real_enclose = IntervalStack.enclose
+    real_refine = fibersolve._refine_rows
+    real_krawczyk = fibersolve._krawczyk_batch
+
+    def enclose(self, los, his):
+        calls.append((phase[0], self))
+        return real_enclose(self, los, his)
+
+    def refine(*args):
+        phase[0] = "refine"
+        refined.append(len(args[2]))
+        out = real_refine(*args)
+        phase[0] = "signs"
+        return out
+
+    def krawczyk(*args):
+        k_lo, k_hi, usable = real_krawczyk(*args)
+        if phase[0] == "walk":
+            # the first two arrays are the boxes' bounds
+            los, his = [a for a in args if isinstance(a, np.ndarray)][:2]
+            certified.append(int((usable & (los < k_lo).all(axis=1)
+                                  & (k_hi < his).all(axis=1)).sum()))
+        return k_lo, k_hi, usable
+
+    monkeypatch.setattr(IntervalStack, "enclose", enclose)
+    monkeypatch.setattr(fibersolve, "_refine_rows", refine)
+    monkeypatch.setattr(fibersolve, "_krawczyk_batch", krawczyk)
+    res = solve_fiber(F, [0, 0], cube(2, 2.0))
+    assert res.status == "complete" and len(res.roots) == 4
+    walk = [s for p, s in calls if p == "walk"]
+    steps = [s for p, s in calls if p == "refine"]
+    # every level holds one chunk, so the chunks are the depths walked
+    assert len(walk) == res.stats.max_depth + 1
+    assert sum(c > 0 for c in certified) >= 2
+    assert refined == [4] and 1 <= len(steps) <= fibersolve._NEWTON_MAX_ITERS
+    assert len({id(s) for s in walk + steps}) == 1 and walk[0].nvars == 2 * F.n
+    assert [s for p, s in calls if p == "signs"] == [det.interval_stack()]
+
+
+def _reference_refine(stacks, los, his):
+    """_refine_rows on the separate stacks of _unfused, one Krawczyk step
+    at a time."""
+    los, his = los.copy(), his.copy()
+    active = np.arange(len(los))
+    for _ in range(fibersolve._NEWTON_MAX_ITERS):
+        active = active[(his[active] - los[active]).max(axis=1) > _TARGET_WIDTH]
+        if not active.size:
+            break
+        xl, xh = los[active], his[active]
+        k_lo, k_hi, usable = _krawczyk_unfused(*stacks, xl, xh)
+        new_lo, new_hi = np.maximum(xl, k_lo), np.minimum(xh, k_hi)
+        moved = (usable & (new_lo <= new_hi).all(axis=1)
+                 & ((new_lo != xl) | (new_hi != xh)).any(axis=1))
+        active = active[moved]
+        los[active], his[active] = new_lo[moved], new_hi[moved]
+    return los, his
+
+
 def _reference_solve_fiber(F, z, box, cfg=SolverConfig()):
     """solve_fiber as a breadth-first search: each level of the box tree is
     one pair of bound arrays, taken whole through exclusion, the Krawczyk
-    step, certification and the split."""
-    gs = _residuals(F, [Fraction(v) for v in z])
-    jac = jacobian_stack(F)
+    step, certification, refinement and the split, each stage on
+    enclosures from separate n-variable stacks."""
+    stacks = _unfused(F, [Fraction(v) for v in z])
+    gs = stacks[0]
     det = jacobian_det(F)
     outer_lo, outer_hi = np.array(box.lo), np.array(box.hi)
     if det.is_zero:
@@ -308,7 +421,7 @@ def _reference_solve_fiber(F, z, box, cfg=SolverConfig()):
         newton = ((his - los).max(axis=1) <= _KRAWCZYK_GATE) | (depth == 0)
         if newton.any():
             rows = np.nonzero(newton)[0]
-            k_lo, k_hi, usable = _krawczyk_batch(gs, jac, los[rows], his[rows])
+            k_lo, k_hi, usable = _krawczyk_unfused(*stacks, los[rows], his[rows])
             rows, k_lo, k_hi = rows[usable], k_lo[usable], k_hi[usable]
             xl, xh = los[rows], his[rows]
             keep = np.ones(len(los), dtype=bool)
@@ -318,7 +431,7 @@ def _reference_solve_fiber(F, z, box, cfg=SolverConfig()):
             his[rows] = np.minimum(xh, k_hi)
             los, his, certify = los[keep], his[keep], certify[keep]
         if certify.any():
-            iso_lo, iso_hi = _refine_rows(gs, jac, los[certify], his[certify])
+            iso_lo, iso_hi = _reference_refine(stacks, los[certify], his[certify])
             det_lo, det_hi = det.eval_interval_batch(iso_lo, iso_hi)
             signs = np.where(det_lo > 0.0, 1, np.where(det_hi < 0.0, -1, 0))
             for lo, hi, sign in zip(iso_lo.tolist(), iso_hi.tolist(), signs.tolist()):

@@ -404,8 +404,9 @@ def test_survey_finds_a_zero_at_a_dyadic_midpoint(monkeypatch):
     assert s.evidence == (((Fraction(1, 2), Fraction(0)), Fraction(0)),)
     assert s.boxes_used == 2
     # the reference's evaluations: 4 positive samples, (1, 0) and (1/2, 0);
-    # the survey skips (1, 0), whose sign the samples already showed
-    assert (survey_evals, counts[0]) == (5, 6)
+    # the survey skips the last 3 samples and (1, 0), whose sign the first
+    # sample already showed
+    assert (survey_evals, counts[0]) == (2, 6)
 
 
 def _contains(lo: float, x: Fraction, hi: float) -> bool:
@@ -447,11 +448,12 @@ def test_midpoint_boxes_contain_the_exact_midpoint():
     assert np.isnan(box_lo[1]).all() and np.isnan(box_hi[1]).all()
 
 
-def _subdivision_exact_evals(monkeypatch, F, box, budget):
+def _survey_exact_evals(monkeypatch, F, box, budget):
     """Run the survey; return its result and, for each exact value of
-    det JF taken in the subdivision pass, the signs of det JF known
-    before it and the sign its cell's midpoint enclosure proves (0 where
-    the enclosure reaches 0)."""
+    det JF it takes, the pass that took it ("sampling" or "subdivision"),
+    the signs of det JF known before it and the sign that the enclosure
+    of its sample's degenerate box or of its cell's midpoint box proves
+    (0 where the enclosure reaches 0)."""
     det = jacobian_det(F)
     real_eval, real_batch = Poly.eval, Poly.eval_interval_batch
     signs, level, out = set(), [], []
@@ -459,15 +461,20 @@ def _subdivision_exact_evals(monkeypatch, F, box, budget):
     def evaluate(self, point):
         value = real_eval(self, point)
         if self is det:
-            if level:
-                los, his, lo, hi = level[-1]
+            los, his, lo, hi = level[-1]
+            if np.array_equal(los, his):
+                # the sampling pass: row k of the batch is sample k's point
+                k = next(k for k in range(len(los)) if _rational_point(los[k]) == point)
+                out.append(("sampling", frozenset(signs), int(lo[k] > 0) - int(hi[k] < 0)))
+            else:
                 count = len(los) // 2
                 (k,) = [k for k in range(count)
                         if _midpoint_exact(los[k].tolist(), his[k].tolist()) == point]
                 # row count + k of the batch is a box about that midpoint
                 assert all(Fraction(a) <= x <= Fraction(b) for a, x, b
                            in zip(los[count + k].tolist(), point, his[count + k].tolist()))
-                out.append((frozenset(signs), int(lo[count + k] > 0) - int(hi[count + k] < 0)))
+                out.append(("subdivision", frozenset(signs),
+                            int(lo[count + k] > 0) - int(hi[count + k] < 0)))
             signs.add((value > 0) - (value < 0))
         return value
 
@@ -496,9 +503,10 @@ def test_survey_evaluates_exactly_only_where_evidence_can_change(
         F = make_map(2, *exprs)
     box = IntervalBox.from_bounds(bounds)
     budget = SurveyBudget(samples=samples, max_boxes=64)
-    s, evals = _subdivision_exact_evals(monkeypatch, F, box, budget)
-    assert s.boxes_used > len(evals)
-    for known, proved in evals:
+    s, evals = _survey_exact_evals(monkeypatch, F, box, budget)
+    assert s.boxes_used > sum(step == "subdivision" for step, _, _ in evals)
+    assert any(step == "sampling" for step, _, _ in evals)
+    for _, known, proved in evals:
         assert proved == 0 or proved not in known
 
 
@@ -641,8 +649,7 @@ def _reference_prune_candidates(F, box, cfg):
     # reference: the prune walk run whatever its budget, kept as it was
     # before the walk could be skipped
     n = F.n
-    diffs = IntervalStack([comp.pad(n) - injectlab._shift_to_second_copy(comp)
-                           for comp in F.components])
+    diffs = IntervalStack([comp.pad(n) - comp.shift(n) for comp in F.components])
     sep = _WITNESS_SEPARATION
     leaf_width = box.max_width() / 16.0
     candidates = []

@@ -432,6 +432,16 @@ def test_pad_adds_trailing_variables():
     assert q == parse_poly("x1^2 + 1", 3)
 
 
+def test_shift_adds_leading_variables():
+    p = parse_poly("x1^2*x2 - 3*x2 + 1", 2)
+    q = p.shift(2)
+    assert q.nvars == 4
+    assert q == parse_poly("x3^2*x4 - 3*x4 + 1", 4)
+    assert p.shift(0) is p
+    with pytest.raises(ValueError):
+        p.shift(-1)
+
+
 def test_compose_against_direct_expansion():
     p = parse_poly("x1^2 + x2", 2)
     g1 = parse_poly("x1 + x2", 2)
