@@ -8,9 +8,11 @@ it is a floating-point estimate that must land near an integer.  The two
 share no machinery beyond the boundary-clearance certificate, which is
 what makes their agreement a meaningful cross-check.  For plane maps the
 winding method reads the degree off the box boundary alone, as the
-winding number of F - z along it (Kearfott, Numer. Math. 32 (1979);
-Aberth, Math. Comp. 62 (1994)); it is certified, needs no root to be
-simple or isolated, and says "undecided" rather than guess.
+winding number of F - z along it, summed from the Cauchy indices of the
+four edge restrictions in exact integer arithmetic (Eisenbud and Levine,
+Ann. Math. 106 (1977)); it needs no root to be simple or isolated, and
+it gives None exactly when z lies on the image of the boundary or a box
+side is degenerate.
 
 Conventions the underlying theory does not fix — the weight profile and
 the quadrature scheme — are recorded in each result's diagnostics.
@@ -25,23 +27,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .polycore import IntervalBox, IntervalStack, Poly, _float_or_inf
+from .polycore import IntervalBox, Poly, _float_or_inf
 from .mapforms import PolyMap, jacobian_det
 from .fibersolve import (
-    _ROW_BLOCK,
-    _SPLIT_RATIO,
     ClearanceResult,
     FiberResult,
     SolverConfig,
-    _reaches_zero,
     _residuals,
     _row_blocks,
     boundary_clearance,
     box_faces,
     certified_clearance,
     solve_fiber,
-    split_widest,
-    subdivide,
 )
 
 BUMP_PROFILE = "plateau of exp(-1/s) smoothsteps on [eps/8, 3*eps/4]"
@@ -144,87 +141,144 @@ def degree_signed_count(F: PolyMap, box: IntervalBox, z: Sequence[Fraction | int
 # Winding number (n = 2)
 # ---------------------------------------------------------------------
 
-# Quadrant of a nonzero plane vector by its sign pair, at index
-# 3 (s1 + 1) + (s2 + 1): q0 is v1 > 0, v2 >= 0, q1 v1 <= 0, v2 > 0, q2
-# v1 < 0, v2 <= 0, q3 v1 >= 0, v2 < 0.  The zero vector has none (-1).
-_QUADRANT = np.array([2, 2, 1, 3, -1, 1, 3, 0, 0])
+def _trim(c: list[int]) -> list[int]:
+    """c without its zero leading coefficients: [] is the zero polynomial."""
+    while c and not c[-1]:
+        c.pop()
+    return c
 
 
-def _quadrants(gs: IntervalStack, pts: np.ndarray) -> np.ndarray:
-    """Quadrant of (g1, g2) at each row of pts.
+def _restriction(g: Poly, fixed: int, v: Fraction) -> tuple[list[int], int]:
+    """g with x_(fixed + 1) = v, as (c, s): the integer coefficients c of
+    s * g in the other variable, lowest power first, and the scale s > 0."""
+    den, terms = g._int_terms()
+    p, q = v.numerator, v.denominator
+    m = max((e[fixed] for e, _ in terms), default=0)
+    coeffs = [0] * (1 + max((e[1 - fixed] for e, _ in terms), default=-1))
+    for e, c in terms:
+        coeffs[e[1 - fixed]] += c * p ** e[fixed] * q ** (m - e[fixed])
+    return _trim(coeffs), den * q ** m
 
-    Each sign comes from a point enclosure, and from exact evaluation at
-    the float point where that enclosure reaches zero.
+
+def _values(seq: list[list[int]], x: Fraction) -> list[int]:
+    """q^d c(p/q) for each polynomial c of seq at x = p/q, d the highest
+    degree in seq, by a homogenised Horner sum: one positive multiple of
+    each value."""
+    p, q = x.numerator, x.denominator
+    d = max(map(len, seq)) - 1
+    out = []
+    for c in seq:
+        acc = 0
+        for k in range(len(c) - 1, -1, -1):
+            acc = acc * p + c[k] * q ** (d - k)
+        out.append(acc)
+    return out
+
+
+def _variations(seq: list[list[int]], x: Fraction) -> int:
+    """Sign changes along the values of seq at x, zeros skipped."""
+    signs = [v > 0 for v in _values(seq, x) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _remainders(a: list[int], b: list[int]) -> list[list[int]]:
+    """Signed remainder sequence a, b, -rem(a, b), ..., to its last nonzero
+    element, each a positive multiple of the exact one: the pseudo-remainder
+    scales the dividend by |lc(b)| at each step, and each new element is
+    divided by the gcd of its coefficients, so every sign stays the same."""
+    seq = [a, b] if b else [a]
+    while len(seq) > 1:
+        r, divisor = seq[-2], seq[-1]
+        lc = divisor[-1]
+        scale, sign = abs(lc), (lc > 0) - (lc < 0)
+        while len(r) >= len(divisor):
+            c = r[-1] * sign
+            shift = len(r) - len(divisor)
+            r = _trim([x * scale for x in r[:shift]] + [
+                x * scale - c * y for x, y in zip(r[shift:], divisor)])
+        if not r:
+            break
+        content = math.gcd(*r)
+        seq.append([-x // content for x in r])
+    return seq
+
+
+def _edge_index(R: list[int], S: list[int], lo: Fraction, hi: Fraction) -> int | None:
+    """Cauchy index of S/R over (lo, hi), for R nonzero at lo and hi, or
+    None when R and S share a root in (lo, hi).
+
+    The index is V(lo) - V(hi) for the signed remainder sequence of (R, S)
+    (Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry, 2006,
+    Thm. 2.58).  Its last element is gcd(R, S), whose roots in (lo, hi)
+    Sturm's theorem counts the same way from the sequence of it and its
+    derivative.
     """
-    index = np.zeros(len(pts), dtype=np.int64)
-    for g, lo, hi, weight in zip(gs.polys, *gs.enclose(pts, pts), (3, 1)):
-        sign = (lo > 0.0).astype(np.int64) - (hi < 0.0)
-        for k in np.nonzero(~((lo > 0.0) | (hi < 0.0)))[0]:
-            value = g.eval(tuple(Fraction(float(x)) for x in pts[k]))
-            sign[k] = (value > 0) - (value < 0)
-        index += weight * (sign + 1)
-    return _QUADRANT[index]
+    seq = _remainders(R, S)
+    gcd = seq[-1]
+    if len(gcd) > 1:
+        sturm = _remainders(gcd, [k * c for k, c in enumerate(gcd)][1:])
+        if _variations(sturm, lo) != _variations(sturm, hi):
+            return None
+    return _variations(seq, lo) - _variations(seq, hi)
+
+
+# pairwise non-parallel directions (alpha, beta): each nonzero corner value
+# is orthogonal to at most one of them, so one misses all four corners
+_DIRECTIONS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2))
 
 
 def winding_degree(F: PolyMap, z: Sequence[Fraction | int],
                    box: IntervalBox) -> int | None:
     """Degree of a plane map over the box as the winding number of F - z
-    along the box boundary, or None when undecided.
+    along the box boundary, or None when z lies on F(boundary) or a box
+    side is degenerate.
 
-    The four edges, counter-clockwise, are boxes with one degenerate side,
-    and a subdivide walk at _SPLIT_RATIO splits them into segments until
-    the enclosure of g1 or of g2 over each excludes zero.  A decided
-    segment's image lies in an open half-plane, which covers exactly two
-    adjacent quadrants, so the quadrant step between its ends, in
-    {-1, 0, 1}, is the signed count of quadrant boundaries its image
-    crosses.  The steps around the walk sum to 4 times the degree.
-
-    A degenerate box side, an undecided segment that cannot be split, or
-    a walk that leaves segments undecided within _ROW_BLOCK segments, gives
-    None: a target on F(boundary) is never decided.  A step of 2, or a sum
-    that is not a multiple of 4, raises RuntimeError.
+    Exact, in integer arithmetic.  Each edge, with its fixed coordinate
+    pinned exactly, restricts F - z to a pair (P, Q) of integer polynomials
+    in the other coordinate, both scaled by one positive integer, which
+    leaves the curve's turning unchanged.  All four edges are walked in
+    increasing coordinate, and the top and left ones, walked against the
+    counter-clockwise boundary, count negated.  The pair is turned to
+    R = alpha P + beta Q, S = -beta P + alpha Q by the first direction of
+    _DIRECTIONS along which R is nonzero at every edge end, which keeps
+    the winding number; then it is -1/2 the sum of the Cauchy indices of
+    S/R over the edges (Eisenbud and Levine, Ann. Math. 106 (1977)).  F - z
+    vanishing at a corner, or gcd(R, S) at a point of an edge, gives None.
+    An odd index sum raises RuntimeError.
     """
     if F.n != 2 or box.dims != 2 or len(z) != 2:
         raise ValueError("the winding degree needs a plane map, box and target")
-    gs = IntervalStack(_residuals(F, z, box))
-    (a1, a2), (b1, b2) = box.lo, box.hi
+    gs = _residuals(F, z, box)
+    (a1, a2), (b1, b2) = ((Fraction(x) for x in corner) for corner in (box.lo, box.hi))
     if a1 == b1 or a2 == b2:
         return None
-    done: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def decide(los, his):
-        split = _reaches_zero(gs, los, his)
-        # a segment with no split point strictly inside has a copy of itself
-        # for a child, undecided at every later level, so the walk stops
-        if not split_widest(los[split], his[split], _SPLIT_RATIO)[2].all():
-            return None
-        done.append((los[~split], his[~split]))
-        return split
-
-    # bottom, right, top, left; the walk runs up the first two, down the others
-    if subdivide(np.array([[a1, a2], [b1, a2], [a1, b2], [a1, a2]]),
-                 np.array([[b1, a2], [b1, b2], [b1, b2], [a1, b2]]),
-                 decide, _ROW_BLOCK, _SPLIT_RATIO):
+    # (fixed variable, its value, ends of the other, sign): bottom, right, top, left
+    edges, ends = [], []
+    for fixed, v, lo, hi, sign in ((1, a2, a1, b1, 1), (0, b1, a2, b2, 1),
+                                   (1, b2, a1, b1, -1), (0, a1, a2, b2, -1)):
+        (P, sP), (Q, sQ) = (_restriction(g, fixed, v) for g in gs)
+        size = max(len(P), len(Q))
+        # both scaled by sP * sQ, and padded with zeros to one length
+        P, Q = ([c * s for c in C] + [0] * (size - len(C)) for C, s in ((P, sQ), (Q, sP)))
+        edges.append((P, Q, lo, hi, sign))
+        # (P, Q) at an end is a positive multiple of F - z at that corner
+        ends += [_values([P, Q], lo), _values([P, Q], hi)]
+    if [0, 0] in ends:
         return None
-    los, his = (np.concatenate(part) for part in zip(*done))
-    # a segment's edge by its flat side: x2 = a2 bottom, b2 top; x1 = b1 right, else left
-    edges = np.where(los[:, 1] == his[:, 1], np.where(los[:, 1] == a2, 0, 2),
-                     np.where(los[:, 0] == b1, 1, 3))
-    # each segment's first point along the walk, ordered by edge, then by
-    # the distance walked along its edge
-    up = edges < 2
-    starts = np.where(up[:, None], los, his)
-    along = starts[np.arange(len(edges)), edges % 2] * np.where(up, 1.0, -1.0)
-    quadrants = _quadrants(gs, starts[np.lexsort((along, edges))])
-    steps = (np.roll(quadrants, -1) - quadrants) % 4
-    if (quadrants < 0).any() or (steps == 2).any():
+    alpha, beta = next((al, be) for al, be in _DIRECTIONS
+                       if all(al * u + be * w for u, w in ends))
+    total = 0
+    for P, Q, lo, hi, sign in edges:
+        R = _trim([alpha * u + beta * w for u, w in zip(P, Q)])
+        S = _trim([alpha * w - beta * u for u, w in zip(P, Q)])
+        index = _edge_index(R, S, lo, hi)
+        if index is None:
+            return None
+        total += sign * index
+    if total % 2:
         raise RuntimeError(
-            "a decided boundary segment left its half-plane; this is a soundness bug")
-    total = int(np.sum(np.where(steps == 3, -1, steps)))
-    if total % 4:
-        raise RuntimeError(
-            f"quadrant steps sum to {total}, not a multiple of 4; this is a soundness bug")
-    return total // 4
+            f"Cauchy indices sum to {total}, not an even number; this is a soundness bug")
+    return -total // 2
 
 
 # ---------------------------------------------------------------------
@@ -531,7 +585,7 @@ def homotopy_constancy_check(family: Sequence[Poly], box: IntervalBox,
     off the image of (box boundary) x [0,1]; if that fails the degrees
     are not computed.  Then the degree is found at each grid value: for
     n = 2 as winding_degree, which needs no fiber solve, and otherwise, or
-    where the winding degree is undecided, as the signed count.  The
+    where the winding degree is None, as the signed count.  The
     family certificate serves as each grid instance's boundary certificate
     for the count, as it covers the boundary at every t in [0, 1]; only its
     ok and failure are read, so it is not sharpened.

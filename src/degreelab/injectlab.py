@@ -25,7 +25,7 @@ images differ by _WITNESS_RESIDUAL or less, both checked exactly.  The
 pipeline doubles its box radius from _INITIAL_RADIUS up to _MAX_RADIUS.
 The base and every query read their degree by one rule: for a plane map
 the winding number of F - z along the box boundary, which where decided
-also certifies that z is off F(boundary).  Where it is undecided, and for
+also certifies that z is off F(boundary).  Where it is None, and for
 n != 2, the sum-of-squares boundary clearance certifies that instead, and
 the degree is the signed count of the solved fiber.  A decided winding
 number of 0 or +-1 needs no solve; any other is checked against the
@@ -721,9 +721,10 @@ def _certificates(F: PolyMap, z: Point, solver: SolverConfig | None):
     each over the cube of that radius about the origin.
 
     off_boundary certifies that z is off F(boundary) and returns the
-    winding degree of z, None where that is undecided and always for
-    n != 2: a decided winding degree is itself that certificate, and
-    elsewhere the boundary clearance is.  degree(radius, solve) returns
+    winding degree of z, None where winding_degree gives None (z on
+    F(boundary), where the clearance fails too) and always for n != 2: a
+    decided winding degree is itself that certificate, and elsewhere the
+    boundary clearance is.  degree(radius, solve) returns
     the degree of z and its fiber, or None for the fiber where none was
     solved.  A decided winding degree of 0 or +-1 is the answer unless
     solve asks for the fiber; otherwise the fiber is solved, after
@@ -788,7 +789,7 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
     holds deg * sign(det JF) points.  The base and each query read their
     degree by one rule (_certificates): for n = 2 the winding degree,
     which where decided also certifies the point off F(boundary); where
-    it is undecided, and for n != 2, the boundary clearance certifies
+    it is None, and for n != 2, the boundary clearance certifies
     that, and the degree is the signed count of the solved fiber.  A
     decided degree of 0 or +-1 needs no solve; any other is checked
     against the signed count of the solved fiber, whose roots a collision

@@ -1,6 +1,8 @@
-"""The verdict rule and the counter diff of tools/bench_record.py, on
-synthetic runs."""
+"""The verdict rule, the counter diff and the set-up sampling of
+tools/bench_record.py, on synthetic runs."""
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -92,3 +94,52 @@ def test_pairs_below_one_are_refused(tmp_path):
         bench_record.main(["--parent", ".", "--change", ".", "--seed", "7",
                            "--workload", "fibers", "--pairs", "0",
                            "--out", str(tmp_path / "b.json")])
+
+
+def _fake_setups(calls, fail_in=None):
+    """A subprocess.run stand-in that records (tree, argv) and answers each
+    set-up-only process with setup_s = 0.1 in parent, 0.2 in change, plus
+    0.001 per earlier call in that tree."""
+    def run(cmd, cwd, capture_output, text):
+        calls.append((Path(cwd).name, cmd))
+        code = 1 if Path(cwd).name == fail_in else 0
+        base = 0.1 if Path(cwd).name == "parent" else 0.2
+        seen = sum(1 for tree, _ in calls if tree == Path(cwd).name) - 1
+        stdout = "noise\n" + json.dumps({"setup_s": base + 0.001 * seen, "inputs_sha256": "x"})
+        return subprocess.CompletedProcess(cmd, code, stdout=stdout, stderr="boom")
+    return run
+
+
+def test_setup_only_alternates_twenty_processes_per_tree(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench_record.subprocess, "run", _fake_setups(calls))
+    trees = {side: tmp_path / side for side in bench_record.SIDES}
+    got = bench_record.setup_only(trees, "inject", 7)
+    assert [tree for tree, _ in calls] == ["parent", "change", "change", "parent"] * 10
+    for _, cmd in calls:
+        assert cmd[1:] == ["perfbench/run.py", "--workload", "inject", "--seed", "7",
+                           "--setup-only"]
+    for side, base in (("parent", 0.1), ("change", 0.2)):
+        assert got[side]["samples"] == pytest.approx([base + 0.001 * k for k in range(20)])
+        assert got[side]["median"] == pytest.approx(base + 0.0095)
+
+
+def test_setup_only_failure_names_the_process(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_record.subprocess, "run", _fake_setups([], fail_in="change"))
+    trees = {side: tmp_path / side for side in bench_record.SIDES}
+    with pytest.raises(SystemExit, match="--setup-only.* exited 1:\nboom"):
+        bench_record.setup_only(trees, "inject", 7)
+
+
+def test_record_writes_the_setup_samples(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench_record.subprocess, "run", _fake_setups(calls))
+    report = {"metrics": {m["name"]: {"value": 1.0} for m in bench_record.BENCHMARK["end_to_end"]},
+              "summary": {"counters_sha256": "c", "passes": 3, "failures": [],
+                          "provenance": {}}}
+    monkeypatch.setattr(bench_record, "run_once", lambda tree, workload, seed, trace: report)
+    trees = {side: tmp_path / side for side in bench_record.SIDES}
+    out = bench_record.record(trees, "inject", 7, 2)
+    assert len(calls) == 40
+    assert out["setup_only"]["parent"]["median"] == pytest.approx(0.1095)
+    assert out["setup_only"]["change"]["median"] == pytest.approx(0.2095)

@@ -20,6 +20,7 @@ from degreelab.fibersolve import (
     _residuals,
     boundary_clearance,
     solve_fiber,
+    split_widest,
     subdivide,
 )
 from degreelab import degree
@@ -234,36 +235,52 @@ def test_winding_rejects_other_dimensions():
         winding_degree(PolyMap.identity(2), [0], cube(2, 1))
 
 
-def test_winding_exact_sign_fallback(monkeypatch):
-    # x1^2 - x2^2 vanishes at the corners, where its point enclosure
-    # straddles 0; exact evaluation there gives the sign 0
-    exact = []
-    real = Poly.eval
+def test_winding_rotates_past_a_corner_zero(monkeypatch):
+    # x1^2 - x2^2 vanishes at all four corners, so the edge index of
+    # Q/P is not defined there; the pair is turned until R misses them
+    turned = []
+    edge_index = degree._edge_index
 
-    def recording_eval(self, point):
-        value = real(self, point)
-        exact.append((tuple(point), value))
-        return value
+    def recording(R, S, lo, hi):
+        turned.append((R, lo, hi))
+        return edge_index(R, S, lo, hi)
 
-    monkeypatch.setattr(Poly, "eval", recording_eval)
+    monkeypatch.setattr(degree, "_edge_index", recording)
     F = make_map(2, "x1^2 - x2^2", "2*x1*x2")
     assert winding_degree(F, [0, 0], cube(2, 1)) == 2
-    assert ((1, 1), 0) in exact and ((-1, -1), 0) in exact
+    assert len(turned) == 4
+    for R, lo, hi in turned:
+        for x in (lo, hi):
+            assert sum(c * x ** k for k, c in enumerate(R)) != 0
 
 
-def test_winding_coefficient_near_float_max_undecided():
-    # near the corners each component's two large terms overflow to
-    # opposite infinities, so their enclosures are everything
+def test_winding_coefficient_near_float_max_decided():
+    # the components sum to x1 + x2, so a root has x2 = -x1, and then the
+    # first is x1: 0 is the only root, and det JF(0) = 1, so the degree
+    # is 1; exact integers neither overflow nor round
     big = "17" + "0" * 307
     F = make_map(2, f"{big}*x1^2 - {big}*x2^2 + x1", f"{big}*x2^2 - {big}*x1^2 + x2")
-    assert winding_degree(F, [0, 0], cube(2, 2)) is None
+    assert winding_degree(F, [0, 0], cube(2, 2)) == 1
 
 
-def test_winding_step_of_two_is_a_soundness_bug(monkeypatch):
-    # quadrants 0 and 2 at neighbouring breakpoints: a half turn in one step
-    monkeypatch.setattr(degree, "_quadrants", lambda gs, pts: 2 * (np.arange(len(pts)) % 2))
+def test_winding_odd_index_total_is_a_soundness_bug(monkeypatch):
+    # around a closed curve R changes sign an even number of times, so
+    # the edge indices cannot sum to an odd number
+    indices = iter([1, 0, 0, 0])
+    monkeypatch.setattr(degree, "_edge_index", lambda R, S, lo, hi: next(indices))
     with pytest.raises(RuntimeError, match="soundness bug"):
         winding_degree(PolyMap.identity(2), [0, 0], cube(2, 1))
+
+
+@pytest.mark.parametrize("z", [[1, 0], [Fraction(1, 2), -1]])
+def test_winding_target_on_the_boundary_image_encloses_nothing(monkeypatch, z):
+    # the images of points of the right and bottom edges; the interval
+    # walk split the segment about (1, 0) for 1,076 levels
+    def enclose(self, los, his):
+        raise AssertionError("the winding degree enclosed an interval")
+
+    monkeypatch.setattr(IntervalStack, "enclose", enclose)
+    assert winding_degree(PolyMap.identity(2), z, cube(2, 1)) is None
 
 
 def test_winding_equals_signed_count_on_random_maps():
@@ -290,9 +307,31 @@ def test_winding_equals_signed_count_on_random_maps():
     assert compared >= 100 and nonzero >= 20
 
 
+# Quadrant of a nonzero plane vector by its sign pair, at index
+# 3 (s1 + 1) + (s2 + 1): q0 is v1 > 0, v2 >= 0, q1 v1 <= 0, v2 > 0, q2
+# v1 < 0, v2 <= 0, q3 v1 >= 0, v2 < 0.  The zero vector has none (-1).
+_QUADRANT = np.array([2, 2, 1, 3, -1, 1, 3, 0, 0])
+
+
+def _quadrants(gs, pts):
+    """Quadrant of (g1, g2) at each row of pts, each sign from a point
+    enclosure, or from exact evaluation where that reaches zero."""
+    index = np.zeros(len(pts), dtype=np.int64)
+    for g, lo, hi, weight in zip(gs.polys, *gs.enclose(pts, pts), (3, 1)):
+        sign = (lo > 0.0).astype(np.int64) - (hi < 0.0)
+        for k in np.nonzero(~((lo > 0.0) | (hi < 0.0)))[0]:
+            value = g.eval(tuple(Fraction(float(x)) for x in pts[k]))
+            sign[k] = (value > 0) - (value < 0)
+        index += weight * (sign + 1)
+    return _QUADRANT[index]
+
+
 def _reference_winding_degree(F, z, box):
-    """winding_degree as it was before an unsplittable undecided segment
-    stopped the walk: such a walk ran on until its segment budget was spent."""
+    """The winding degree as an interval walk: the four edges split into
+    segments until g1 or g2 excludes zero on each, or the segment budget
+    is spent, or a segment cannot be split; then the quadrant steps
+    between the segments' ends sum to 4 times the degree.  None when
+    undecided."""
     gs = IntervalStack(_residuals(F, z, box))
     (a1, a2), (b1, b2) = box.lo, box.hi
     if a1 == b1 or a2 == b2:
@@ -301,6 +340,8 @@ def _reference_winding_degree(F, z, box):
 
     def decide(los, his):
         split = _reaches_zero(gs, los, his)
+        if not split_widest(los[split], his[split], _SPLIT_RATIO)[2].all():
+            return None
         done.append((los[~split], his[~split]))
         return split
 
@@ -314,49 +355,60 @@ def _reference_winding_degree(F, z, box):
     up = edges < 2
     starts = np.where(up[:, None], los, his)
     along = starts[np.arange(len(edges)), edges % 2] * np.where(up, 1.0, -1.0)
-    quadrants = degree._quadrants(gs, starts[np.lexsort((along, edges))])
+    quadrants = _quadrants(gs, starts[np.lexsort((along, edges))])
     steps = (np.roll(quadrants, -1) - quadrants) % 4
+    assert (quadrants >= 0).all() and not (steps == 2).any()
     total = int(np.sum(np.where(steps == 3, -1, steps)))
+    assert total % 4 == 0
     return total // 4
 
 
-def test_winding_equals_the_walk_without_the_early_stop_on_random_maps():
-    # a third of the targets are images of dyadic points of the box edges,
-    # on F(boundary), so undecided walks occur; every answer is the same
-    rng = random.Random(2323)
-    answers = []
-    for k in range(48):
+def _boundary_points(rng, box):
+    """The corners and a dyadic point of every edge, exactly."""
+    (a1, a2), (b1, b2) = ((Fraction(x) for x in corner) for corner in (box.lo, box.hi))
+    s, t = (Fraction(rng.randint(1, 15), 16) for _ in range(2))
+    x1, x2 = a1 + s * (b1 - a1), a2 + t * (b2 - a2)
+    return [(a1, a2), (b1, a2), (b1, b2), (a1, b2), (x1, a2), (b1, x2), (x1, b2), (a1, x2)]
+
+
+@pytest.mark.parametrize("lo, hi", [
+    ((-1.0, -1.0), (1.0, 1.0)),
+    ((0.5, -2.0), (3.0, -0.25)),
+    ((0.1, -0.3), (0.7, 0.2)),
+    ((-1e300, 5e299), (2e300, 1e300)),
+])
+def test_winding_equals_the_walk_on_random_maps(lo, hi):
+    # wherever the walk decides the two agree.  F at the corners and at
+    # dyadic points of the edges is on F(boundary), where the kernel says
+    # None; a random target with a 2^-20 grain is off that curve, where it
+    # decides.  F at points strictly inside is compared with the walk only,
+    # as it can lie on F(boundary) too: (-x1^2/3, x2^3 - x2) maps (3/4, 0)
+    # and (3/4, 1) to one point.
+    rng = random.Random(2727)
+    box = IntervalBox(lo, hi)
+    (a1, a2), (b1, b2) = ((Fraction(x) for x in corner) for corner in (box.lo, box.hi))
+    compared, nonzero = 0, 0
+    for k in range(24):
         F = random_map(rng, 2, max_deg=3)
-        radius = Fraction(rng.randint(1, 8), 4)
-        box = cube(2, radius)
-        t = Fraction(rng.randint(-8, 8), 8) * radius
-        if k % 3 == 0:
-            x = rng.choice([(t, -radius), (radius, t), (t, radius), (-radius, t)])
-            z = [c.eval(x) for c in F.components]
-        elif k % 3 == 1:
-            x = (t, Fraction(rng.randint(-7, 7), 8) * radius)
-            z = [c.eval(x) for c in F.components]
-        else:
-            z = [Fraction(rng.randint(-8, 8), 4) for _ in range(2)]
-        wound = winding_degree(F, z, box)
-        assert wound == _reference_winding_degree(F, z, box), (F, box, z)
-        answers.append(wound)
-    assert answers.count(None) >= 8 and sum(1 for w in answers if w) >= 8
-
-
-def test_winding_stops_at_an_unsplittable_undecided_segment(monkeypatch):
-    # (1/2, -1) is the image of a point of the bottom edge; the walk used
-    # to split the segment about it until 4,096 segments were spent
-    segments = []
-    reaches_zero = degree._reaches_zero
-
-    def counted(gs, los, his):
-        segments.append(len(los))
-        return reaches_zero(gs, los, his)
-
-    monkeypatch.setattr(degree, "_reaches_zero", counted)
-    assert winding_degree(PolyMap.identity(2), [Fraction(1, 2), -1], cube(2, 1)) is None
-    assert sum(segments) <= 128
+        boundary = _boundary_points(rng, box)
+        inside = [(a1 + Fraction(rng.randint(1, 15), 16) * (b1 - a1),
+                   a2 + Fraction(rng.randint(1, 15), 16) * (b2 - a2)) for _ in range(2)]
+        span = max(abs(c.eval(x)) for c in F.components for x in boundary) + 1
+        targets = [([c.eval(x) for c in F.components], True)
+                   for x in (boundary[k % 4], boundary[4 + k % 4])]
+        targets += [([c.eval(x) for c in F.components], None) for x in inside]
+        targets += [([span * Fraction(rng.randint(-1 << 20, 1 << 20), 1 << 20)
+                      for _ in range(2)], False)]
+        for z, on_boundary in targets:
+            wound = winding_degree(F, z, box)
+            reference = _reference_winding_degree(F, z, box)
+            if reference is not None:
+                assert wound == reference, (F, box, z)
+                compared += 1
+            if on_boundary is not None:
+                assert (wound is None) == on_boundary, (F, box, z)
+            nonzero += bool(wound)
+    assert nonzero >= 15 and compared >= (40 if hi[0] < 1e300 else 10)
 
 
 @pytest.mark.parametrize("exprs, z, expected", [

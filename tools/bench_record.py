@@ -13,13 +13,17 @@ is even and the change first when k is odd, so that a drift of the
 machine over time hits both sides alike.  After every
 run the tree's ``.bench_build/perfbench/<workload>-<seed>/report-trace0.json``
 is read back.  Last, each tree makes one traced run (``--trace 1``) for the
-per-layer metrics.
+per-layer metrics, and SETUP_SAMPLES alternating pairs of
+``python3 perfbench/run.py --setup-only`` processes time the set-up alone
+(a fresh ``import degreelab.cli`` plus the workload build), since one
+set-up sample per run spreads about as widely as ``setup_s``'s bound.
 
 The output holds, per workload and side: the end-to-end metrics of every
 run, their median and quartiles, the counters_sha256 values seen (one per
 side when the runs agree; both sides share it when they compute the same
 results), the provenance of the tree, and the traced run's per-layer
-metrics.  ``wins`` counts, per end-to-end metric, the pairs in which the
+metrics; ``setup_only`` holds each side's set-up samples and their
+median.  ``wins`` counts, per end-to-end metric, the pairs in which the
 change did better, by the direction that BENCHMARK.json gives, and
 ``verdict`` reads each metric by the rule in ``verdict`` below: ``gain``,
 ``worse``, ``unresolved`` or ``unchanged``.  ``counter_diff`` lists each
@@ -42,18 +46,39 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SIDES = ("parent", "change")
 # fewer pairs have read "worse" on unchanged code
 DEFAULT_PAIRS = 10
+# set-up-only processes per tree and workload
+SETUP_SAMPLES = 20
 
 
-def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
-    """One perfbench run in tree; returns its report-trace<trace>.json."""
+def _perfbench(tree: Path, workload: str, seed: int, *options: str) -> str:
+    """Run perfbench/run.py in tree; returns its standard output."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(BENCHMARK["run_seconds"]), "--trace", str(trace)]
+           *options]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"error: {' '.join(cmd)} in {tree} exited {done.returncode}:\n"
                          f"{done.stderr[-2000:]}")
+    return done.stdout
+
+
+def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
+    """One perfbench run in tree; returns its report-trace<trace>.json."""
+    _perfbench(tree, workload, seed, "--seconds", str(BENCHMARK["run_seconds"]),
+               "--trace", str(trace))
     report = tree / ".bench_build" / "perfbench" / f"{workload}-{seed}" / f"report-trace{trace}.json"
     return json.loads(report.read_text())
+
+
+def setup_only(trees: dict[str, Path], workload: str, seed: int) -> dict:
+    """SETUP_SAMPLES set-up-only processes per tree, alternating like the
+    pairs of runs; each side's samples in seconds and their median."""
+    samples: dict[str, list[float]] = {side: [] for side in SIDES}
+    for k in range(SETUP_SAMPLES):
+        for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
+            out = _perfbench(trees[side], workload, seed, "--setup-only")
+            samples[side].append(json.loads(out.strip().splitlines()[-1])["setup_s"])
+    return {side: {"samples": samples[side], "median": statistics.median(samples[side])}
+            for side in SIDES}
 
 
 def quartiles(vals: list[float]) -> list[float]:
@@ -127,6 +152,7 @@ def record(trees: dict[str, Path], workload: str, seed: int, pairs: int) -> dict
         out[side] = summarize(runs[side])
         traced = run_once(trees[side], workload, seed, 1)
         out[side]["per_layer"] = {name: m["value"] for name, m in traced["metrics"].items()}
+    out["setup_only"] = setup_only(trees, workload, seed)
     out["wins"], out["verdict"] = {}, {}
     for m in BENCHMARK["end_to_end"]:
         name = m["name"]
