@@ -14,6 +14,16 @@ Ann. Math. 106 (1977)); it needs no root to be simple or isolated, and
 it gives None exactly when z lies on the image of the boundary or a box
 side is degenerate.
 
+Degree constancy along a path of targets rests on the segments between
+them missing the image of the boundary, which segment_failure certifies.
+For plane maps it is exact, in the same integer arithmetic on the same
+edge restrictions (plane_segment_failure): on each edge it counts the
+points mapped onto the segment by Tarski queries on the roots of the
+cross product of F - a with b - a, with every polynomial reduced modulo
+that cross product first (Basu, Pollack and Roy, Algorithms in Real
+Algebraic Geometry, 2006, Thm. 2.58).  For other dimensions the
+sum-of-squares path_segment_clearance certifies it.
+
 Conventions the underlying theory does not fix — the weight profile and
 the quadrature scheme — are recorded in each result's diagnostics.
 """
@@ -160,6 +170,25 @@ def _restriction(g: Poly, fixed: int, v: Fraction) -> tuple[list[int], int]:
     return _trim(coeffs), den * q ** m
 
 
+def _edges(F: PolyMap, z: Sequence[Fraction], box: IntervalBox):
+    """The restrictions of F - z to the four box edges, bottom, right, top
+    and left, each walked in increasing coordinate, as (P, Q, S, fixed,
+    v, lo, hi, sign): integer polynomials P and Q, padded with zeros to
+    one length, that are S > 0 times the two components of F - z on the
+    edge x_(fixed + 1) = v, the other coordinate running over [lo, hi],
+    and the sign -1 of the top and left edges, walked against the
+    counter-clockwise boundary."""
+    gs = _residuals(F, z, box)
+    (a1, a2), (b1, b2) = ((Fraction(x) for x in corner) for corner in (box.lo, box.hi))
+    for fixed, v, lo, hi, sign in ((1, a2, a1, b1, 1), (0, b1, a2, b2, 1),
+                                   (1, b2, a1, b1, -1), (0, a1, a2, b2, -1)):
+        (P, sP), (Q, sQ) = (_restriction(g, fixed, v) for g in gs)
+        size = max(len(P), len(Q))
+        # both scaled by sP * sQ, and padded with zeros to one length
+        P, Q = ([c * s for c in C] + [0] * (size - len(C)) for C, s in ((P, sQ), (Q, sP)))
+        yield P, Q, sP * sQ, fixed, v, lo, hi, sign
+
+
 def _values(seq: list[list[int]], x: Fraction) -> list[int]:
     """q^d c(p/q) for each polynomial c of seq at x = p/q, d the highest
     degree in seq, by a homogenised Horner sum: one positive multiple of
@@ -181,26 +210,49 @@ def _variations(seq: list[list[int]], x: Fraction) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
+def _rem(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of a by the nonzero b, as a positive multiple of the
+    exact one with coprime coefficients: the pseudo-remainder scales the
+    dividend by |lc(b)| at each step, and the result is divided by the
+    gcd of its coefficients, so every sign stays the same."""
+    lc = b[-1]
+    scale, sign = abs(lc), (lc > 0) - (lc < 0)
+    while len(a) >= len(b):
+        c = a[-1] * sign
+        shift = len(a) - len(b)
+        a = _trim([x * scale for x in a[:shift]] + [
+            x * scale - c * y for x, y in zip(a[shift:], b)])
+    content = math.gcd(*a)
+    return [x // content for x in a] if content > 1 else a
+
+
 def _remainders(a: list[int], b: list[int]) -> list[list[int]]:
     """Signed remainder sequence a, b, -rem(a, b), ..., to its last nonzero
-    element, each a positive multiple of the exact one: the pseudo-remainder
-    scales the dividend by |lc(b)| at each step, and each new element is
-    divided by the gcd of its coefficients, so every sign stays the same."""
+    element, each a positive multiple of the exact one (_rem)."""
     seq = [a, b] if b else [a]
     while len(seq) > 1:
-        r, divisor = seq[-2], seq[-1]
-        lc = divisor[-1]
-        scale, sign = abs(lc), (lc > 0) - (lc < 0)
-        while len(r) >= len(divisor):
-            c = r[-1] * sign
-            shift = len(r) - len(divisor)
-            r = _trim([x * scale for x in r[:shift]] + [
-                x * scale - c * y for x, y in zip(r[shift:], divisor)])
+        r = _rem(seq[-2], seq[-1])
         if not r:
             break
-        content = math.gcd(*r)
-        seq.append([-x // content for x in r])
+        seq.append([-x for x in r])
     return seq
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """A constant multiple of gcd(a, b), for a or b nonzero: the last
+    element of their signed remainder sequence, the longer first."""
+    return _remainders(*sorted((a, b), key=len, reverse=True))[-1]
+
+
+def _derivative(c: list[int]) -> list[int]:
+    return [k * x for k, x in enumerate(c)][1:]
+
+
+def _has_root(c: list[int], lo: Fraction, hi: Fraction) -> bool:
+    """Whether c, nonzero at lo and hi, has a root in (lo, hi), by
+    Sturm's theorem on the sequence of c and its derivative."""
+    sturm = _remainders(c, _derivative(c))
+    return _variations(sturm, lo) != _variations(sturm, hi)
 
 
 def _edge_index(R: list[int], S: list[int], lo: Fraction, hi: Fraction) -> int | None:
@@ -209,16 +261,11 @@ def _edge_index(R: list[int], S: list[int], lo: Fraction, hi: Fraction) -> int |
 
     The index is V(lo) - V(hi) for the signed remainder sequence of (R, S)
     (Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry, 2006,
-    Thm. 2.58).  Its last element is gcd(R, S), whose roots in (lo, hi)
-    Sturm's theorem counts the same way from the sequence of it and its
-    derivative.
+    Thm. 2.58).  Its last element is gcd(R, S).
     """
     seq = _remainders(R, S)
-    gcd = seq[-1]
-    if len(gcd) > 1:
-        sturm = _remainders(gcd, [k * c for k, c in enumerate(gcd)][1:])
-        if _variations(sturm, lo) != _variations(sturm, hi):
-            return None
+    if _has_root(seq[-1], lo, hi):
+        return None
     return _variations(seq, lo) - _variations(seq, hi)
 
 
@@ -248,21 +295,11 @@ def winding_degree(F: PolyMap, z: Sequence[Fraction | int],
     """
     if F.n != 2 or box.dims != 2 or len(z) != 2:
         raise ValueError("the winding degree needs a plane map, box and target")
-    gs = _residuals(F, z, box)
-    (a1, a2), (b1, b2) = ((Fraction(x) for x in corner) for corner in (box.lo, box.hi))
-    if a1 == b1 or a2 == b2:
+    if any(lo == hi for lo, hi in zip(box.lo, box.hi)):
         return None
-    # (fixed variable, its value, ends of the other, sign): bottom, right, top, left
-    edges, ends = [], []
-    for fixed, v, lo, hi, sign in ((1, a2, a1, b1, 1), (0, b1, a2, b2, 1),
-                                   (1, b2, a1, b1, -1), (0, a1, a2, b2, -1)):
-        (P, sP), (Q, sQ) = (_restriction(g, fixed, v) for g in gs)
-        size = max(len(P), len(Q))
-        # both scaled by sP * sQ, and padded with zeros to one length
-        P, Q = ([c * s for c in C] + [0] * (size - len(C)) for C, s in ((P, sQ), (Q, sP)))
-        edges.append((P, Q, lo, hi, sign))
-        # (P, Q) at an end is a positive multiple of F - z at that corner
-        ends += [_values([P, Q], lo), _values([P, Q], hi)]
+    edges = [(P, Q, lo, hi, sign) for P, Q, _, _, _, lo, hi, sign in _edges(F, z, box)]
+    # (P, Q) at an end is a positive multiple of F - z at that corner
+    ends = [_values([P, Q], x) for P, Q, lo, hi, _ in edges for x in (lo, hi)]
     if [0, 0] in ends:
         return None
     alpha, beta = next((al, be) for al, be in _DIRECTIONS
@@ -279,6 +316,127 @@ def winding_degree(F: PolyMap, z: Sequence[Fraction | int],
         raise RuntimeError(
             f"Cauchy indices sum to {total}, not an even number; this is a soundness bug")
     return -total // 2
+
+
+# ---------------------------------------------------------------------
+# Path segment against the boundary image (n = 2)
+# ---------------------------------------------------------------------
+
+def _deflate(c: list[int], x: Fraction) -> list[int]:
+    """c / (q t - p) for a root x = p/q of c, by synthetic division from
+    the top; the quotient has integer coefficients (Gauss's lemma)."""
+    p, q = x.numerator, x.denominator
+    out, carry = [], 0
+    for k in range(len(c) - 1, 0, -1):
+        carry = (c[k] + p * carry) // q
+        out.append(carry)
+    return out[::-1]
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _tarski(U: list[int], G: list[int], lo: Fraction, hi: Fraction) -> int:
+    """Tarski query of G on the roots of U in (lo, hi), for U nonzero at
+    lo and hi: the number of roots with G > 0 less the number with G < 0.
+    It is the Cauchy index of U' G / U (Basu, Pollack and Roy, 2006,
+    Thm. 2.58), read with U' G reduced modulo U, which leaves the index."""
+    seq = _remainders(U, _rem(_mul(_derivative(U), G), U))
+    return _variations(seq, lo) - _variations(seq, hi)
+
+
+def _negative_on(c: list[int], lo: Fraction, hi: Fraction) -> bool:
+    """Whether c < 0 on the whole of [lo, hi]."""
+    return max(_values([c], lo) + _values([c], hi)) < 0 and not _has_root(c, lo, hi)
+
+
+def _edge_hit(P: list[int], Q: list[int], S: int, d1: int, d2: int, D: int,
+              lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction] | None:
+    """Where on the edge [lo, hi] S (F - a) = (P, Q) takes a value in
+    S [0, 1] (b - a), with D (b - a) = (d1, d2) integers and D > 0:
+    (x, x) for an end x that does, else (lo, hi) when a point of the edge
+    does, else None.
+
+    Where (d1, d2) = 0 the segment is the point a, met at the roots of
+    gcd(P, Q).  Otherwise F - a lies on the segment's line at the roots of
+    U = d2 P - d1 Q, and there F - a = s (b - a) with s >= 0 where
+    V = d1 P + d2 Q >= 0 and s <= 1 where W = S |d|^2 - D V >= 0.  Where
+    U = 0 on the whole edge s is continuous on it, so some s lies in
+    [0, 1] unless s < 0 or s > 1 on the whole edge.  Otherwise the ends are
+    checked exactly and divided out of U, and an edge on which U has no
+    root is missed.  V and W are reduced modulo U, as is every product
+    below, so that no polynomial in a remainder sequence has a degree
+    above U's.  A root of U in (lo, hi) where V = 0 has F = a, and one
+    where W = 0 has F = b: a root of gcd(U, V) or gcd(U, W).  With none,
+    the roots of U with V > 0 and W > 0 number
+    (TaQ(1) + TaQ(V) + TaQ(W) + TaQ(V W)) / 4, each Tarski query on the
+    roots of U.  A sum that is not a multiple of 4 raises RuntimeError.
+    """
+    if not (d1 or d2):
+        ends = [x for x in (lo, hi) if _values([P, Q], x) == [0, 0]]
+        if ends:
+            return ends[0], ends[0]
+        inside = _has_root(_gcd(_trim(P[:]), _trim(Q[:])), lo, hi)
+        return (lo, hi) if inside else None
+    U = _trim([d2 * p - d1 * q for p, q in zip(P, Q)])
+    V = _trim([d1 * p + d2 * q for p, q in zip(P, Q)])
+    W = [-D * v for v in V] or [0]
+    W[0] += S * (d1 * d1 + d2 * d2)
+    W = _trim(W)
+    for x in (lo, hi):
+        u, v, w = _values([U, V, W], x)
+        if not u and v >= 0 and w >= 0:
+            return x, x
+    if not U:
+        inside = not (_negative_on(V, lo, hi) or _negative_on(W, lo, hi))
+        return (lo, hi) if inside else None
+    for x in (lo, hi):
+        while not _values([U], x)[0]:
+            U = _deflate(U, x)
+    roots = _tarski(U, [1], lo, hi)
+    if not roots:
+        return None
+    V, W = _rem(V, U), _rem(W, U)
+    if any(_has_root(_gcd(U, G), lo, hi) for G in (V, W)):
+        return lo, hi
+    count = roots + sum(_tarski(U, G, lo, hi) for G in (V, W, _rem(_mul(V, W), U)))
+    if count % 4:
+        raise RuntimeError(
+            f"Tarski queries sum to {count}, not a multiple of 4; this is a soundness bug")
+    return (lo, hi) if count else None
+
+
+def plane_segment_failure(F: PolyMap, box: IntervalBox,
+                          a: Sequence[Fraction | int],
+                          b: Sequence[Fraction | int]) -> str | None:
+    """Where the segment from a to b meets the image of the box boundary
+    under a plane map, or None when it misses it.
+
+    Exact, in integer arithmetic.  Each of the four edges restricts F - a
+    as winding_degree does, to S (F - a) = (P, Q) with integer polynomials
+    and S > 0, and _edge_hit decides it by the real roots of
+    d2 P - d1 Q, for D (b - a) = (d1, d2), and the signs there.  A
+    degenerate box is its own boundary: its edges cover it.
+    """
+    a, b = _segment_ends(F, box, a, b)
+    if F.n != 2:
+        raise ValueError("the plane segment test needs a plane map")
+    D = math.lcm(*((y - x).denominator for x, y in zip(a, b)))
+    d1, d2 = (int((y - x) * D) for x, y in zip(a, b))
+    for P, Q, S, fixed, v, lo, hi, _ in _edges(F, a, box):
+        hit = _edge_hit(P, Q, S, d1, d2, D, lo, hi)
+        if hit is None:
+            continue
+        if hit[0] == hit[1]:
+            point = (hit[0], v) if fixed else (v, hit[0])
+            return f"F({', '.join(map(str, point))}) lies on the segment"
+        return f"F maps a point of the edge x{fixed + 1} = {v} onto the segment"
+    return None
 
 
 # ---------------------------------------------------------------------
@@ -640,22 +798,46 @@ class ComponentPathReport:
     failures: tuple[str, ...]
 
 
+def _segment_ends(F: PolyMap, box: IntervalBox, a: Sequence[Fraction | int],
+                  b: Sequence[Fraction | int]) -> tuple[list[Fraction], list[Fraction]]:
+    """a and b as Fractions, once they and the box are checked to have
+    F's dimension."""
+    if box.dims != F.n:
+        raise ValueError(f"box has {box.dims} dims, expected {F.n}")
+    for name, end in (("a", a), ("b", b)):
+        if len(end) != F.n:
+            raise ValueError(f"segment end {name} = {[str(x) for x in end]} has length "
+                             f"{len(end)}, expected {F.n}")
+    return [Fraction(x) for x in a], [Fraction(x) for x in b]
+
+
 def path_segment_clearance(F: PolyMap, box: IntervalBox,
                            a: Sequence[Fraction], b: Sequence[Fraction]) -> ClearanceResult:
     """Certify that the segment from a to b misses the boundary image.
 
     Builds residuals F_i(x) - (a_i + s (b_i - a_i)) in one extra segment
     variable s and bounds their squared norm away from zero over
-    (box faces) x [0,1].  Callers read only ok and failure, so m is not
-    sharpened.
+    (box faces) x [0,1] with the sum-of-squares heap.  Callers read only
+    ok and failure, so m is not sharpened.  segment_failure uses it for
+    n != 2 only; plane maps take the exact plane_segment_failure.
     """
+    a, b = _segment_ends(F, box, a, b)
     n = F.n
     seg = Poly.var(n + 1, n + 1)
     polys = []
-    for i, comp in enumerate(F.components):
-        drift = Fraction(b[i]) - Fraction(a[i])
-        polys.append(comp.pad(1) - Poly.const(n + 1, Fraction(a[i])) - seg.scale(drift))
+    for comp, x, y in zip(F.components, a, b):
+        polys.append(comp.pad(1) - Poly.const(n + 1, x) - seg.scale(y - x))
     return certified_clearance(polys, _faces_times_unit(box), improve_splits=0)
+
+
+def segment_failure(F: PolyMap, box: IntervalBox, a: Sequence[Fraction | int],
+                    b: Sequence[Fraction | int]) -> str | None:
+    """Why the segment from a to b is not certified to miss the image of
+    the box boundary, or None when it is: for n = 2 exactly, by
+    plane_segment_failure, and otherwise by path_segment_clearance."""
+    if F.n == 2:
+        return plane_segment_failure(F, box, a, b)
+    return path_segment_clearance(F, box, a, b).failure
 
 
 def component_constancy_check(F: PolyMap, box: IntervalBox,
@@ -665,19 +847,24 @@ def component_constancy_check(F: PolyMap, box: IntervalBox,
 
     Certifying that every segment stays off the boundary image places
     all vertices in one connected component of the complement, which is
-    exactly when their degrees are forced to agree.
+    exactly when their degrees are forced to agree.  Each segment is
+    certified by segment_failure.
     """
     vertices = [[Fraction(c) for c in vertex] for vertex in z_path]
     if not vertices:
         raise ValueError("path needs at least one vertex")
+    for k, vertex in enumerate(vertices):
+        if len(vertex) != F.n:
+            raise ValueError(f"vertex {k} = {[str(x) for x in vertex]} has length "
+                             f"{len(vertex)}, expected {F.n}")
     failures: list[str] = []
     path_certified = True
     for a, b in zip(vertices[:-1], vertices[1:]):
-        seg = path_segment_clearance(F, box, a, b)
-        if not seg.ok:
+        failure = segment_failure(F, box, a, b)
+        if failure is not None:
             path_certified = False
             failures.append(
-                f"segment {[str(x) for x in a]} -> {[str(x) for x in b]}: {seg.failure}")
+                f"segment {[str(x) for x in a]} -> {[str(x) for x in b]}: {failure}")
     degrees: list[int | None] = []
     for vertex in vertices:
         try:

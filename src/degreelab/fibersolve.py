@@ -33,7 +33,8 @@ holds the depth limit, which callers vary.
 The same sum-of-squares positivity kernel that backs boundary clearance,
 a best-first heap on the compiled kernel IntervalStack, is exported
 with its conversion to a clearance (certified_clearance) for reuse by the
-degree module's boundary and path certifications.  Its look-ahead encloses
+degree module's family clearance and its path segments for n != 2; plane
+path segments are decided there exactly, without it.  Its look-ahead encloses
 whole subtrees below the boxes the heap is likely to pop next in one
 batch, since each batch costs far more than its rows.  Where the natural
 enclosures leave a box's bound at zero or below, each polynomial is

@@ -34,8 +34,10 @@ Step 1 solves the base's fiber whatever its degree, as the report carries
 it.  For each query the pipeline first finds the smallest radius whose box
 holds a root of the query (a nonzero degree); from there it checks the
 bounded certificates first at each radius: the query off F(boundary) and
-the base-to-query path segment, both under a budget, then the query's
-degree and the base's, whose fiber solves cost more as the box grows.
+the base-to-query path segment, by degree.segment_failure (exact for a
+plane map, the sum-of-squares clearance under a budget otherwise), then
+the query's degree and the base's, whose fiber solves cost more as the
+box grows.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from .fibersolve import (
     split_widest,
     subdivide,
 )
-from .degree import path_segment_clearance, winding_degree
+from .degree import segment_failure, winding_degree
 
 Point = tuple[Fraction, ...]
 Evidence = tuple[Point, Fraction]
@@ -800,13 +802,15 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
     defaulting to F(0).  Its fiber is solved at every radius tried, as
     the report carries it.  Step 2 grows a centered box (radius doubling)
     per query until four certificates hold: the query is off
-    F(boundary), the base-to-query path segment, the query's degree
-    (nonzero), and the base's degree.  Up to the first radius whose box
-    holds a root of the query, a zero degree turns a radius down, as it
-    is cheap on a box holding no root (the segment must fail there too,
-    the degrees differing).  From then on the order is the boundary
+    F(boundary), the base-to-query path segment misses F(boundary)
+    (segment_failure: exact for n = 2, the sum-of-squares clearance
+    otherwise), the query's degree (nonzero), and the base's degree.  Up
+    to the first radius whose box holds a root of the query, a zero
+    degree turns a radius down, as it is cheap on a box holding no root
+    (the segment must fail there too, the degrees differing).  From then
+    on the order is the boundary
     certificate, the segment, then the query's degree and the base's:
-    the first two run under budgets, so a radius they turn down costs no
+    the first two are bounded, so a radius they turn down costs no
     solve.  The first radius at which all four hold does not depend on
     the order.  When the radius cap is passed first, the note names the
     last radius tried and the certificate that failed there, or the
@@ -873,12 +877,12 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
                 raise _GrowNeeded("query fiber empty so far")
 
         def query_at(radius: Fraction):
-            # the two certificates under a budget come first, so a radius
-            # they turn down costs no solve
+            # the two bounded certificates come first, so a radius they
+            # turn down costs no solve
             off_boundary(radius)
-            seg = path_segment_clearance(F, IntervalBox.cube(n, radius), base_point, q)
-            if not seg.ok:
-                raise _GrowNeeded(f"path segment: {seg.failure}")
+            failure = segment_failure(F, IntervalBox.cube(n, radius), base_point, q)
+            if failure is not None:
+                raise _GrowNeeded(f"path segment: {failure}")
             return degree(radius), base_degree(radius)
 
         rooted, _, last = _first_radius(

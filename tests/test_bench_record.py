@@ -143,3 +143,48 @@ def test_record_writes_the_setup_samples(tmp_path, monkeypatch):
     assert len(calls) == 40
     assert out["setup_only"]["parent"]["median"] == pytest.approx(0.1095)
     assert out["setup_only"]["change"]["median"] == pytest.approx(0.2095)
+
+
+def _fake_traced(calls, boxes=lambda tree, k: 100.0):
+    """A subprocess.run stand-in for traced runs: records (tree, argv) and
+    writes the tree's report-trace1.json, in which the k-th run of a tree
+    reads fibersolve.solve_fiber.s = 1, 3 and 2 for k = 0, 1, 2 (10 more in
+    change) and fibersolve.solve_fiber.boxes = boxes(tree, k)."""
+    def run(cmd, cwd, capture_output, text):
+        tree = Path(cwd).name
+        calls.append((tree, cmd))
+        k = sum(1 for seen, _ in calls if seen == tree) - 1
+        seconds = (1.0, 3.0, 2.0)[k] + (10.0 if tree == "change" else 0.0)
+        metrics = {"fibersolve.solve_fiber.s": {"value": seconds, "unit": "s"},
+                   "fibersolve.solve_fiber.boxes": {"value": boxes(tree, k), "unit": "count"}}
+        workdir = Path(cwd) / ".bench_build" / "perfbench" / "inject-7"
+        workdir.mkdir(parents=True, exist_ok=True)
+        (workdir / "report-trace1.json").write_text(json.dumps({"metrics": metrics}))
+        return subprocess.CompletedProcess(cmd, 0, stdout="", stderr="")
+    return run
+
+
+def test_per_layer_takes_the_median_of_three_alternating_traced_runs(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench_record.subprocess, "run", _fake_traced(calls))
+    trees = {side: tmp_path / side for side in bench_record.SIDES}
+    got = bench_record.per_layer(trees, "inject", 7)
+    assert [tree for tree, _ in calls] == ["parent", "change", "change", "parent",
+                                           "parent", "change"]
+    for _, cmd in calls:
+        assert cmd[1:4] == ["perfbench/run.py", "--workload", "inject"]
+        assert cmd[-2:] == ["--trace", "1"]
+    assert got == {
+        "parent": {"fibersolve.solve_fiber.s": 2.0, "fibersolve.solve_fiber.boxes": 100.0},
+        "change": {"fibersolve.solve_fiber.s": 12.0, "fibersolve.solve_fiber.boxes": 100.0}}
+
+
+def test_per_layer_refuses_a_count_that_moves_between_runs(tmp_path, monkeypatch):
+    # a count is fixed by the code and the seed, so runs that differ in
+    # one did not run the same work
+    moved = _fake_traced([], boxes=lambda tree, k: 100.0 + (tree == "change" and k == 2))
+    monkeypatch.setattr(bench_record.subprocess, "run", moved)
+    trees = {side: tmp_path / side for side in bench_record.SIDES}
+    with pytest.raises(SystemExit, match=r"change tree count fibersolve.solve_fiber.boxes "
+                                         r"differently: \[100.0, 100.0, 101.0\]"):
+        bench_record.per_layer(trees, "inject", 7)

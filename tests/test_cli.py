@@ -442,9 +442,8 @@ def test_inject_triangular(fixtures_dir, capsys):
 
 
 def test_inject_certifies_the_segment_on_a_quartic_keller_map(tmp_path, capsys):
-    # the natural enclosure of the face terms, of size R^4, runs out of splits
-    # on this path segment at every radius; the mean-value fallback clears it
-    # at radius 100, the first whose boundary image the segment misses
+    # the path segment meets the image of the boundary of the radius-50 box;
+    # radius 100 is the first whose boundary image it misses
     mapfile = tmp_path / "r16split.map"
     mapfile.write_text(json.dumps({"name": "r16split", "n": 2, "components": [
         "18*x1^4 - 12*x1^2*x2 + 6*x1^2 + 2*x2^2 + x1 - 2*x2", "-3*x1^2 + x2"]}))

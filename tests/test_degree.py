@@ -455,6 +455,179 @@ def test_winding_equals_signed_count_on_lopsided_boxes(lo, hi):
 
 
 # ---------------------------------------------------------------------
+# Path segment against the boundary image (n = 2)
+# ---------------------------------------------------------------------
+
+def _random_box(rng, degenerate=False):
+    """A box with sides in quarters; a degenerate one is a segment or a
+    point."""
+    lo = [Fraction(rng.randint(-8, 4), 4) for _ in range(2)]
+    hi = [x + Fraction(rng.randint(1, 8), 4) for x in lo]
+    if degenerate:
+        flat = rng.choice(((0,), (1,), (0, 1)))
+        hi = [lo[i] if i in flat else hi[i] for i in range(2)]
+    return IntervalBox(tuple(map(float, lo)), tuple(map(float, hi)))
+
+
+def _boundary_point(rng, box, corner):
+    """A rational point of the box boundary: a corner, or a point of an
+    edge other than its ends where the edge has length."""
+    lo, hi = ([Fraction(x) for x in end] for end in (box.lo, box.hi))
+    if corner:
+        return tuple(rng.choice(pair) for pair in zip(lo, hi))
+    x = [a + (b - a) * Fraction(rng.randint(1, 7), 8) for a, b in zip(lo, hi)]
+    fixed = rng.randrange(2)
+    x[fixed] = rng.choice((lo[fixed], hi[fixed]))
+    return tuple(x)
+
+
+def _random_point(rng):
+    return [Fraction(rng.randint(-12, 12), 4) for _ in range(2)]
+
+
+def test_plane_segment_misses_wherever_the_clearance_certifies():
+    rng = random.Random(2828)
+    certified = met = 0
+    for k in range(100):
+        F = random_map(rng, 2, max_deg=4)
+        box = _random_box(rng, degenerate=k % 5 == 0)
+        a, b = _random_point(rng), _random_point(rng)
+        failure = degree.plane_segment_failure(F, box, a, b)
+        if path_segment_clearance(F, box, a, b).ok:
+            assert failure is None, (F, box, a, b)
+            certified += 1
+        met += failure is not None
+    assert certified >= 60 and met >= 10
+
+
+@pytest.mark.parametrize("corner", [True, False], ids=["corner", "edge_point"])
+@pytest.mark.parametrize("where", ["at_a", "at_b", "inside"])
+def test_plane_segment_through_a_boundary_image_meets(corner, where):
+    # the segment holds F(x) for a rational point x of the box boundary,
+    # at a, at b or at a + s (b - a) for some s in (0, 1)
+    rng = random.Random(2929)
+    for k in range(40):
+        F = random_map(rng, 2, max_deg=4)
+        box = _random_box(rng, degenerate=k % 5 == 0)
+        x = _boundary_point(rng, box, corner)
+        y = [c.eval(x) for c in F.components]
+        other = _random_point(rng)
+        if where == "at_a":
+            a, b = y, other
+        elif where == "at_b":
+            a, b = other, y
+        else:
+            s = Fraction(rng.randint(1, 7), 8)
+            a, b = [(v - s * w) / (1 - s) for v, w in zip(y, other)], other
+        assert degree.plane_segment_failure(F, box, a, b) is not None, (F, box, a, b)
+
+
+def test_plane_segment_of_one_point_meets_where_the_winding_degree_is_undecided():
+    # a = b: the segment meets F(boundary) exactly where the point lies on it
+    rng = random.Random(3030)
+    met = missed = 0
+    for k in range(60):
+        F = random_map(rng, 2, max_deg=4)
+        box = _random_box(rng)
+        if k % 2:
+            x = _boundary_point(rng, box, k % 4 == 1)
+            z = [c.eval(x) for c in F.components]
+        else:
+            z = _random_point(rng)
+        failure = degree.plane_segment_failure(F, box, z, z)
+        assert (failure is not None) == (winding_degree(F, z, box) is None), (F, box, z)
+        met += failure is not None
+        missed += failure is None
+    assert met >= 30 and missed >= 20
+
+
+@pytest.mark.parametrize("a, b, meets", [
+    # the identity maps the top edge of [-1, 1]^2 onto the segment's line
+    # x2 = 1: through both corners, between them only, wholly before them
+    # (s < 0 on the edge) and wholly after them (s > 1)
+    ([-2, 1], [2, 1], True),
+    ([Fraction(-1, 2), 1], [Fraction(1, 2), 1], True),
+    ([2, 1], [3, 1], False),
+    ([-3, 1], [-2, 1], False),
+    ([0, 1], [0, 1], True),
+    ([0, 2], [0, 2], False),
+])
+def test_plane_segment_along_an_edge_image(a, b, meets):
+    failure = degree.plane_segment_failure(PolyMap.identity(2), cube(2, 1), a, b)
+    assert (failure is not None) == meets
+
+
+def test_plane_segment_across_a_degenerate_box():
+    # the box [-1, 1] x {0} is its own boundary, which the identity keeps
+    box = IntervalBox((-1.0, 0.0), (1.0, 0.0))
+    F = PolyMap.identity(2)
+    assert degree.plane_segment_failure(F, box, [0, -1], [0, 1]) == (
+        "F maps a point of the edge x2 = 0 onto the segment")
+    assert degree.plane_segment_failure(F, box, [1, -1], [1, 1]) == "F(1, 0) lies on the segment"
+    assert degree.plane_segment_failure(F, box, [2, -1], [2, 1]) is None
+    assert path_segment_clearance(F, box, [2, -1], [2, 1]).ok
+
+
+def test_plane_segment_sequences_stay_below_the_degree_of_the_first(monkeypatch):
+    # V, W and every product are reduced modulo U before a remainder
+    # sequence is formed, so no sequence element outgrows the first
+    lengths = []
+    remainders = degree._remainders
+
+    def recording(a, b):
+        lengths.append((len(a), len(b)))
+        return remainders(a, b)
+
+    monkeypatch.setattr(degree, "_remainders", recording)
+    rng = random.Random(3131)
+    for k in range(40):
+        F = random_map(rng, 2, max_deg=4)
+        a, b = _random_point(rng), _random_point(rng)
+        b[0] += a == b
+        degree.plane_segment_failure(F, _random_box(rng), a, b)
+    assert len(lengths) >= 100
+    assert all(lb < la for la, lb in lengths)
+
+
+def test_segment_clearance_and_exact_test_agree_on_quartic_face_terms():
+    # the face terms of this quartic Keller map grow like R^4 and cancel:
+    # the natural enclosure alone runs out of splits on them, and the
+    # mean-value fallback lets the clearance certify the segment at radius
+    # 100, the first radius whose boundary image the segment misses
+    F = make_map(2, "18*x1^4 - 12*x1^2*x2 + 6*x1^2 + 2*x2^2 + x1 - 2*x2", "-3*x1^2 + x2")
+    a, b = [0, 0], [25, -3]
+    assert degree.plane_segment_failure(F, cube(2, 50), a, b) is not None
+    assert degree.plane_segment_failure(F, cube(2, 100), a, b) is None
+    assert path_segment_clearance(F, cube(2, 100), a, b).ok
+
+
+def test_segment_failure_takes_the_clearance_off_the_plane(monkeypatch):
+    calls = []
+    clearance = degree.path_segment_clearance
+
+    def recording(F, box, a, b):
+        calls.append(F.n)
+        return clearance(F, box, a, b)
+
+    monkeypatch.setattr(degree, "path_segment_clearance", recording)
+    assert degree.segment_failure(PolyMap.identity(2), cube(2, 1), [0, 0], [2, 0]) == (
+        "F maps a point of the edge x1 = 1 onto the segment")
+    assert degree.segment_failure(PolyMap.identity(1), cube(1, 2), [0], [1]) is None
+    assert degree.segment_failure(PolyMap.identity(3), cube(3, 1), [0, 0, 0], [1, 1, 1])
+    assert calls == [1, 3]
+
+
+@pytest.mark.parametrize("check", [path_segment_clearance, degree.plane_segment_failure,
+                                   degree.segment_failure])
+def test_segment_rejects_an_end_of_the_wrong_length(check):
+    with pytest.raises(ValueError, match=r"segment end b = \['1', '2', '3'\] has length 3, "
+                                         r"expected 2"):
+        check(PolyMap.identity(2), cube(2, 1), [0, 0], [1, 2, 3])
+    with pytest.raises(ValueError, match=r"segment end a = \['1/2'\] has length 1, expected 2"):
+        check(PolyMap.identity(2), cube(2, 1), [Fraction(1, 2)], [0, 0])
+
+
+# ---------------------------------------------------------------------
 # Integral method
 # ---------------------------------------------------------------------
 
@@ -818,6 +991,17 @@ def test_component_path_plane_segment_through_the_boundary_image():
     assert report.degrees == (1, 0)
     assert len(report.failures) == 1
     assert report.failures[0].startswith("segment ['0', '0'] -> ['2', '0']: ")
+
+
+@pytest.mark.parametrize("path, message", [
+    # a short vertex used to raise a bare IndexError from the segment step
+    ([[0, 0], [Fraction(1, 2)]], r"vertex 1 = \['1/2'\] has length 1, expected 2"),
+    # a long one used to pass it
+    ([[0, 0, 0], [0, 0]], r"vertex 0 = \['0', '0', '0'\] has length 3, expected 2"),
+])
+def test_component_path_rejects_a_vertex_of_the_wrong_length(path, message):
+    with pytest.raises(ValueError, match=message):
+        component_constancy_check(PolyMap.identity(2), cube(2, 1), path)
 
 
 def test_component_empty_path_rejected():

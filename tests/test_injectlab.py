@@ -1100,13 +1100,13 @@ def _record_pipeline_calls(monkeypatch, query):
     checks; returns the box radii of the query's degree calls, of its
     solves, of the segments that held and of the segments that failed."""
     wound, solved, held, failed = [], [], [], []
-    segment, solve = injectlab.path_segment_clearance, injectlab.solve_fiber
+    segment, solve = injectlab.segment_failure, injectlab.solve_fiber
     winding = injectlab.winding_degree
 
     def recording_segment(F, box, a, b):
-        result = segment(F, box, a, b)
-        (held if result.ok else failed).append(box.hi[0])
-        return result
+        failure = segment(F, box, a, b)
+        (held if failure is None else failed).append(box.hi[0])
+        return failure
 
     def recording_solve(F, z, box, cfg=None):
         if tuple(z) == query:
@@ -1118,7 +1118,7 @@ def _record_pipeline_calls(monkeypatch, query):
             wound.append(box.hi[0])
         return winding(F, z, box)
 
-    monkeypatch.setattr(injectlab, "path_segment_clearance", recording_segment)
+    monkeypatch.setattr(injectlab, "segment_failure", recording_segment)
     monkeypatch.setattr(injectlab, "solve_fiber", recording_solve)
     monkeypatch.setattr(injectlab, "winding_degree", recording_winding)
     return wound, solved, held, failed
@@ -1131,7 +1131,7 @@ def test_pipeline_solves_no_query_fiber_where_the_segment_failed(monkeypatch):
     # its root; the segment turns that radius down, and radius 100 is
     # certified.  The degree is 1 at both, so the query's fiber is never
     # solved.  With the cap at 50 no further radius is tried, and the cap
-    # note names the segment
+    # note names the edge whose image the segment meets
     F = make_map(2, "18*x1^4 - 12*x1^2*x2 + 6*x1^2 + 2*x2^2 + x1 - 2*x2",
                  "-3*x1^2 + x2")
     query = (Fraction(25), Fraction(-3))
@@ -1154,8 +1154,8 @@ def test_pipeline_solves_no_query_fiber_where_the_segment_failed(monkeypatch):
     (record,) = report.records
     assert record.radius is None and not record.path_certified
     assert record.note == ("radius cap reached without full certification; "
-                           "last at radius 50: path segment: sum-of-squares enclosure "
-                           "still reaches -1e-323 at depth 40")
+                           "last at radius 50: path segment: F maps a point of the "
+                           "edge x2 = 50 onto the segment")
 
 
 def test_pipeline_checks_no_segment_while_the_query_fiber_is_empty(monkeypatch):
@@ -1169,6 +1169,34 @@ def test_pipeline_checks_no_segment_while_the_query_fiber_is_empty(monkeypatch):
     assert report.records[0].radius == 48
     assert wound == [6.0, 12.0, 24.0, 48.0] and solved == []
     assert held == [48.0] and not failed
+
+
+def test_plane_pipeline_certifies_its_segments_without_the_sum_of_squares_heap(
+        monkeypatch, fixtures_dir):
+    # for n = 2 the segment test is exact, in integer arithmetic
+    doc = json.loads((fixtures_dir / "triangular.map").read_text())
+    F = make_map(doc["n"], *doc["components"])
+    inside, segments, heap_calls = [], [], []
+    segment, heap = injectlab.segment_failure, fibersolve.certified_min_sum_squares
+
+    def recording_segment(*args):
+        inside.append(True)
+        try:
+            segments.append(segment(*args))
+        finally:
+            inside.pop()
+        return segments[-1]
+
+    def recording_heap(*args, **kwargs):
+        heap_calls.append(bool(inside))
+        return heap(*args, **kwargs)
+
+    monkeypatch.setattr(injectlab, "segment_failure", recording_segment)
+    monkeypatch.setattr(fibersolve, "certified_min_sum_squares", recording_heap)
+    report = injectivity_pipeline(F, [[0, 3], [5, -2], [Fraction(1, 3), 7]])
+    assert report.verdict == "consistent_with_injectivity"
+    assert len(segments) >= 3 and None in segments
+    assert True not in heap_calls
 
 
 def test_pipeline_base_cap_names_the_failed_certificate(monkeypatch):

@@ -12,22 +12,25 @@ BENCHMARK.json (run.py's own default differs), the parent first when k
 is even and the change first when k is odd, so that a drift of the
 machine over time hits both sides alike.  After every
 run the tree's ``.bench_build/perfbench/<workload>-<seed>/report-trace0.json``
-is read back.  Last, each tree makes one traced run (``--trace 1``) for the
-per-layer metrics, and SETUP_SAMPLES alternating pairs of
-``python3 perfbench/run.py --setup-only`` processes time the set-up alone
-(a fresh ``import degreelab.cli`` plus the workload build), since one
-set-up sample per run spreads about as widely as ``setup_s``'s bound.
+is read back.  Last, each tree makes TRACED_RUNS traced runs (``--trace 1``),
+alternating like the pairs, for the per-layer metrics: a time is the median
+of its runs, and a count must read the same in every run of its tree, since
+one traced run carries the machine's whole spread.  Then SETUP_SAMPLES
+alternating pairs of ``python3 perfbench/run.py --setup-only`` processes
+time the set-up alone (a fresh ``import degreelab.cli`` plus the workload
+build), since one set-up sample per run spreads about as widely as
+``setup_s``'s bound.
 
 The output holds, per workload and side: the end-to-end metrics of every
 run, their median and quartiles, the counters_sha256 values seen (one per
 side when the runs agree; both sides share it when they compute the same
-results), the provenance of the tree, and the traced run's per-layer
+results), the provenance of the tree, and the traced runs' per-layer
 metrics; ``setup_only`` holds each side's set-up samples and their
 median.  ``wins`` counts, per end-to-end metric, the pairs in which the
 change did better, by the direction that BENCHMARK.json gives, and
 ``verdict`` reads each metric by the rule in ``verdict`` below: ``gain``,
 ``worse``, ``unresolved`` or ``unchanged``.  ``counter_diff`` lists each
-per-layer metric in unit ``count`` whose traced value differs between the
+per-layer metric in unit ``count`` whose traced values differ between the
 two sides, with both values, so that the work counters a change moved
 show at a glance.
 """
@@ -48,6 +51,8 @@ SIDES = ("parent", "change")
 DEFAULT_PAIRS = 10
 # set-up-only processes per tree and workload
 SETUP_SAMPLES = 20
+# traced runs per tree and workload, for the per-layer metrics
+TRACED_RUNS = 3
 
 
 def _perfbench(tree: Path, workload: str, seed: int, *options: str) -> str:
@@ -78,6 +83,26 @@ def setup_only(trees: dict[str, Path], workload: str, seed: int) -> dict:
             out = _perfbench(trees[side], workload, seed, "--setup-only")
             samples[side].append(json.loads(out.strip().splitlines()[-1])["setup_s"])
     return {side: {"samples": samples[side], "median": statistics.median(samples[side])}
+            for side in SIDES}
+
+
+def per_layer(trees: dict[str, Path], workload: str, seed: int) -> dict:
+    """TRACED_RUNS traced runs per tree, alternating like the pairs of
+    runs; per side, each per-layer metric's median over its runs, once
+    every metric in unit count is found to read the same in all of them."""
+    values: dict[str, dict[str, list[float]]] = {side: {} for side in SIDES}
+    for k in range(TRACED_RUNS):
+        for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
+            traced = run_once(trees[side], workload, seed, 1)["metrics"]
+            for name, m in traced.items():
+                values[side].setdefault(name, []).append(m["value"])
+    counts = {m["name"] for m in BENCHMARK["per_layer"] if m["unit"] == "count"}
+    for side in SIDES:
+        for name, vals in values[side].items():
+            if name in counts and len(set(vals)) > 1:
+                raise SystemExit(f"error: the traced runs of {workload} seed {seed} in the "
+                                 f"{side} tree count {name} differently: {vals}")
+    return {side: {name: statistics.median(vals) for name, vals in values[side].items()}
             for side in SIDES}
 
 
@@ -148,10 +173,8 @@ def record(trees: dict[str, Path], workload: str, seed: int, pairs: int) -> dict
                   f"{runs[side][-1]['metrics']['ops_per_s']['value']:.3f}", file=sys.stderr)
     out = {"seed": seed, "pairs": pairs, "seconds": BENCHMARK["run_seconds"],
            "order": "pair k runs the parent first when k is even, the change first when odd"}
-    for side in SIDES:
-        out[side] = summarize(runs[side])
-        traced = run_once(trees[side], workload, seed, 1)
-        out[side]["per_layer"] = {name: m["value"] for name, m in traced["metrics"].items()}
+    for side, layers in per_layer(trees, workload, seed).items():
+        out[side] = {**summarize(runs[side]), "per_layer": layers}
     out["setup_only"] = setup_only(trees, workload, seed)
     out["wins"], out["verdict"] = {}, {}
     for m in BENCHMARK["end_to_end"]:
