@@ -332,8 +332,7 @@ def _cmd_inject(args, mf: MapFile) -> tuple[dict, dict, int]:
     results = {
         "verdict": report.verdict,
         "base_point": report.base_point,
-        "base_fiber_size": None if report.base_fiber is None
-        else len(report.base_fiber.roots),
+        "base_fiber_size": report.base_fiber_size,
         "records": [asdict(r) for r in report.records],
         "witness": None if report.witness is None else asdict(report.witness),
         "detail": report.detail,

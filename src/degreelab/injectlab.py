@@ -30,8 +30,9 @@ n != 2, the sum-of-squares boundary clearance certifies that instead, and
 the degree is the signed count of the solved fiber.  A decided winding
 number of 0 or +-1 needs no solve; any other is checked against the
 signed count of the solved fiber, whose roots a collision witness needs.
-Step 1 solves the base's fiber whatever its degree, as the report carries
-it.  For each query the pipeline first finds the smallest radius whose box
+Step 1 reads the base's fiber size from its degree the same way, and
+where the base is F(0), a known root, checks that size is at least 1.
+For each query the pipeline first finds the smallest radius whose box
 holds a root of the query (a nonzero degree); from there it checks the
 bounded certificates first at each radius: the query off F(boundary) and
 the base-to-query path segment, by degree.segment_failure (exact for a
@@ -708,7 +709,8 @@ class QueryRecord:
 class InjectivityReport:
     verdict: str  # consistent_with_injectivity | non_injective_witness | inconclusive
     base_point: Point
-    base_fiber: FiberResult | None
+    # deg * sign(det JF) at Step 1's radius; None where no radius certified it
+    base_fiber_size: int | None
     records: tuple[QueryRecord, ...]
     witness: CollisionWitness | None = None
     detail: str | None = None
@@ -726,13 +728,12 @@ def _certificates(F: PolyMap, z: Point, solver: SolverConfig | None):
     winding degree of z, None where winding_degree gives None (z on
     F(boundary), where the clearance fails too) and always for n != 2: a
     decided winding degree is itself that certificate, and elsewhere the
-    boundary clearance is.  degree(radius, solve) returns
-    the degree of z and its fiber, or None for the fiber where none was
-    solved.  A decided winding degree of 0 or +-1 is the answer unless
-    solve asks for the fiber; otherwise the fiber is solved, after
-    off_boundary since the solver has no box budget, and must be
-    complete.  Its signed count is the degree, which a decided winding
-    degree must equal.  A clearance or fiber that fails raises
+    boundary clearance is.  degree(radius) returns the degree of z and
+    its fiber, or None for the fiber where none was solved.  A decided
+    winding degree of 0 or +-1 is the answer; otherwise the fiber is
+    solved, after off_boundary since the solver has no box budget, and
+    must be complete.  Its signed count is the degree, which a decided
+    winding degree must equal.  A clearance or fiber that fails raises
     _GrowNeeded, and is not kept."""
     @functools.cache
     def off_boundary(radius: Fraction) -> int | None:
@@ -752,9 +753,9 @@ def _certificates(F: PolyMap, z: Point, solver: SolverConfig | None):
             raise _GrowNeeded(f"solver status {fiber.status}")
         return fiber
 
-    def degree(radius: Fraction, solve: bool = False) -> tuple[int, FiberResult | None]:
+    def degree(radius: Fraction) -> tuple[int, FiberResult | None]:
         deg = off_boundary(radius)
-        if deg in (-1, 0, 1) and not solve:
+        if deg in (-1, 0, 1):
             return deg, None
         fiber = solved(radius)
         if deg not in (None, fiber.signed_count):
@@ -799,9 +800,14 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
 
     Step 1 fixes a base point with a certified singleton fiber: the
     origin for cubic/cube-linear forms, else a caller-supplied point
-    defaulting to F(0).  Its fiber is solved at every radius tried, as
-    the report carries it.  Step 2 grows a centered box (radius doubling)
-    per query until four certificates hold: the query is off
+    defaulting to F(0).  Its fiber size is deg * sign(det JF) at the
+    first radius that certifies its degree, and its fiber is solved only
+    where that rule solves one.  Where the base is F(0), checked exactly,
+    the origin is a root strictly inside every box tried, so a size below
+    1 is a soundness bug; a size below 0 always is.
+
+    Step 2 grows a centered box (radius doubling) per query until four
+    certificates hold: the query is off
     F(boundary), the base-to-query path segment misses F(boundary)
     (segment_failure: exact for n = 2, the sum-of-squares clearance
     otherwise), the query's degree (nonzero), and the base's degree.  Up
@@ -821,50 +827,61 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
 
     Any multi-point fiber met along the way is converted into an exact
     collision witness and reported as non-injectivity.  solver configures
-    every fiber solve.
+    every fiber solve.  The base and every query must have length F.n.
     """
     status = keller_check(F)
     if not status.is_keller:
         raise ValueError("pipeline requires a nonzero constant Jacobian determinant")
     det_sign = 1 if status.constant_value > 0 else -1
     n = F.n
+    image_of_zero = tuple(c.constant_value() for c in F.components)
     if base is None:
-        if recognize_form(F).form != "neither":
-            base_point: Point = (Fraction(0),) * n
-        else:
-            zero = (Fraction(0),) * n
-            base_point = tuple(c.eval(zero) for c in F.components)
+        base_point: Point = ((Fraction(0),) * n if recognize_form(F).form != "neither"
+                             else image_of_zero)
     else:
         base_point = _rational_point(base)
+    points = [_rational_point(q) for q in queries]
+    for name, point in [("base", base_point),
+                        *((f"query {k}", q) for k, q in enumerate(points))]:
+        if len(point) != n:
+            raise ValueError(f"{name} = {[str(x) for x in point]} has length "
+                             f"{len(point)}, expected {n}")
 
     _, base_degree = _certificates(F, base_point, solver)
 
-    # Step 1: base fiber must be a certified singleton
-    base_radius, base_fiber, base_last = _first_radius(
-        Fraction(_INITIAL_RADIUS), lambda radius: base_degree(radius, solve=True)[1])
-    if base_fiber is not None and len(base_fiber.roots) > 1:
+    # Step 1: the base's certified fiber size must be 1
+    base_radius, base_read, base_last = _first_radius(Fraction(_INITIAL_RADIUS), base_degree)
+    if base_read is None:
+        return InjectivityReport(
+            verdict="inconclusive", base_point=base_point, base_fiber_size=None,
+            records=(), detail="no certified base fiber within the radius cap" + base_last)
+    base_deg, base_fiber = base_read
+    base_size = base_deg * det_sign
+    if base_size < 0:
+        raise RuntimeError(f"base degree {base_deg} has the opposite sign of det JF; "
+                           "this is a soundness bug")
+    if base_size == 0 and base_point == image_of_zero:
+        raise RuntimeError("base degree 0, but the origin, inside every box tried, maps "
+                           "to the base; this is a soundness bug")
+    if base_size > 1:
+        # a degree of 2 or more is never read without its solved fiber
         witness = witness_from_fiber(F, base_fiber)
         if witness is not None:
             return InjectivityReport(
                 verdict="non_injective_witness", base_point=base_point,
-                base_fiber=base_fiber, records=(), witness=witness,
+                base_fiber_size=base_size, records=(), witness=witness,
                 detail="base fiber already holds two separated points")
-    if base_fiber is None or len(base_fiber.roots) != 1:
+    if base_size != 1:
         return InjectivityReport(
-            verdict="inconclusive", base_point=base_point, base_fiber=base_fiber,
+            verdict="inconclusive", base_point=base_point, base_fiber_size=base_size,
             records=(),
-            detail="no certified base fiber within the radius cap" + base_last
-            if base_fiber is None
-            else "base point has an empty certified fiber" if not base_fiber.roots
+            detail="base point has an empty certified fiber" if not base_size
             else "base fiber has several roots but none pass the witness thresholds")
 
     # Steps 2 and 3, per query
     records: list[QueryRecord] = []
     witness: CollisionWitness | None = None
-    for raw_query in queries:
-        q = _rational_point(raw_query)
-        if len(q) != n:
-            raise ValueError(f"query {q} has wrong dimension")
+    for q in points:
         off_boundary, degree = _certificates(F, q, solver)
 
         def holds_root(radius: Fraction):
@@ -920,16 +937,16 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
     if witness is not None:
         return InjectivityReport(
             verdict="non_injective_witness", base_point=base_point,
-            base_fiber=base_fiber, records=tuple(records), witness=witness)
+            base_fiber_size=base_size, records=tuple(records), witness=witness)
     # only certified records have a fiber size, and their degrees agree
     clean = all(r.fiber_size == 1 for r in records)
     if clean:
         return InjectivityReport(
             verdict="consistent_with_injectivity", base_point=base_point,
-            base_fiber=base_fiber, records=tuple(records))
+            base_fiber_size=base_size, records=tuple(records))
     multi = any(r.fiber_size is not None and r.fiber_size > 1 for r in records)
     return InjectivityReport(
-        verdict="inconclusive", base_point=base_point, base_fiber=base_fiber,
+        verdict="inconclusive", base_point=base_point, base_fiber_size=base_size,
         records=tuple(records),
         detail=("a multi-point fiber was found but no pair passed the witness "
                 "thresholds" if multi else

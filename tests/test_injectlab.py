@@ -891,7 +891,7 @@ def test_pipeline_triangular_consistent():
     report = injectivity_pipeline(F, [[1, 1], [-2, 3]])
     assert report.verdict == "consistent_with_injectivity"
     assert report.base_point == (0, 0)  # cubic form: origin base
-    assert len(report.base_fiber.roots) == 1
+    assert report.base_fiber_size == 1
     assert len(report.records) == 2
     for rec in report.records:
         assert rec.fiber_size == 1
@@ -1008,22 +1008,19 @@ def _record_solves(monkeypatch):
 
 
 def test_pipeline_reads_a_unit_base_degree_instead_of_solving_the_base(monkeypatch):
-    # the base's winding degree is +-1 at every query radius, so the base
-    # is solved only in Step 1, as with no queries at all
-    grew = False
+    # the base's winding degree is +-1 at Step 1's radius and at every
+    # query radius, so the base is never solved
     for F, queries in _plane_keller_cases():
         with monkeypatch.context() as patch:
             solves = _record_solves(patch)
-            base = injectivity_pipeline(F, []).base_point
-            step1 = [radius for z, radius in solves if z == base]
-            solves.clear()
+            alone = injectivity_pipeline(F, [])
             report = injectivity_pipeline(F, queries)
+        base = report.base_point
+        assert alone.base_fiber_size == report.base_fiber_size == 1
         assert report.verdict == "consistent_with_injectivity"
-        assert [radius for z, radius in solves if z == base] == step1
+        assert not [radius for z, radius in solves if z == base]
         for rec in report.records:
             assert rec.degree_at_base in (1, -1) and rec.degree_at_base == rec.degree_at_query
-            grew |= rec.radius > max(step1)
-    assert grew
 
 
 def test_pipeline_undecided_base_degree_solves_the_base(monkeypatch):
@@ -1052,6 +1049,103 @@ def test_pipeline_base_degree_off_its_signed_count_is_a_soundness_bug(monkeypatc
                         lambda F, z, box: wrong if tuple(z) == (0, 0) else winding(F, z, box))
     with pytest.raises(RuntimeError, match="soundness bug"):
         injectivity_pipeline(make_map(2, "x1 + x2^3", "x2"), [])
+
+
+def test_pipeline_solves_the_base_at_step_1_where_its_degree_is_undecided(monkeypatch):
+    # with the base's winding degree None its degree is the solved fiber's
+    # signed count, so with no queries Step 1 makes exactly one solve, at
+    # the first radius, and the report is that of the decided degree
+    winding = injectlab.winding_degree
+    for F, _ in _plane_keller_cases():
+        report = injectivity_pipeline(F, [])
+        base = report.base_point
+        with monkeypatch.context() as patch:
+            patch.setattr(injectlab, "winding_degree",
+                          lambda F, z, box: None if tuple(z) == base else winding(F, z, box))
+            solves = _record_solves(patch)
+            fallback = injectivity_pipeline(F, [])
+        assert fallback == report and report.base_fiber_size == 1
+        assert solves == [(base, float(injectlab._INITIAL_RADIUS))]
+
+
+@pytest.mark.parametrize("F", [make_map(2, "x1 + x2^3", "x2"),
+                               make_map(2, "x1 + x2^2 + 1", "x2 - 2"),
+                               make_map(2, "x2", "x1")])
+@pytest.mark.parametrize("size", [0, -1])
+def test_pipeline_base_degree_that_misses_the_origin_is_a_soundness_bug(
+        monkeypatch, F, size):
+    # the default base is the origin for a cubic form and F(0) otherwise;
+    # either way F(0) is the base, and the origin a root inside the box,
+    # so a fiber size of 0 or -1 is caught without a solve.  The same
+    # base passed by the caller is caught too
+    det_sign = 1 if injectlab.keller_check(F).constant_value > 0 else -1
+    base = injectivity_pipeline(F, []).base_point
+    winding = injectlab.winding_degree
+    monkeypatch.setattr(injectlab, "winding_degree",
+                        lambda G, z, box: size * det_sign if tuple(z) == base
+                        else winding(G, z, box))
+    solves = _record_solves(monkeypatch)
+    for given in (None, base):
+        with pytest.raises(RuntimeError, match="soundness bug"):
+            injectivity_pipeline(F, [[1, 1]], base=given)
+    assert not [z for z, radius in solves if z == base]
+
+
+def test_pipeline_reads_the_degree_of_a_base_other_than_the_image_of_zero(monkeypatch):
+    # F((1/2, -1/2)) = (3/8, -1/2) is not F(0), so no root of the base is
+    # known in advance; its degree is still read without a solve, and the
+    # records match those of the default base.  Its root lies inside the
+    # first box, where Step 1 reads the degree
+    F = make_map(2, "x1 + x2^3", "x2")
+    queries = [[1, 1], [-2, 3], [0, 3]]
+    base = tuple(c.eval((Fraction(1, 2), Fraction(-1, 2))) for c in F.components)
+    assert base == (Fraction(3, 8), Fraction(-1, 2))
+    default = injectivity_pipeline(F, queries)
+    solves = _record_solves(monkeypatch)
+    report = injectivity_pipeline(F, queries, base=base)
+    assert report.base_point == base and report.base_fiber_size == 1
+    assert report.verdict == "consistent_with_injectivity"
+    assert not [z for z, radius in solves if z == base]
+    for rec, ref in zip(report.records, default.records, strict=True):
+        assert rec.fiber_size == ref.fiber_size == 1
+        assert rec.degree_at_query == rec.degree_at_base == ref.degree_at_query
+        assert rec.path_certified
+
+
+def test_pipeline_base_away_from_the_image_of_zero_may_be_empty_but_not_negative(
+        monkeypatch):
+    # without a known root a certified degree of 0 is an empty fiber, while
+    # a degree of -sign(det JF) = -1 is a soundness bug at any base
+    F = make_map(2, "x1 + x2^3", "x2")
+    base = (Fraction(3, 8), Fraction(-1, 2))
+    winding, forced = injectlab.winding_degree, []
+    monkeypatch.setattr(injectlab, "winding_degree",
+                        lambda G, z, box: forced[0] if tuple(z) == base else winding(G, z, box))
+    forced[:] = [0]
+    report = injectivity_pipeline(F, [[1, 1]], base=base)
+    assert report.verdict == "inconclusive" and report.base_fiber_size == 0
+    assert report.detail == "base point has an empty certified fiber"
+    forced[:] = [-1]
+    with pytest.raises(RuntimeError, match="base degree -1 has the opposite sign of det JF; "
+                                           "this is a soundness bug"):
+        injectivity_pipeline(F, [[1, 1]], base=base)
+
+
+@pytest.mark.parametrize("base, queries, message", [
+    ([1, 0], [[0, 0, 0]], r"query 0 = \['0', '0', '0'\] has length 3, expected 2"),
+    ([1, 0], [[1, 1], [Fraction(1, 2)]], r"query 1 = \['1/2'\] has length 1, expected 2"),
+    ([1, 0, 0], [[1, 1]], r"base = \['1', '0', '0'\] has length 3, expected 2"),
+    ([1], [[1, 1]], r"base = \['1'\] has length 1, expected 2"),
+])
+def test_pipeline_checks_every_length_before_step_1(monkeypatch, base, queries, message):
+    # with the cap at 1 the base (1, 0) lies on F(boundary) at every
+    # radius tried, so Step 1 fails there, and a base of the wrong length
+    # cannot be read at all; the lengths are checked before Step 1
+    monkeypatch.setattr(injectlab, "_MAX_RADIUS", 1)
+    solves = _record_solves(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        injectivity_pipeline(PolyMap.identity(2), queries, base=base)
+    assert not solves
 
 
 def test_pipeline_query_degree_off_its_signed_count_is_a_soundness_bug(monkeypatch):
@@ -1204,7 +1298,7 @@ def test_pipeline_base_cap_names_the_failed_certificate(monkeypatch):
     # boundary, and the cap allows no larger box
     monkeypatch.setattr(injectlab, "_MAX_RADIUS", 1)
     report = injectivity_pipeline(PolyMap.identity(2), [[0, 0]], base=[1, 0])
-    assert report.verdict == "inconclusive" and report.base_fiber is None
+    assert report.verdict == "inconclusive" and report.base_fiber_size is None
     assert report.detail.startswith("no certified base fiber within the radius cap; "
                                     "last at radius 1: clearance failed: ")
 
