@@ -112,7 +112,7 @@ def signed_count_from_fiber(fiber: FiberResult, clearance: ClearanceResult) -> D
         raise PreconditionViolation(
             "singular", "a root region with vanishing Jacobian enclosure was found")
     if fiber.status != "complete":
-        raise IncompleteSolveError(f"solver status {fiber.status}")
+        raise IncompleteSolveError(fiber.status_text)
     return DegreeResult(
         value=fiber.signed_count,
         raw=None,

@@ -28,7 +28,12 @@ of its polynomial alone in n variables bit for bit, so the output equals
 that of a breadth-first walk over whole levels with separate enclosures,
 for any number of workers.  Roots and given-up boxes within
 _BOUNDARY_MARGIN of the box boundary mean boundary_contact.  SolverConfig
-holds the depth limit, which callers vary.
+holds the depth limit, which callers vary.  A caller's max_boxes bounds
+the walk: it stops before a chunk that would pass it, and the solve ends
+budget_exhausted.  A complete solve also certifies that z is off the
+image of the box boundary: a root there would lie in a box that exclusion
+keeps, and once certified, in an isolator within _BOUNDARY_MARGIN of the
+boundary.
 
 The same sum-of-squares positivity kernel that backs boundary clearance,
 a best-first heap on the compiled kernel IntervalStack, is exported
@@ -127,6 +132,14 @@ class FiberResult:
         is complete, as its roots are then simple and strictly inside the
         box."""
         return sum(r.jac_sign for r in self.roots)
+
+    @property
+    def status_text(self) -> str:
+        """The status as a refusal names it, with the boxes walked where
+        the budget ran out."""
+        if self.status == "budget_exhausted":
+            return f"solver status budget_exhausted after {self.stats.boxes_processed} boxes"
+        return f"solver status {self.status}"
 
 
 def bezout_bound(F: PolyMap) -> int:
@@ -332,15 +345,18 @@ def subdivide(los: np.ndarray, his: np.ndarray, decide, budget: int, ratio: floa
 
 
 def _excluded_or_singular(gs, outer_lo: np.ndarray, outer_hi: np.ndarray,
-                          cfg: SolverConfig) -> FiberResult:
+                          cfg: SolverConfig, max_boxes: int | None) -> FiberResult:
     """The fiber of a map whose det JF vanishes identically, none of whose
     roots can be certified: complete with no roots when breadth-first
     subdivision excludes every box, singular_suspect as soon as a
     surviving box cannot be split or the next level would pass
-    _ROW_BLOCK boxes in all."""
+    _ROW_BLOCK boxes in all, and budget_exhausted before a level that
+    would pass max_boxes."""
     los, his = outer_lo[None, :], outer_hi[None, :]
     boxes_processed = depth = 0
     while True:
+        if max_boxes is not None and boxes_processed + len(los) > max_boxes:
+            return FiberResult((), "budget_exhausted", SolveStats(boxes_processed, depth))
         boxes_processed += len(los)
         alive = _reaches_zero(gs, los, his)
         los, his = los[alive], his[alive]
@@ -365,23 +381,31 @@ def _residuals(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox) -> lis
 
 
 def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
-                cfg: SolverConfig | None = None, workers: int = 1) -> FiberResult:
+                cfg: SolverConfig | None = None, workers: int = 1, *,
+                max_boxes: int | None = None) -> FiberResult:
     """Certified solution set of F(x) = z in the closed box.
 
     status is "complete" only when every sub-box was either discarded by
     a sound exclusion test or certified to hold exactly one root, and no
-    isolator approaches the outer boundary closer than _BOUNDARY_MARGIN.
-    When det JF is the zero polynomial no root can be certified, and an
-    exclusion-only subdivision of at most _ROW_BLOCK boxes decides between
-    complete with no roots and singular_suspect.  Worker count never
-    changes the result, only the wall time.
+    isolator approaches the outer boundary closer than _BOUNDARY_MARGIN;
+    so z is then off F(boundary), and the signed count is the degree.
+    With max_boxes the walk stops before a chunk that would take
+    boxes_processed past it, and the status is budget_exhausted, whatever
+    the boxes walked so far hold; None walks without a bound.  When det JF
+    is the zero polynomial no root can be certified, and an exclusion-only
+    subdivision of at most _ROW_BLOCK boxes decides between complete with
+    no roots and singular_suspect.  Worker count never changes the result,
+    only the wall time.
     """
+    if max_boxes is not None and max_boxes < 1:
+        raise ValueError(f"max_boxes must be positive, got {max_boxes}")
     cfg = cfg or SolverConfig()
     residuals = _residuals(F, z, box)
     det = jacobian_det(F)
     outer_lo, outer_hi = np.array(box.lo), np.array(box.hi)
     if det.is_zero:
-        return _excluded_or_singular(IntervalStack(residuals), outer_lo, outer_hi, cfg)
+        return _excluded_or_singular(IntervalStack(residuals), outer_lo, outer_hi, cfg,
+                                     max_boxes)
     jac = [p for row in jacobian_matrix(F) for p in row]
     fiber = _fiber_stack(residuals, jac)
     roots: list[CertifiedRoot] = []
@@ -390,12 +414,16 @@ def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
     stuck_lo: list[np.ndarray] = []
     stuck_hi: list[np.ndarray] = []
     boxes_processed = deepest = 0
+    exhausted = False
     # chunks (depth, lo, hi) of at most _ROW_BLOCK boxes, walked depth first
     stack = [(0, outer_lo[None, :], outer_hi[None, :])]
     # a width that overflows is not below any bound the walk tests it with
     with np.errstate(over="ignore"):
         while stack:
             depth, los, his = stack.pop()
+            if max_boxes is not None and boxes_processed + len(los) > max_boxes:
+                exhausted = True
+                break
             boxes_processed += len(los)
             deepest = max(deepest, depth)
             # one enclosure per chunk.  Exclusion: a box survives only if
@@ -460,16 +488,14 @@ def solve_fiber(F: PolyMap, z: Sequence[Fraction | int], box: IntervalBox,
             stuck_lo.append(iso_lo[signs == 0])
             stuck_hi.append(iso_hi[signs == 0])
 
-    stuck_kinds: set[str] = set()
-    if sum(len(s) for s in stuck_lo):
+    roots.sort(key=lambda r: r.isolator.midpoint())
+    if exhausted:
+        status = "budget_exhausted"
+    elif any(r.isolator.boundary_gap(box) <= _BOUNDARY_MARGIN for r in roots):
+        status = "boundary_contact"
+    elif sum(len(s) for s in stuck_lo):
         stuck_kinds = _stuck_kinds(np.concatenate(stuck_lo), np.concatenate(stuck_hi),
                                    outer_lo, outer_hi, det)
-    roots.sort(key=lambda r: r.isolator.midpoint())
-    boundary_roots = any(
-        r.isolator.boundary_gap(box) <= _BOUNDARY_MARGIN for r in roots)
-    if boundary_roots:
-        status = "boundary_contact"
-    elif stuck_kinds:
         status = next(s for s in _STATUS_PRIORITY if s in stuck_kinds)
     else:
         status = "complete"

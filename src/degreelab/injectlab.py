@@ -25,20 +25,22 @@ images differ by _WITNESS_RESIDUAL or less, both checked exactly.  The
 pipeline doubles its box radius from _INITIAL_RADIUS up to _MAX_RADIUS.
 The base and every query read their degree by one rule: for a plane map
 the winding number of F - z along the box boundary, which where decided
-also certifies that z is off F(boundary).  Where it is None, and for
-n != 2, the sum-of-squares boundary clearance certifies that instead, and
-the degree is the signed count of the solved fiber.  A decided winding
-number of 0 or +-1 needs no solve; any other is checked against the
-signed count of the solved fiber, whose roots a collision witness needs.
-Step 1 reads the base's fiber size from its degree the same way, and
-where the base is F(0), a known root, checks that size is at least 1.
-For each query the pipeline first finds the smallest radius whose box
-holds a root of the query (a nonzero degree); from there it checks the
-bounded certificates first at each radius: the query off F(boundary) and
-the base-to-query path segment, by degree.segment_failure (exact for a
-plane map, the sum-of-squares clearance under a budget otherwise), then
-the query's degree and the base's, whose fiber solves cost more as the
-box grows.
+also certifies that z is off F(boundary); where it is None, z lies on
+F(boundary) and the radius is turned down.  For n != 2 the degree is the
+signed count of the fiber solved under the box budget _SOLVE_BOXES, and a
+complete solve is itself the certificate that z is off F(boundary).  A
+decided winding number of 0 or +-1 needs no solve; any other is checked
+against the signed count of the solved fiber, whose roots a collision
+witness needs.  Step 1 reads the base's fiber size from its degree the
+same way, and where the base is F(0), a known root, checks that size is
+at least 1.  For each query the pipeline first finds the smallest radius
+whose box holds a root of the query (a nonzero degree); from there it
+checks the bounded certificates first at each radius: the query off
+F(boundary) and the base-to-query path segment, by
+degree.segment_failure (exact for a plane map, the sum-of-squares
+clearance under a budget otherwise, which covers the segment's ends and
+so the query), then the query's degree and the base's, whose fiber
+solves cost more as the box grows.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from .fibersolve import (
     SolverConfig,
     _reaches_zero,
     _row_blocks,
-    boundary_clearance,
     solve_fiber,
     split_widest,
     subdivide,
@@ -689,9 +690,11 @@ def collision_search(F: PolyMap, box: IntervalBox,
 # The injectivity pipeline
 # ---------------------------------------------------------------------
 
-# Radius of the first and the largest box the pipeline tries.
+# Radius of the first and the largest box the pipeline tries, and the
+# box budget of every fiber solve it makes.
 _INITIAL_RADIUS = 1
 _MAX_RADIUS = 1 << 20
+_SOLVE_BOXES = 4096
 
 
 @dataclass(frozen=True)
@@ -724,33 +727,33 @@ def _certificates(F: PolyMap, z: Point, solver: SolverConfig | None):
     """The one degree rule of a point, as two functions of the radius,
     each over the cube of that radius about the origin.
 
-    off_boundary certifies that z is off F(boundary) and returns the
-    winding degree of z, None where winding_degree gives None (z on
-    F(boundary), where the clearance fails too) and always for n != 2: a
-    decided winding degree is itself that certificate, and elsewhere the
-    boundary clearance is.  degree(radius) returns the degree of z and
-    its fiber, or None for the fiber where none was solved.  A decided
-    winding degree of 0 or +-1 is the answer; otherwise the fiber is
-    solved, after off_boundary since the solver has no box budget, and
-    must be complete.  Its signed count is the degree, which a decided
-    winding degree must equal.  A clearance or fiber that fails raises
-    _GrowNeeded, and is not kept."""
+    For n = 2, off_boundary returns the winding degree of z, which is
+    itself the certificate that z is off F(boundary); a None winding
+    degree means z lies on F(boundary), and turns the radius down.  For
+    n != 2 it returns None and certifies nothing: the complete solve that
+    reads the degree is that certificate.  degree(radius) returns the
+    degree of z and its fiber, or None for the fiber where none was
+    solved.  A decided winding degree of 0 or +-1 is the answer; otherwise
+    the fiber is solved within _SOLVE_BOXES boxes and must be complete:
+    its roots then lie strictly inside the box, so z is off F(boundary),
+    and its signed count is the degree, which a decided winding degree
+    must equal.  A radius turned down raises _GrowNeeded, and is not
+    kept."""
     @functools.cache
     def off_boundary(radius: Fraction) -> int | None:
-        box = IntervalBox.cube(F.n, radius)
-        deg = winding_degree(F, z, box) if F.n == 2 else None
+        if F.n != 2:
+            return None
+        deg = winding_degree(F, z, IntervalBox.cube(2, radius))
         if deg is None:
-            # only ok and failure are read, so the bound is not sharpened
-            clearance = boundary_clearance(F, z, box, improve_splits=0)
-            if not clearance.ok:
-                raise _GrowNeeded(f"clearance failed: {clearance.failure}")
+            raise _GrowNeeded("no winding degree: the target lies on F(boundary)")
         return deg
 
     @functools.cache
     def solved(radius: Fraction) -> FiberResult:
-        fiber = solve_fiber(F, z, IntervalBox.cube(F.n, radius), solver)
+        fiber = solve_fiber(F, z, IntervalBox.cube(F.n, radius), solver,
+                            max_boxes=_SOLVE_BOXES)
         if fiber.status != "complete":
-            raise _GrowNeeded(f"solver status {fiber.status}")
+            raise _GrowNeeded(fiber.status_text)
         return fiber
 
     def degree(radius: Fraction) -> tuple[int, FiberResult | None]:
@@ -791,12 +794,13 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
     Every root of a Keller map has the sign of det JF, so a point's fiber
     holds deg * sign(det JF) points.  The base and each query read their
     degree by one rule (_certificates): for n = 2 the winding degree,
-    which where decided also certifies the point off F(boundary); where
-    it is None, and for n != 2, the boundary clearance certifies
-    that, and the degree is the signed count of the solved fiber.  A
+    which where decided also certifies the point off F(boundary), and
+    where None turns the radius down, the point lying on F(boundary); for
+    n != 2 the signed count of the fiber solved within _SOLVE_BOXES
+    boxes, whose complete status certifies the point off F(boundary).  A
     decided degree of 0 or +-1 needs no solve; any other is checked
     against the signed count of the solved fiber, whose roots a collision
-    witness needs.
+    witness needs.  No sum-of-squares boundary clearance is made.
 
     Step 1 fixes a base point with a certified singleton fiber: the
     origin for cubic/cube-linear forms, else a caller-supplied point
@@ -810,17 +814,21 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
     certificates hold: the query is off
     F(boundary), the base-to-query path segment misses F(boundary)
     (segment_failure: exact for n = 2, the sum-of-squares clearance
-    otherwise), the query's degree (nonzero), and the base's degree.  Up
+    otherwise; either covers both ends, the query among them), the
+    query's degree (nonzero), and the base's degree.  Up
     to the first radius whose box holds a root of the query, a zero
     degree turns a radius down, as it is cheap on a box holding no root
     (the segment must fail there too, the degrees differing).  From then
     on the order is the boundary
-    certificate, the segment, then the query's degree and the base's:
+    certificate (the winding degree for n = 2, the segment's own end
+    otherwise), the segment, then the query's degree and the base's:
     the first two are bounded, so a radius they turn down costs no
     solve.  The first radius at which all four hold does not depend on
     the order.  When the radius cap is passed first, the note names the
     last radius tried and the certificate that failed there, or the
-    first radius when it is already above the cap.  Step 3 compares the
+    first radius when it is already above the cap; a solve that runs out
+    of its budget is named by its status, budget_exhausted, and the boxes
+    it walked.  Step 3 compares the
     degree at the query and at the base over the same box, which the
     certified segment forces to agree; a failed path certificate
     downgrades the query to inconclusive rather than being assumed away.
@@ -895,7 +903,8 @@ def injectivity_pipeline(F: PolyMap, queries: Sequence[Sequence[Fraction | int]]
 
         def query_at(radius: Fraction):
             # the two bounded certificates come first, so a radius they
-            # turn down costs no solve
+            # turn down costs no solve; for n != 2 the segment's end at
+            # the query is its boundary certificate
             off_boundary(radius)
             failure = segment_failure(F, IntervalBox.cube(n, radius), base_point, q)
             if failure is not None:

@@ -198,6 +198,17 @@ def test_assembly_rejects_incomplete_fiber():
         signed_count_from_fiber(fiber, good)
 
 
+@pytest.mark.parametrize("status, message", [
+    ("depth_exceeded", "solver status depth_exceeded"),
+    ("budget_exhausted", "solver status budget_exhausted after 4055 boxes"),
+])
+def test_assembly_names_the_incomplete_status(status, message):
+    fiber = FiberResult(roots=(), status=status, stats=SolveStats(4055, 11))
+    good = ClearanceResult(1.0, 5, 2, None)
+    with pytest.raises(IncompleteSolveError, match=f"^{message}$"):
+        signed_count_from_fiber(fiber, good)
+
+
 # ---------------------------------------------------------------------
 # Winding number
 # ---------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from degreelab import fibersolve
 from degreelab.polycore import IntervalBox, IntervalStack, Poly, parse_poly
 from degreelab.mapforms import PolyMap, jacobian_det, jacobian_matrix, keller_check
-from degreelab.degree import _faces_times_unit
+from degreelab.degree import _faces_times_unit, winding_degree
 from degreelab.fibersolve import (
     _BOUNDARY_MARGIN,
     _KRAWCZYK_GATE,
@@ -540,6 +540,102 @@ def test_fiber_input_validation():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_depth=0)
+
+
+# --------------------------------------------------------- box budget
+
+# the benchmark's r1map1 map, and the image of a point on the face x3 = -128
+_R1MAP1 = ("x1 - 8*x3^3", "x2 - 8*x3^3", "x3")
+_ON_FACE_128 = (16777280, 16777184, -128)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 100, 4096])
+def test_solve_fiber_budget_stops_before_a_chunk_that_would_pass_it(budget):
+    # the target lies on F(boundary), so the walk never completes: an
+    # unbudgeted solve takes 497,229 boxes
+    res = solve_fiber(make_map(*_R1MAP1), _ON_FACE_128, cube(3, 128.0), max_boxes=budget)
+    assert res.status == "budget_exhausted"
+    assert 1 <= res.stats.boxes_processed <= budget
+    assert not res.roots
+
+
+def test_solve_fiber_budget_at_its_boxes_changes_nothing():
+    # on the criterion-3 maps: no budget, or a budget the walk does not
+    # pass, gives the unbudgeted result; one box less ends the walk early
+    rng = random.Random(33)
+    exhausted = 0
+    for k in range(20):
+        n = 2 if k % 2 == 0 else 3
+        F, _ = random_composed_automorphism(rng, n, factors=2)
+        x0 = tuple(Fraction(rng.randint(-2, 2), rng.choice([1, 2])) for _ in range(n))
+        q = tuple(c.eval(x0) for c in F.components)
+        box = cube(n, float(max([Fraction(2)] + [2 * abs(v) for v in x0])))
+        res = solve_fiber(F, q, box)
+        assert res.status == "complete"
+        boxes = res.stats.boxes_processed
+        assert solve_fiber(F, q, box, max_boxes=None) == res
+        assert solve_fiber(F, q, box, max_boxes=boxes) == res
+        if boxes > 1:
+            short = solve_fiber(F, q, box, max_boxes=boxes - 1)
+            assert short.status == "budget_exhausted"
+            assert short.stats.boxes_processed < boxes
+            exhausted += 1
+    assert exhausted >= 10
+
+
+def test_solve_fiber_budget_bounds_the_zero_determinant_walk():
+    F, z, cfg = make_map("x1^2 + x2^2", "x1^2 + x2^2"), [0, 0], SolverConfig(max_depth=6)
+    res = solve_fiber(F, z, cube(2, 1.0), cfg)
+    assert res.stats.boxes_processed > 2
+    assert solve_fiber(F, z, cube(2, 1.0), cfg, max_boxes=res.stats.boxes_processed) == res
+    short = solve_fiber(F, z, cube(2, 1.0), cfg, max_boxes=2)
+    assert short == FiberResult((), "budget_exhausted", SolveStats(1, 1))
+
+
+@pytest.mark.parametrize("budget", [0, -4])
+def test_solve_fiber_budget_must_be_positive(budget):
+    with pytest.raises(ValueError, match="max_boxes must be positive"):
+        solve_fiber(PolyMap.identity(2), [0, 0], cube(2, 1.0), max_boxes=budget)
+
+
+def _boundary_point(rng, n, radius):
+    """An exact point of the cube's boundary: on a face, an edge or a
+    corner, as 1 to n of its coordinates are pinned to +-radius."""
+    p = [Fraction(rng.randint(-16, 16), 16) * radius for _ in range(n)]
+    for axis in rng.sample(range(n), rng.randint(1, n)):
+        p[axis] = rng.choice([-radius, radius])
+    return tuple(p)
+
+
+def test_complete_solve_certifies_the_target_off_the_boundary_image():
+    # a complete solve is the pipeline's certificate that z is off
+    # F(boundary): at the image of an exact boundary point it is never
+    # complete, with or without a budget.  Where it is complete for a
+    # plane map, the exact winding degree is decided and equals the
+    # signed count
+    rng = random.Random(3131)
+    pinned = compared = 0
+    for k in range(24):
+        n = 2 if k % 2 == 0 else 3
+        F = (random_composed_automorphism(rng, n)[0] if k % 4 < 2
+             else random_druzkowski_map(rng, n)[0])
+        radius = Fraction(rng.choice([1, 2]))
+        box = IntervalBox.cube(n, radius)
+        for _ in range(4):
+            p = _boundary_point(rng, n, radius)
+            pinned += sum(abs(v) == radius for v in p)
+            z = tuple(c.eval(p) for c in F.components)
+            for budget in (None, 4096):
+                assert solve_fiber(F, z, box, max_boxes=budget).status != "complete", (F, p)
+        if n == 2:
+            for _ in range(4):
+                x = [Fraction(rng.randint(-24, 24), 8) for _ in range(n)]
+                z = tuple(c.eval(x) for c in F.components)
+                fiber = solve_fiber(F, z, box, max_boxes=4096)
+                if fiber.status == "complete":
+                    assert winding_degree(F, z, box) == fiber.signed_count
+                    compared += 1
+    assert pinned > 100 and compared >= 10
 
 
 # ------------------------------------------------- breadth-first walk

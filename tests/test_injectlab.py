@@ -963,27 +963,44 @@ def test_pipeline_wrong_winding_degree_is_a_soundness_bug(monkeypatch, wrong):
         injectivity_pipeline(make_map(2, "x1 + x2^3", "x2"), [[1, 1]])
 
 
-def test_pipeline_undecided_winding_degree_solves_the_query_fiber(monkeypatch):
-    # with the winding degree undecided every query fiber is solved, as
-    # before the winding degree was read, and the report stays the same
-    rng = random.Random(515)
-    automorphism, _ = random_composed_automorphism(rng, 2, factors=2)
-    cases = [(make_map(2, "x1 + x2^3", "x2"), [[1, 1], [-2, 3], [0, 3]]),
-             (make_map(2, "x1 + x2^2 + 1", "x2 - 2"), [[1, -2], [5, 4]]),
-             (make_map(2, "x2", "x1"), [[3, -5]]),
-             (automorphism, [[1, -1], [0, 1], [-1, 2]])]
-    solve = injectlab.solve_fiber
-    for F, queries in cases:
+_ON_BOUNDARY = "no winding degree: the target lies on F(boundary)"
+
+
+def _assert_signed_counts_match(F, report):
+    """The signed count of each record's query and base fibers, solved
+    over the record's box, equals the record's degree."""
+    for rec in report.records:
+        box = IntervalBox.cube(2, rec.radius)
+        for z, deg in ((rec.query, rec.degree_at_query), (report.base_point, rec.degree_at_base)):
+            fiber = solve_fiber(F, z, box)
+            assert fiber.status == "complete" and fiber.signed_count == deg
+
+
+def test_pipeline_undecided_winding_degree_refuses_the_query_radius(monkeypatch):
+    # a None winding degree means the query lies on F(boundary), so every
+    # radius the query tries is turned down without a solve; the degrees
+    # of the decided report equal the signed counts of the solved fibers
+    for F, queries in _plane_keller_cases():
         report = injectivity_pipeline(F, queries)
-        solved = []
+        base = report.base_point
+        winding = injectlab.winding_degree
         with monkeypatch.context() as patch:
-            patch.setattr(injectlab, "winding_degree", lambda F, z, box: None)
-            patch.setattr(injectlab, "solve_fiber",
-                          lambda F, z, box, cfg=None: solved.append(tuple(z))
-                          or solve(F, z, box, cfg))
-            fallback = injectivity_pipeline(F, queries)
-        assert fallback == report
-        assert {tuple(map(Fraction, q)) for q in queries} <= set(solved)
+            patch.setattr(injectlab, "winding_degree",
+                          lambda F, z, box: winding(F, z, box) if tuple(z) == base else None)
+            solves = _record_solves(patch)
+            refused = injectivity_pipeline(F, queries)
+        assert refused.verdict == "inconclusive" and refused.base_fiber_size == 1
+        assert not solves
+        for rec, decided in zip(refused.records, report.records, strict=True):
+            if rec.query == base:
+                # a query at the base keeps the base's decided degree
+                assert rec == decided
+                continue
+            assert rec.radius is None and not rec.path_certified
+            assert rec.note.startswith("radius cap reached without full certification; "
+                                       "last at radius ")
+            assert rec.note.endswith(f": {_ON_BOUNDARY}")
+        _assert_signed_counts_match(F, report)
 
 
 def _plane_keller_cases():
@@ -999,9 +1016,9 @@ def _record_solves(monkeypatch):
     """Wrap solve_fiber; returns the target and box radius of every solve."""
     solves, solve = [], injectlab.solve_fiber
 
-    def recording(F, z, box, cfg=None):
+    def recording(F, z, box, cfg=None, **kwargs):
         solves.append((tuple(z), box.hi[0]))
-        return solve(F, z, box, cfg)
+        return solve(F, z, box, cfg, **kwargs)
 
     monkeypatch.setattr(injectlab, "solve_fiber", recording)
     return solves
@@ -1023,10 +1040,11 @@ def test_pipeline_reads_a_unit_base_degree_instead_of_solving_the_base(monkeypat
             assert rec.degree_at_base in (1, -1) and rec.degree_at_base == rec.degree_at_query
 
 
-def test_pipeline_undecided_base_degree_solves_the_base(monkeypatch):
-    # with the base's winding degree undecided the base is solved at every
-    # certified query radius, as before the degree was read, and the
-    # report stays the same
+def test_pipeline_undecided_base_degree_refuses_the_radius(monkeypatch):
+    # with the base's winding degree None the base lies on F(boundary) at
+    # every radius, so Step 1 certifies none and nothing is solved; the
+    # degrees of the decided report equal the signed counts of the solved
+    # fibers at each record's radius
     winding = injectlab.winding_degree
     for F, queries in _plane_keller_cases():
         report = injectivity_pipeline(F, queries)
@@ -1035,9 +1053,12 @@ def test_pipeline_undecided_base_degree_solves_the_base(monkeypatch):
             patch.setattr(injectlab, "winding_degree",
                           lambda F, z, box: None if tuple(z) == base else winding(F, z, box))
             solves = _record_solves(patch)
-            fallback = injectivity_pipeline(F, queries)
-        assert fallback == report
-        assert {(base, float(rec.radius)) for rec in report.records} <= set(solves)
+            refused = injectivity_pipeline(F, queries)
+        assert refused.verdict == "inconclusive" and refused.base_fiber_size is None
+        assert not refused.records and not solves
+        assert refused.detail == ("no certified base fiber within the radius cap; last at "
+                                  f"radius {injectlab._MAX_RADIUS}: {_ON_BOUNDARY}")
+        _assert_signed_counts_match(F, report)
 
 
 @pytest.mark.parametrize("wrong", [-1, 0, 2])
@@ -1051,21 +1072,28 @@ def test_pipeline_base_degree_off_its_signed_count_is_a_soundness_bug(monkeypatc
         injectivity_pipeline(make_map(2, "x1 + x2^3", "x2"), [])
 
 
-def test_pipeline_solves_the_base_at_step_1_where_its_degree_is_undecided(monkeypatch):
-    # with the base's winding degree None its degree is the solved fiber's
-    # signed count, so with no queries Step 1 makes exactly one solve, at
-    # the first radius, and the report is that of the decided degree
+def test_pipeline_refuses_step_1_radii_where_the_base_degree_is_undecided(monkeypatch):
+    # with the base's winding degree None, and no queries, Step 1 tries
+    # every radius up to the cap once and solves nothing; at the first
+    # radius, where the decided degree certifies the base, the solved
+    # fiber's signed count gives the same fiber size
     winding = injectlab.winding_degree
     for F, _ in _plane_keller_cases():
         report = injectivity_pipeline(F, [])
         base = report.base_point
+        wound = []
         with monkeypatch.context() as patch:
             patch.setattr(injectlab, "winding_degree",
-                          lambda F, z, box: None if tuple(z) == base else winding(F, z, box))
+                          lambda F, z, box: wound.append(box.hi[0]) if tuple(z) == base
+                          else winding(F, z, box))
             solves = _record_solves(patch)
-            fallback = injectivity_pipeline(F, [])
-        assert fallback == report and report.base_fiber_size == 1
-        assert solves == [(base, float(injectlab._INITIAL_RADIUS))]
+            refused = injectivity_pipeline(F, [])
+        assert report.base_fiber_size == 1 and refused.base_fiber_size is None
+        assert not solves
+        assert wound == [float(2 ** k) for k in range(21)]
+        fiber = solve_fiber(F, base, IntervalBox.cube(2, injectlab._INITIAL_RADIUS))
+        det_sign = 1 if injectlab.keller_check(F).constant_value > 0 else -1
+        assert fiber.status == "complete" and fiber.signed_count * det_sign == 1
 
 
 @pytest.mark.parametrize("F", [make_map(2, "x1 + x2^3", "x2"),
@@ -1202,10 +1230,10 @@ def _record_pipeline_calls(monkeypatch, query):
         (held if failure is None else failed).append(box.hi[0])
         return failure
 
-    def recording_solve(F, z, box, cfg=None):
+    def recording_solve(F, z, box, cfg=None, **kwargs):
         if tuple(z) == query:
             solved.append(box.hi[0])
-        return solve(F, z, box, cfg)
+        return solve(F, z, box, cfg, **kwargs)
 
     def recording_winding(F, z, box):
         if tuple(z) == query:
@@ -1295,39 +1323,56 @@ def test_plane_pipeline_certifies_its_segments_without_the_sum_of_squares_heap(
 
 def test_pipeline_base_cap_names_the_failed_certificate(monkeypatch):
     # the base point (1, 0) lies on the image of the radius-1 box's
-    # boundary, and the cap allows no larger box
+    # boundary, where the winding degree is None, and the cap allows no
+    # larger box
     monkeypatch.setattr(injectlab, "_MAX_RADIUS", 1)
+    solves = _record_solves(monkeypatch)
     report = injectivity_pipeline(PolyMap.identity(2), [[0, 0]], base=[1, 0])
     assert report.verdict == "inconclusive" and report.base_fiber_size is None
-    assert report.detail.startswith("no certified base fiber within the radius cap; "
-                                    "last at radius 1: clearance failed: ")
+    assert report.detail == ("no certified base fiber within the radius cap; "
+                             f"last at radius 1: {_ON_BOUNDARY}")
+    assert not solves
 
 
 def _record_certificates(monkeypatch, winding=None):
-    """Wrap the boundary clearance, the fiber solve and the winding degree
-    (replaced by winding when given); returns one list of the calls in
-    order, each as (kind, target, box radius), plus the winding results."""
-    calls, wound = [], {}
-    clearance, solve = injectlab.boundary_clearance, injectlab.solve_fiber
+    """Wrap the fiber solve, the winding degree (replaced by winding when
+    given) and the sum-of-squares heap under every clearance; returns one
+    list of the calls in order, each as (kind, target, box radius), with
+    a heap call made outside a path segment test as ("clearance", None,
+    None), the winding results and the max_boxes of every solve."""
+    calls, wound, budgets = [], {}, []
+    solve, heap = injectlab.solve_fiber, fibersolve.certified_min_sum_squares
+    segment = injectlab.segment_failure
     winding = winding or injectlab.winding_degree
+    inside = []
 
-    def recording_clearance(F, z, box, improve_splits=300):
-        calls.append(("clearance", tuple(z), box.hi[0]))
-        return clearance(F, z, box, improve_splits=improve_splits)
-
-    def recording_solve(F, z, box, cfg=None):
+    def recording_solve(F, z, box, cfg=None, **kwargs):
         calls.append(("solve", tuple(z), box.hi[0]))
-        return solve(F, z, box, cfg)
+        budgets.append(kwargs.get("max_boxes"))
+        return solve(F, z, box, cfg, **kwargs)
 
     def recording_winding(F, z, box):
         calls.append(("winding", tuple(z), box.hi[0]))
         wound[tuple(z), box.hi[0]] = winding(F, z, box)
         return wound[tuple(z), box.hi[0]]
 
-    monkeypatch.setattr(injectlab, "boundary_clearance", recording_clearance)
+    def recording_segment(*args):
+        inside.append(True)
+        try:
+            return segment(*args)
+        finally:
+            inside.pop()
+
+    def recording_heap(*args, **kwargs):
+        if not inside:
+            calls.append(("clearance", None, None))
+        return heap(*args, **kwargs)
+
     monkeypatch.setattr(injectlab, "solve_fiber", recording_solve)
     monkeypatch.setattr(injectlab, "winding_degree", recording_winding)
-    return calls, wound
+    monkeypatch.setattr(injectlab, "segment_failure", recording_segment)
+    monkeypatch.setattr(fibersolve, "certified_min_sum_squares", recording_heap)
+    return calls, wound, budgets
 
 
 def test_pipeline_runs_no_clearance_where_the_winding_degree_is_decided(monkeypatch):
@@ -1336,55 +1381,101 @@ def test_pipeline_runs_no_clearance_where_the_winding_degree_is_decided(monkeypa
     for F, queries in _plane_keller_cases():
         report = injectivity_pipeline(F, queries)
         with monkeypatch.context() as patch:
-            calls, wound = _record_certificates(patch)
+            calls, wound, _ = _record_certificates(patch)
             wrapped = injectivity_pipeline(F, queries)
         assert wrapped == report
         assert wound and None not in wound.values()
         assert not [call for call in calls if call[0] == "clearance"]
 
 
-def test_pipeline_clears_every_radius_where_the_winding_degree_is_undecided(monkeypatch):
-    # with every winding degree undecided, each radius the query or the
-    # base tries is cleared before anything is solved there, and the
-    # report stays the same
+def test_pipeline_makes_no_clearance_where_the_winding_degree_is_undecided(monkeypatch):
+    # with every winding degree None the base lies on F(boundary) at each
+    # radius Step 1 tries, so each is turned down by its winding degree
+    # alone: no clearance and no solve
     for F, queries in _plane_keller_cases():
-        report = injectivity_pipeline(F, queries)
         with monkeypatch.context() as patch:
-            calls, _ = _record_certificates(patch, lambda F, z, box: None)
-            fallback = injectivity_pipeline(F, queries)
-        assert fallback == report
-        tried = collections.Counter(call[1:] for call in calls if call[0] == "winding")
-        assert collections.Counter(call[1:] for call in calls if call[0] == "clearance") == tried
-        for k, (kind, z, radius) in enumerate(calls):
-            if kind == "solve":
-                assert ("clearance", z, radius) in calls[:k]
+            calls, _, _ = _record_certificates(patch, lambda F, z, box: None)
+            refused = injectivity_pipeline(F, queries)
+        assert refused.verdict == "inconclusive" and refused.base_fiber_size is None
+        assert calls == [("winding", refused.base_point, float(2 ** k)) for k in range(21)]
 
 
 def test_pipeline_certifies_a_decided_query_whose_clearance_fails(monkeypatch):
-    # the clearance is not asked where the winding degree is decided, so
-    # a clearance that cannot certify anything changes no report
-    failed = fibersolve.ClearanceResult(0.0, 1, 0, "forced to fail")
+    # the pipeline asks no clearance where the winding degree is decided,
+    # so a clearance kernel that cannot certify anything changes no report
     for F, queries in _plane_keller_cases():
         report = injectivity_pipeline(F, queries)
         with monkeypatch.context() as patch:
-            patch.setattr(injectlab, "boundary_clearance", lambda *args, **kwargs: failed)
+            patch.setattr(fibersolve, "certified_min_sum_squares",
+                          lambda *args, **kwargs: (0.0, 1, 0, "forced to fail"))
             forced = injectivity_pipeline(F, queries)
         assert forced == report
         assert forced.verdict == "consistent_with_injectivity"
         assert all(rec.path_certified for rec in forced.records)
 
 
-def test_pipeline_clears_before_every_solve_in_three_dimensions(monkeypatch):
-    # n = 3 has no winding degree, and the solver no box budget, so the
-    # clearance still guards every query and base solve
+def test_pipeline_budgets_every_solve_without_a_clearance_in_three_dimensions(monkeypatch):
+    # n = 3 has no winding degree: a complete solve within the box budget
+    # certifies the point off F(boundary), so the sum-of-squares heap runs
+    # only for the path segments, every solve passes the budget, and the
+    # report equals that of unbudgeted solves
     F, _ = random_druzkowski_map(random.Random(23), 3)
     queries = [[1, -1, 2], [0, 2, -1]]
-    calls, wound = _record_certificates(monkeypatch)
+    solve = injectlab.solve_fiber
+    with monkeypatch.context() as patch:
+        patch.setattr(injectlab, "solve_fiber",
+                      lambda F, z, box, cfg=None, **kwargs: solve(F, z, box, cfg))
+        unbudgeted = injectivity_pipeline(F, queries)
+    calls, wound, budgets = _record_certificates(monkeypatch)
     report = injectivity_pipeline(F, queries)
+    assert report == unbudgeted
     assert report.verdict == "consistent_with_injectivity"
     assert not wound
-    solves = [(k, call[1:]) for k, call in enumerate(calls) if call[0] == "solve"]
-    assert {z for k, (z, radius) in solves} == {(0, 0, 0), (1, -1, 2), (0, 2, -1)}
-    assert len({radius for k, (z, radius) in solves}) >= 3
-    for k, (z, radius) in solves:
-        assert ("clearance", z, radius) in calls[:k]
+    assert not [call for call in calls if call[0] == "clearance"]
+    solves = [call[1:] for call in calls if call[0] == "solve"]
+    assert {z for z, radius in solves} == {(0, 0, 0), (1, -1, 2), (0, 2, -1)}
+    assert len({radius for z, radius in solves}) >= 3
+    assert budgets == [injectlab._SOLVE_BOXES] * len(solves)
+
+
+def test_pipeline_certifies_a_query_on_the_boundary_image_of_its_first_radius(monkeypatch):
+    # F(1, 1, 1/2) = (0, 0, 1/2), whose first radius is 1: that box's face
+    # x1 = 1 holds the root, so the solve there ends boundary_contact
+    # within the budget, and radius 2 certifies the query, with no
+    # clearance made
+    F = make_map(3, "x1 - 8*x3^3", "x2 - 8*x3^3", "x3")
+    query = (Fraction(0), Fraction(0), Fraction(1, 2))
+    assert tuple(c.eval((1, 1, Fraction(1, 2))) for c in F.components) == query
+    statuses, solve = [], injectlab.solve_fiber
+
+    def recording_solve(F, z, box, cfg=None, **kwargs):
+        fiber = solve(F, z, box, cfg, **kwargs)
+        if tuple(z) == query:
+            statuses.append((box.hi[0], fiber.status))
+        return fiber
+
+    calls, _, _ = _record_certificates(monkeypatch)
+    monkeypatch.setattr(injectlab, "solve_fiber", recording_solve)
+    report = injectivity_pipeline(F, [query])
+    assert report.verdict == "consistent_with_injectivity"
+    (record,) = report.records
+    assert record.radius == 2 and record.path_certified and record.fiber_size == 1
+    assert statuses == [(1.0, "boundary_contact"), (2.0, "complete")]
+    assert not [call for call in calls if call[0] == "clearance"]
+
+
+def test_pipeline_cap_note_names_an_exhausted_solve_budget(monkeypatch):
+    # the benchmark's r1map1 map with the base F(64, -32, -128), whose root
+    # lies on the face x3 = -128 of the radius-128 box: Step 1's solve
+    # there spends its budget, where an unbudgeted one walks 497,229
+    # boxes, and with only that radius allowed the detail names the budget
+    F = make_map(3, "x1 - 8*x3^3", "x2 - 8*x3^3", "x3")
+    base = tuple(c.eval((64, -32, -128)) for c in F.components)
+    monkeypatch.setattr(injectlab, "_INITIAL_RADIUS", 128)
+    monkeypatch.setattr(injectlab, "_MAX_RADIUS", 128)
+    report = injectivity_pipeline(F, [], base=base)
+    assert report.verdict == "inconclusive" and report.base_fiber_size is None
+    prefix = ("no certified base fiber within the radius cap; last at radius 128: "
+              "solver status budget_exhausted after ")
+    assert report.detail.startswith(prefix) and report.detail.endswith(" boxes")
+    assert int(report.detail[len(prefix):-len(" boxes")]) <= injectlab._SOLVE_BOXES
